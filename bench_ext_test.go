@@ -104,7 +104,7 @@ func BenchmarkFullPacketRound(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := desim.RunFullRound(env.Tree, env.Field, env.Query, core.DefaultFilterConfig(), desim.DefaultRadioConfig())
+		res, err := desim.RunRound(env.Tree, env.Field, env.Query, core.DefaultFilterConfig(), desim.DefaultRadioConfig(), desim.RoundOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -274,12 +274,11 @@ func run() error {
 		if *roundtr != "" {
 			rec = rtrace.NewRecorder(traceCapacity(*nodes))
 		}
-		var pr *desim.RoundResult
+		opt := desim.RoundOptions{Faults: plan, Trace: rec}
 		if *shards > 1 {
-			pr, err = desim.RunFullRoundShardedTraced(env.Tree, env.Field, env.Query, fc, rcfg, plan, *shards, *workers, rec)
-		} else {
-			pr, err = desim.RunFullRoundFaultsTraced(env.Tree, env.Field, env.Query, fc, rcfg, plan, rec)
+			opt.Engine = desim.NewShardedEngine(network.NewGridPartition(env.Network, *shards), *workers)
 		}
+		pr, err := desim.RunRound(env.Tree, env.Field, env.Query, fc, rcfg, opt)
 		if err != nil {
 			return err
 		}

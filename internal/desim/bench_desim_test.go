@@ -56,7 +56,7 @@ func benchFullRound(b *testing.B, n int, mk func() EngineAPI) {
 	b.ResetTimer()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunFullRoundEngine(mk(), tree, f, q, fc, cfg)
+		res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: mk()})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func BenchmarkFullRoundTraced(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec.Reset()
-				res, err := RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, nil, rec)
+				res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Trace: rec})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -131,7 +131,7 @@ func BenchmarkFullRoundSharded(b *testing.B) {
 			b.ResetTimer()
 			var events int64
 			for i := 0; i < b.N; i++ {
-				res, err := RunFullRoundEngine(NewShardedEngine(part, 0), tree, f, q, fc, cfg)
+				res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: NewShardedEngine(part, 0)})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -75,7 +75,7 @@ func TestDeltaStaticFieldEquivalence(t *testing.T) {
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
 
-	full, err := RunFullRound(tree, f, q, fc, cfg)
+	full, err := RunRound(tree, f, q, fc, cfg, RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,9 +97,9 @@ func TestDeltaStaticFieldEquivalence(t *testing.T) {
 			for round := 1; round <= 3; round++ {
 				var res *RoundResult
 				if shards > 1 {
-					res, err = RunFullRoundDeltaSharded(tree, f, q, fc, cfg, nil, ds, shards, 0, nil)
+					res, err = RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, shards, 0), Delta: ds})
 				} else {
-					res, err = RunFullRoundDelta(tree, f, q, fc, cfg, nil, ds, nil)
+					res, err = RunRound(tree, f, q, fc, cfg, RoundOptions{Delta: ds})
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -173,11 +173,11 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	retired := 0
 	for round := 1; round <= 4; round++ {
 		snap := dyn.At(float64(round) * 0.5)
-		seq, err := RunFullRoundDelta(tree, snap, q, fc, cfg, nil, dsSeq, nil)
+		seq, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Delta: dsSeq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard, err := RunFullRoundDeltaSharded(tree, snap, q, fc, cfg, nil, dsShard, 4, 0, nil)
+		shard, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 4, 0), Delta: dsShard})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,6 +196,96 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	}
 	if retired == 0 {
 		t.Error("four drifting rounds retired nothing; field evolution too slow to exercise crossings-out")
+	}
+}
+
+// TestDeltaRoundOptionsEquivalence covers the RoundOptions cells no other
+// test reaches: delta rounds on the EngineNaive oracle, and delta rounds
+// under seeded lossy-channel and crash plans on a grid-sharded engine.
+// Over a drifting field every round must match the sequential Engine
+// run in result, delta tallies and canonical trace, and leave an equal
+// DeltaState behind.
+func TestDeltaRoundOptionsEquivalence(t *testing.T) {
+	tree, f, q := fullRoundSetup(t, 300)
+	fc := core.DefaultFilterConfig()
+	dyn, err := field.NewTemporal("drift", f, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := tree.Network().Len()
+	faultPlan := func(round int) *faults.Plan {
+		plan, err := faults.New(faults.Config{
+			Seed: int64(round) * 31, Channel: faults.ChannelBernoulli, LossRate: 0.08,
+			CrashFraction: 0.05, CrashStart: 0.05, CrashEnd: 0.6,
+			Protect: []network.NodeID{tree.Root()},
+		}, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	deadlineCfg := DefaultRadioConfig()
+	deadlineCfg.FrameDeadline = 1.5
+
+	cases := []struct {
+		name   string
+		cfg    RadioConfig
+		engine func() EngineAPI
+		plan   func(round int) *faults.Plan
+	}{
+		{"naive", DefaultRadioConfig(), func() EngineAPI { return NewEngineNaive() },
+			func(int) *faults.Plan { return nil }},
+		{"faulted-grid4", deadlineCfg, func() EngineAPI { return gridEngine(tree, 4, 0) }, faultPlan},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dsWant, err := NewDeltaState(nodes, DeltaConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dsGot, err := NewDeltaState(nodes, DeltaConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var crashed, retired int
+			for round := 1; round <= 5; round++ {
+				snap := dyn.At(float64(round) * 0.5)
+				wantRec, gotRec := traceRecorderFor(300), traceRecorderFor(300)
+				want, err := RunRound(tree, snap, q, fc, tc.cfg, RoundOptions{Faults: tc.plan(round), Delta: dsWant, Trace: wantRec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunRound(tree, snap, q, fc, tc.cfg, RoundOptions{Engine: tc.engine(), Faults: tc.plan(round), Delta: dsGot, Trace: gotRec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := roundFingerprint(got), roundFingerprint(want); g != w {
+					t.Fatalf("round %d: result diverged:\n%s", round, firstDiff(g, w))
+				}
+				if !reflect.DeepEqual(got.Delivered, want.Delivered) {
+					t.Fatalf("round %d: delivered batch diverged", round)
+				}
+				if got.Crossings != want.Crossings || got.Suppressed != want.Suppressed || got.Retired != want.Retired {
+					t.Fatalf("round %d: tallies diverged: got %d/%d/%d want %d/%d/%d", round,
+						got.Crossings, got.Suppressed, got.Retired,
+						want.Crossings, want.Suppressed, want.Retired)
+				}
+				if g, w := goldenDeltaDigest(gotRec), goldenDeltaDigest(wantRec); g != w {
+					t.Fatalf("round %d: trace diverged:\n got  %s\n want %s", round, g, w)
+				}
+				if !reflect.DeepEqual(dsGot, dsWant) {
+					t.Fatalf("round %d: delta state diverged", round)
+				}
+				crashed += want.Crashed
+				retired += want.Retired
+			}
+			if retired == 0 {
+				t.Error("five drifting rounds retired nothing; crossings-out unexercised")
+			}
+			if tc.plan(1) != nil && crashed == 0 {
+				t.Error("fault plans crashed nobody; test exercises nothing")
+			}
+		})
 	}
 }
 
@@ -218,7 +308,7 @@ func TestDeltaTraceInvariants(t *testing.T) {
 	var crossings, suppressed int64
 	for round := 1; round <= 3; round++ {
 		rec := traceRecorderFor(300)
-		if _, err := RunFullRoundDelta(tree, dyn.At(float64(round)*0.5), q, fc, cfg, nil, ds, rec); err != nil {
+		if _, err := RunRound(tree, dyn.At(float64(round)*0.5), q, fc, cfg, RoundOptions{Delta: ds, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
 		if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
@@ -263,7 +353,7 @@ func TestDeltaTraceInvariantsSeededFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := traceRecorderFor(300)
-			if _, err := RunFullRoundDelta(tree, dyn.At(float64(round)*0.5), q, fc, cfg, plan, ds, rec); err != nil {
+			if _, err := RunRound(tree, dyn.At(float64(round)*0.5), q, fc, cfg, RoundOptions{Faults: plan, Delta: ds, Trace: rec}); err != nil {
 				t.Fatal(err)
 			}
 			if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
@@ -314,9 +404,9 @@ func TestGoldenDeltaTrace1k(t *testing.T) {
 		round := func(n int, rec *trace.Recorder) {
 			snap := dyn.At(float64(n) * 0.5)
 			if sharded {
-				_, err = RunFullRoundDeltaSharded(tree, snap, q, fc, cfg, nil, ds, 8, 0, rec)
+				_, err = RunRound(tree, snap, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 8, 0), Delta: ds, Trace: rec})
 			} else {
-				_, err = RunFullRoundDelta(tree, snap, q, fc, cfg, nil, ds, rec)
+				_, err = RunRound(tree, snap, q, fc, cfg, RoundOptions{Delta: ds, Trace: rec})
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -106,7 +106,7 @@ func TestFullRoundEngineOracle(t *testing.T) {
 	for _, n := range []int{150, 400} {
 		fast := func() *RoundResult {
 			tree, f, q := fullRoundSetup(t, n)
-			res, err := RunFullRoundEngine(NewEngine(), tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+			res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Engine: NewEngine()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestFullRoundEngineOracle(t *testing.T) {
 		}()
 		naive := func() *RoundResult {
 			tree, f, q := fullRoundSetup(t, n)
-			res, err := RunFullRoundEngine(NewEngineNaive(), tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+			res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Engine: NewEngineNaive()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +144,7 @@ func TestFullRoundFaultsEngineOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFullRoundFaultsEngine(eng, tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+		res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Engine: eng, Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}

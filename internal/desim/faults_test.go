@@ -173,11 +173,11 @@ func TestOnDropRequeueDeliversExactlyOnce(t *testing.T) {
 
 func TestRunFullRoundFaultsEmptyPlanIdentical(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 400)
-	base, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	base, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	under, err := RunFullRoundFaults(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), &faults.Plan{})
+	under, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: &faults.Plan{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRunFullRoundFaultsEmptyPlanIdentical(t *testing.T) {
 
 func TestRunFullRoundFaultsLossDegradesGracefully(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 400)
-	base, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	base, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestRunFullRoundFaultsLossDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFullRoundFaults(tree2, f2, q2, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+	res, err := RunRound(tree2, f2, q2, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestRunFullRoundFaultsCrashRouteRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFullRoundFaults(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+	res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestRunFullRoundFaultsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFullRoundFaults(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+		res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: plan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestRunFullRoundFaultsSinkMangling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFullRoundFaults(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+	res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestCrashRestoredAfterRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFullRoundFaults(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), plan)
+	res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +331,12 @@ func TestCrashRestoredAfterRound(t *testing.T) {
 
 	// A fault-free round on the post-crash network must equal one on a
 	// never-faulted twin: no residue of the crashes may leak forward.
-	after, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	after, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree2, f2, q2 := fullRoundSetup(t, 400)
-	fresh, err := RunFullRound(tree2, f2, q2, core.DefaultFilterConfig(), DefaultRadioConfig())
+	fresh, err := RunRound(tree2, f2, q2, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,78 +59,40 @@ type RoundResult struct {
 	Events int64
 }
 
-// RunFullRound executes an entire Iso-Map round on the discrete-event
-// radio: the sink floods the query (unacknowledged broadcast flood with
-// duplicate suppression), nodes whose readings fall in the border region
-// probe their neighborhood and run the regression when the replies are in,
-// and the resulting reports converge-cast to the sink with in-network
-// filtering. Every phase is made of real frames subject to carrier
-// sensing, collisions and loss.
-//
-// Phase boundaries are realized with guard times rather than global
-// barriers: a node starts its probe a fixed delay after hearing the query,
-// and flushes its report once its reply-collection window closes — as a
-// real deployment would, with no global clock.
-func RunFullRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig) (*RoundResult, error) {
-	return RunFullRoundFaults(tree, f, q, fc, cfg, nil)
+// RoundOptions selects how RunRound runs one round. The zero value is a
+// fault-free, untraced, full-report round on a fresh NewEngine().
+type RoundOptions struct {
+	// Engine is the scheduler: the production Engine, the EngineNaive
+	// reference oracle, or a ShardedEngine. Nil selects NewEngine().
+	Engine EngineAPI
+	// Faults is the injected fault plan; nil runs fault-free. Plans are
+	// stateful: pass a fresh one per round.
+	Faults *faults.Plan
+	// Delta, when non-nil, runs the delta-report protocol; it carries the
+	// cross-round transmitted-report memory and is updated in place. See
+	// DeltaState for the protocol contract.
+	Delta *DeltaState
+	// Trace records the round's structured events (see internal/trace);
+	// nil runs untraced.
+	Trace *trace.Recorder
 }
 
-// RunFullRoundFaults is RunFullRound under an injected fault plan: the
-// plan's channel model erases receptions per link, its crash schedule
-// kills nodes mid-round, and its sink model corrupts/duplicates delivered
-// reports. The round degrades instead of wedging: a node whose parent
-// goes silent — detected when a report batch toward it exhausts its
-// retries or deadline — re-parents onto its best surviving lower-level
-// neighbor (routing.Tree.BestAliveParentFunc under the radio's delayed
-// liveness view) and re-queues the batch, so a crashed relay black-holes
-// nothing but its own queue. A nil or empty plan leaves every code path
-// untouched: the round is bit-identical to RunFullRound. Plans are
-// stateful; pass a fresh one per round.
-func RunFullRoundFaults(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan) (*RoundResult, error) {
-	return RunFullRoundFaultsEngine(NewEngine(), tree, f, q, fc, cfg, plan)
-}
-
-// RunFullRoundEngine is RunFullRound on a caller-supplied scheduler.
-func RunFullRoundEngine(eng EngineAPI, tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig) (*RoundResult, error) {
-	return RunFullRoundFaultsEngine(eng, tree, f, q, fc, cfg, nil)
-}
-
-// RunFullRoundTraced is RunFullRound recording structured events into
-// rec (see internal/trace). A nil recorder reduces to RunFullRound
-// exactly.
-func RunFullRoundTraced(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, rec *trace.Recorder) (*RoundResult, error) {
-	return RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, nil, rec)
-}
-
-// RunFullRoundFaultsTraced is RunFullRoundFaults recording structured
-// events into rec.
+// RunFullRoundFaultsTraced is RunRound with a fault plan and a trace
+// recorder on a fresh sequential engine. It remains only because the
+// separate perfbench module calls it; new code calls RunRound.
 func RunFullRoundFaultsTraced(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, rec *trace.Recorder) (*RoundResult, error) {
-	return RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, plan, rec)
+	return RunRound(tree, f, q, fc, cfg, RoundOptions{Faults: plan, Trace: rec})
 }
 
-// RunFullRoundSharded is RunFullRound on a ShardedEngine over a grid
-// partition of the deployment into shards spatial cells, executing
-// windows with up to workers goroutines (0 selects GOMAXPROCS). The
-// result is byte-identical to RunFullRound at any shard and worker
-// count.
-func RunFullRoundSharded(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, shards, workers int) (*RoundResult, error) {
-	return RunFullRoundShardedTraced(tree, f, q, fc, cfg, nil, shards, workers, nil)
-}
-
-// RunFullRoundShardedTraced is the sharded round with fault injection and
-// tracing. Each shard records into its own recorder (sized to rec's
-// capacity) and the per-shard traces are merged canonically — sorted by
-// (timestamp, serialized line) — into rec after the run, so the merged
-// trace depends only on what happened, not on shard interleaving.
-func RunFullRoundShardedTraced(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, shards, workers int, rec *trace.Recorder) (*RoundResult, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("desim: nil routing tree")
+// RunFullRoundDelta is the delta-report RunRound on a fresh sequential
+// engine; unlike RunRound it rejects a nil DeltaState. It remains only
+// because the separate perfbench module calls it; new code calls
+// RunRound.
+func RunFullRoundDelta(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, ds *DeltaState, rec *trace.Recorder) (*RoundResult, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("desim: delta round needs a DeltaState")
 	}
-	if shards < 1 {
-		return nil, fmt.Errorf("desim: shard count %d < 1", shards)
-	}
-	part := network.NewGridPartition(tree.Network(), shards)
-	return RunFullRoundFaultsEngineTraced(NewShardedEngine(part, workers), tree, f, q, fc, cfg, plan, rec)
+	return RunRound(tree, f, q, fc, cfg, RoundOptions{Faults: plan, Delta: ds, Trace: rec})
 }
 
 // Windows (in seconds) shaping the round: how long a node listens for
@@ -605,66 +567,55 @@ func (sh *roundShard) onEvent(ev Event) {
 	}
 }
 
-// RunFullRoundFaultsEngine is RunFullRoundFaults on a caller-supplied
-// scheduler: the production Engine, the EngineNaive reference oracle, or
-// a ShardedEngine. All execute the identical event sequence — the
-// equivalence property tests pin that.
-func RunFullRoundFaultsEngine(eng EngineAPI, tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan) (*RoundResult, error) {
-	return RunFullRoundFaultsEngineTraced(eng, tree, f, q, fc, cfg, plan, nil)
-}
-
-// RunFullRoundFaultsEngineTraced is the fully general round: any
-// scheduler, any fault plan, and an optional trace recorder. Tracing
-// records the round's internal happenings — frame lifecycles with phase
-// and drop cause, re-parenting with BFS levels, crash times, sink
-// report arrivals, the round-end tally — without perturbing it: a nil
-// recorder leaves every code path and every output byte identical, and
-// an attached recorder draws no randomness and schedules nothing.
+// RunRound executes an entire Iso-Map round on the discrete-event radio:
+// the sink floods the query (unacknowledged broadcast flood with
+// duplicate suppression), nodes whose readings fall in the border region
+// probe their neighborhood and run the regression when the replies are
+// in, and the resulting reports converge-cast to the sink with
+// in-network filtering. Every phase is made of real frames subject to
+// carrier sensing, collisions and loss.
 //
-// When eng is a *ShardedEngine the round runs one protocol instance per
+// Phase boundaries are realized with guard times rather than global
+// barriers: a node starts its probe a fixed delay after hearing the
+// query, and flushes its report once its reply-collection window closes
+// — as a real deployment would, with no global clock.
+//
+// Under a fault plan the plan's channel model erases receptions per
+// link, its crash schedule kills nodes mid-round, and its sink model
+// corrupts/duplicates delivered reports. The round degrades instead of
+// wedging: a node whose parent goes silent — detected when a report
+// batch toward it exhausts its retries or deadline — re-parents onto its
+// best surviving lower-level neighbor (routing.Tree.BestAliveParentFunc
+// under the radio's delayed liveness view) and re-queues the batch, so a
+// crashed relay black-holes nothing but its own queue. A nil or empty
+// plan leaves every code path untouched.
+//
+// Tracing records the round's internal happenings — frame lifecycles
+// with phase and drop cause, re-parenting with BFS levels, crash times,
+// sink report arrivals, the round-end tally — without perturbing it: a
+// nil recorder leaves every code path and every output byte identical,
+// and an attached recorder draws no randomness and schedules nothing.
+//
+// When opt.Engine is a *ShardedEngine (callers partition with
+// network.NewGridPartition) the round runs one protocol instance per
 // shard: each shard's engine executes its own nodes' events, radios
 // exchange cross-shard frames through the group mailboxes, and the
 // partial tallies merge after the run. Per-node protocol state lives in
-// shared slices touched only by the owning shard.
-func RunFullRoundFaultsEngineTraced(eng EngineAPI, tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, rec *trace.Recorder) (*RoundResult, error) {
-	return runFullRound(eng, tree, f, q, fc, cfg, plan, nil, rec)
-}
-
-// RunFullRoundDelta is the delta-report round on a fresh sequential
-// engine: ds carries the cross-round transmitted-report memory and is
-// updated in place. See DeltaState for the protocol contract.
-func RunFullRoundDelta(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, ds *DeltaState, rec *trace.Recorder) (*RoundResult, error) {
-	return RunFullRoundDeltaEngine(NewEngine(), tree, f, q, fc, cfg, plan, ds, rec)
-}
-
-// RunFullRoundDeltaSharded is the delta-report round on a sharded engine
-// over a grid partition; byte-identical to RunFullRoundDelta at any
-// shard and worker count, including the state left in ds.
-func RunFullRoundDeltaSharded(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, ds *DeltaState, shards, workers int, rec *trace.Recorder) (*RoundResult, error) {
+// shared slices touched only by the owning shard. Each shard records
+// into its own recorder (sized to opt.Trace's capacity) and the
+// per-shard traces are merged canonically — sorted by (timestamp,
+// serialized line) — into opt.Trace, so the merged trace depends only on
+// what happened, not on shard interleaving. Every engine executes the
+// identical event sequence: the result, the trace and the state left in
+// opt.Delta are byte-identical at any shard and worker count, which the
+// equivalence property tests pin.
+func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, opt RoundOptions) (*RoundResult, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("desim: nil routing tree")
 	}
-	if shards < 1 {
-		return nil, fmt.Errorf("desim: shard count %d < 1", shards)
-	}
-	part := network.NewGridPartition(tree.Network(), shards)
-	return RunFullRoundDeltaEngine(NewShardedEngine(part, workers), tree, f, q, fc, cfg, plan, ds, rec)
-}
-
-// RunFullRoundDeltaEngine is the delta-report round on a caller-supplied
-// scheduler.
-func RunFullRoundDeltaEngine(eng EngineAPI, tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, ds *DeltaState, rec *trace.Recorder) (*RoundResult, error) {
-	if ds == nil {
-		return nil, fmt.Errorf("desim: delta round needs a DeltaState")
-	}
-	return runFullRound(eng, tree, f, q, fc, cfg, plan, ds, rec)
-}
-
-// runFullRound is the shared driver behind every RunFullRound* entry
-// point; a nil ds is a full-report round, a non-nil one a delta round.
-func runFullRound(eng EngineAPI, tree *routing.Tree, f field.Field, q core.Query, fc core.FilterConfig, cfg RadioConfig, plan *faults.Plan, ds *DeltaState, rec *trace.Recorder) (*RoundResult, error) {
-	if tree == nil {
-		return nil, fmt.Errorf("desim: nil routing tree")
+	eng, plan, ds, rec := opt.Engine, opt.Faults, opt.Delta, opt.Trace
+	if eng == nil {
+		eng = NewEngine()
 	}
 	nw := tree.Network()
 	nw.Sense(f)

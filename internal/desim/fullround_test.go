@@ -36,7 +36,7 @@ func fullRoundSetup(t *testing.T, n int) (*routing.Tree, field.Field, core.Query
 
 func TestRunFullRound(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 900)
-	res, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	res, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +71,55 @@ func TestRunFullRound(t *testing.T) {
 }
 
 func TestRunFullRoundNilTree(t *testing.T) {
-	if _, err := RunFullRound(nil, nil, core.Query{}, core.FilterConfig{}, DefaultRadioConfig()); err == nil {
+	if _, err := RunRound(nil, nil, core.Query{}, core.FilterConfig{}, DefaultRadioConfig(), RoundOptions{}); err == nil {
 		t.Error("want error for nil tree")
+	}
+}
+
+// TestRunFullRoundWrappers pins the two wrappers kept for the perfbench
+// module: each reproduces its RunRound form, and RunFullRoundDelta
+// rejects a nil DeltaState where RunRound would run a full round.
+func TestRunFullRoundWrappers(t *testing.T) {
+	tree, f, q := fullRoundSetup(t, 300)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	rec := traceRecorderFor(300)
+	got, err := RunFullRoundFaultsTraced(tree, f, q, fc, cfg, nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRec := traceRecorderFor(300)
+	want, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Trace: wantRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roundFingerprint(got) != roundFingerprint(want) || goldenDigest(rec) != goldenDigest(wantRec) {
+		t.Error("RunFullRoundFaultsTraced diverged from RunRound")
+	}
+
+	if _, err := RunFullRoundDelta(tree, f, q, fc, cfg, nil, nil, nil); err == nil {
+		t.Error("RunFullRoundDelta accepted a nil DeltaState")
+	}
+	ds, err := NewDeltaState(tree.Network().Len(), DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := RunFullRoundDelta(tree, f, q, fc, cfg, nil, ds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roundFingerprint(delta) != roundFingerprint(want) || ds.Tracked() == 0 {
+		t.Error("first RunFullRoundDelta round is not the full-report round")
 	}
 }
 
 func TestRunFullRoundDeterministic(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 400)
-	r1, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	r1, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunFullRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig())
+	r2, err := RunRound(tree, f, q, core.DefaultFilterConfig(), DefaultRadioConfig(), RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

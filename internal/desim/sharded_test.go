@@ -9,6 +9,7 @@ import (
 	"isomap/internal/core"
 	"isomap/internal/faults"
 	"isomap/internal/network"
+	"isomap/internal/routing"
 )
 
 // roundFingerprint serializes every observable field of a round result —
@@ -37,6 +38,12 @@ func roundFingerprint(res *RoundResult) string {
 	return b.String()
 }
 
+// gridEngine is a sharded engine over a k-cell grid partition of the
+// tree's deployment.
+func gridEngine(tree *routing.Tree, k, workers int) *ShardedEngine {
+	return NewShardedEngine(network.NewGridPartition(tree.Network(), k), workers)
+}
+
 // TestShardedFullRoundEquivalence is the tentpole's correctness bar: the
 // sharded engine must reproduce the sequential round byte for byte — same
 // delivered reports, same tallies, same energy charges, same event count,
@@ -50,7 +57,7 @@ func TestShardedFullRoundEquivalence(t *testing.T) {
 	nw := tree.Network()
 
 	baseRec := traceRecorderFor(400)
-	base, err := RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, nil, baseRec)
+	base, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Trace: baseRec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +80,7 @@ func TestShardedFullRoundEquivalence(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/w%d", l.name, workers), func(t *testing.T) {
 				rec := traceRecorderFor(400)
-				res, err := RunFullRoundFaultsEngineTraced(NewShardedEngine(l.part, workers), tree, f, q, fc, cfg, nil, rec)
+				res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: NewShardedEngine(l.part, workers), Trace: rec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,14 +122,14 @@ func TestShardedFullRoundFaultsEquivalence(t *testing.T) {
 
 	for _, seed := range []int64{3, 9} {
 		baseRec := traceRecorderFor(400)
-		base, err := RunFullRoundFaultsEngineTraced(NewEngine(), tree, f, q, fc, cfg, newPlan(seed), baseRec)
+		base, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Faults: newPlan(seed), Trace: baseRec})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := roundFingerprint(base)
 		wantTrace := goldenDigest(baseRec)
 
-		naive, err := RunFullRoundFaultsEngine(NewEngineNaive(), tree, f, q, fc, cfg, newPlan(seed))
+		naive, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: NewEngineNaive(), Faults: newPlan(seed)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +145,7 @@ func TestShardedFullRoundFaultsEquivalence(t *testing.T) {
 						part = network.NewSeededPartition(nw, k, seed)
 					}
 					rec := traceRecorderFor(400)
-					res, err := RunFullRoundFaultsEngineTraced(NewShardedEngine(part, 4), tree, f, q, fc, cfg, newPlan(seed), rec)
+					res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: NewShardedEngine(part, 4), Faults: newPlan(seed), Trace: rec})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -157,25 +164,22 @@ func TestShardedFullRoundFaultsEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunFullRoundShardedEntry exercises the public grid-partition entry
-// point against the sequential baseline.
+// TestRunFullRoundShardedEntry runs RunRound on a grid-partitioned
+// sharded engine against the sequential baseline.
 func TestRunFullRoundShardedEntry(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 300)
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
-	base, err := RunFullRound(tree, f, q, fc, cfg)
+	base, err := RunRound(tree, f, q, fc, cfg, RoundOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFullRoundSharded(tree, f, q, fc, cfg, 8, 0)
+	res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 8, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := roundFingerprint(res), roundFingerprint(base); got != want {
-		t.Errorf("RunFullRoundSharded diverged:\n%s", firstDiff(got, want))
-	}
-	if _, err := RunFullRoundSharded(tree, f, q, fc, cfg, 0, 1); err == nil {
-		t.Error("want error for shard count 0")
+		t.Errorf("grid-sharded RunRound diverged:\n%s", firstDiff(got, want))
 	}
 }
 

@@ -85,9 +85,11 @@ func faultSweepScenario(seed int64) Scenario {
 	return Scenario{Nodes: 400, FieldSide: 20, Seed: seed}
 }
 
-// faultRadioConfig is the sweep's radio: the defaults plus a per-frame
-// deadline, so a frame stuck behind a dead parent surfaces as a drop in
-// bounded time instead of riding out the full exponential-backoff tail.
+// faultRadioConfig is the radio of every faulted packet round (the
+// fault sweep and RoundSource's faulted rounds): the defaults plus a
+// per-frame deadline, so a frame stuck behind a dead parent surfaces as a
+// drop in bounded time instead of riding out the full exponential-backoff
+// tail.
 func faultRadioConfig() desim.RadioConfig {
 	cfg := desim.DefaultRadioConfig()
 	cfg.FrameDeadline = 1.5
@@ -143,7 +145,7 @@ func (r *Runner) faultBaseline(seed int64) (*faultBaseline, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := desim.RunFullRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig())
+	res, err := desim.RunRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig(), desim.RoundOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +175,7 @@ func (r *Runner) faultCell(p FaultPoint, point int, seed int64, base *faultBasel
 	if err != nil {
 		return nil, err
 	}
-	res, err := desim.RunFullRoundFaults(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig(), plan)
+	res, err := desim.RunRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig(), desim.RoundOptions{Faults: plan})
 	if err != nil {
 		return nil, err
 	}

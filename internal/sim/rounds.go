@@ -173,10 +173,7 @@ func (rs *RoundSource) Next() (*RoundData, error) {
 	rd := &RoundData{Round: rs.round, T: t}
 
 	faulted := rs.FaultEvery > 0 && rs.round%rs.FaultEvery == 0
-	if rs.Delta {
-		return rs.nextDelta(f, rd, faulted)
-	}
-	if faulted || rs.PacketRounds {
+	if faulted || rs.PacketRounds || rs.Delta {
 		return rs.nextPacket(f, rd, faulted)
 	}
 
@@ -191,12 +188,11 @@ func (rs *RoundSource) Next() (*RoundData, error) {
 
 // roundPlan materializes the round's fault plan and radio config: a
 // fresh plan per faulted round (plans are stateful — channel chains,
-// crash schedules — and per-round seeding keeps replays exact), the
-// default radio otherwise.
+// crash schedules — and per-round seeding keeps replays exact) on the
+// fault sweep's deadline-bounded radio, the default radio otherwise.
 func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig, error) {
-	cfg := desim.DefaultRadioConfig()
 	if !faulted {
-		return nil, cfg, nil
+		return nil, desim.DefaultRadioConfig(), nil
 	}
 	loss := rs.FaultLoss
 	if loss == 0 {
@@ -216,40 +212,17 @@ func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig,
 		Protect:       []network.NodeID{rs.Env.Tree.Root()},
 	}, rs.Env.Network.Len())
 	if err != nil {
-		return nil, cfg, fmt.Errorf("sim: round %d fault plan: %w", rs.round, err)
+		return nil, desim.RadioConfig{}, fmt.Errorf("sim: round %d fault plan: %w", rs.round, err)
 	}
-	cfg.FrameDeadline = 1.5
-	return plan, cfg, nil
+	return plan, faultRadioConfig(), nil
 }
 
-// nextPacket runs one full-report round on the packet engine.
+// nextPacket runs one round on the packet engine. In delta mode the
+// round runs the delta-report protocol and its deliveries fold into the
+// sink's aged belief; otherwise it is a full-report round whose
+// deliveries are the round's reports.
 func (rs *RoundSource) nextPacket(f field.Field, rd *RoundData, faulted bool) (*RoundData, error) {
-	plan, cfg, err := rs.roundPlan(faulted)
-	if err != nil {
-		return nil, err
-	}
-	var res *desim.RoundResult
-	if rs.Shards > 1 {
-		res, err = desim.RunFullRoundShardedTraced(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.Shards, rs.Workers, nil)
-	} else {
-		res, err = desim.RunFullRoundFaults(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim: round %d faulted=%v: %w", rs.round, faulted, err)
-	}
-	rd.Reports = res.Delivered
-	rd.SinkValue = rs.Env.Network.Node(rs.Env.Tree.Root()).Value
-	rd.Faulted = faulted
-	rd.Crashed = res.Crashed
-	rd.DataFrames = int64(res.Radio.DataSent)
-	rd.TxBytes = res.Counters.TotalTxBytes()
-	return rd, nil
-}
-
-// nextDelta runs one delta-report round on the packet engine and folds
-// the deliveries into the sink's aged belief.
-func (rs *RoundSource) nextDelta(f field.Field, rd *RoundData, faulted bool) (*RoundData, error) {
-	if rs.delta == nil {
+	if rs.Delta && rs.delta == nil {
 		ds, err := desim.NewDeltaState(rs.Env.Network.Len(), desim.DeltaConfig{GradAngle: rs.DeltaGradAngle})
 		if err != nil {
 			return nil, fmt.Errorf("sim: delta state: %w", err)
@@ -264,29 +237,31 @@ func (rs *RoundSource) nextDelta(f field.Field, rd *RoundData, faulted bool) (*R
 	if err != nil {
 		return nil, err
 	}
-	var res *desim.RoundResult
+	opt := desim.RoundOptions{Faults: plan, Delta: rs.delta}
 	if rs.Shards > 1 {
-		res, err = desim.RunFullRoundDeltaSharded(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.delta, rs.Shards, rs.Workers, nil)
-	} else {
-		res, err = desim.RunFullRoundDelta(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, plan, rs.delta, nil)
+		opt.Engine = desim.NewShardedEngine(network.NewGridPartition(rs.Env.Network, rs.Shards), rs.Workers)
 	}
+	res, err := desim.RunRound(rs.Env.Tree, f, rs.Env.Query, *rs.Env.Scenario.Filter, cfg, opt)
 	if err != nil {
-		return nil, fmt.Errorf("sim: round %d delta: %w", rs.round, err)
+		return nil, fmt.Errorf("sim: round %d faulted=%v delta=%v: %w", rs.round, faulted, rs.Delta, err)
 	}
-	st := rs.aged.Apply(rs.round, res.Delivered, nil)
-	rd.Reports = rs.aged.Reports()
+	rd.Reports = res.Delivered
 	rd.SinkValue = rs.Env.Network.Node(rs.Env.Tree.Root()).Value
 	rd.Faulted = faulted
 	rd.Crashed = res.Crashed
 	rd.DataFrames = int64(res.Radio.DataSent)
 	rd.TxBytes = res.Counters.TotalTxBytes()
-	rd.Delta = &DeltaRoundStats{
-		Crossings:     res.Crossings,
-		Suppressed:    res.Suppressed,
-		Retired:       res.Retired,
-		Expired:       st.Expired,
-		MapReports:    st.Size,
-		MeanAgeRounds: rs.aged.MeanAge(rs.round),
+	if rs.Delta {
+		st := rs.aged.Apply(rs.round, res.Delivered, nil)
+		rd.Reports = rs.aged.Reports()
+		rd.Delta = &DeltaRoundStats{
+			Crossings:     res.Crossings,
+			Suppressed:    res.Suppressed,
+			Retired:       res.Retired,
+			Expired:       st.Expired,
+			MapReports:    st.Size,
+			MeanAgeRounds: rs.aged.MeanAge(rs.round),
+		}
 	}
 	return rd, nil
 }

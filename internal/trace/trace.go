@@ -50,7 +50,7 @@ const (
 	KindCollision // a reception at Node was corrupted by overlap
 	KindChanLoss  // the injected channel erased Seq on the link Node -> Peer
 
-	// Round protocol (desim.RunFullRoundFaults).
+	// Round protocol (desim.RunRound).
 	KindCrash      // Node was killed by the fault plan
 	KindReparent   // Node re-attached to Peer (Seq: old parent; Arg: packed levels)
 	KindSevered    // Node lost every alive upward neighbor
