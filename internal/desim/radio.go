@@ -3,8 +3,6 @@ package desim
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
 
 	"isomap/internal/core"
 	"isomap/internal/energy"
@@ -317,8 +315,6 @@ type Radio struct {
 	// Stats accumulates link-layer counts (this shard's share).
 	Stats RadioStats
 
-	// trace, when set, receives a line per link-layer event (tests only).
-	trace func(string)
 	// tr, when set, records structured link-layer events. Every emission
 	// is behind this nil check and recording draws no randomness, so an
 	// untraced radio is byte-identical to today's.
@@ -958,9 +954,6 @@ func (r *Radio) transmit(slot int32) {
 		return
 	}
 	now := r.eng.Now()
-	if r.trace != nil {
-		r.trace(fmtFrame("tx", *f))
-	}
 	if r.tr != nil {
 		r.tr.Record(trace.Event{T: now, Kind: trace.KindTx, Phase: phaseOfFrame(f),
 			Node: int32(f.From), Peer: int32(f.To), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
@@ -1044,6 +1037,15 @@ func (r *Radio) propagate(ev Event) {
 // arrive begins a reception at node id, handling receiver-side collisions:
 // overlapping arrivals corrupt each other, and a transmitting node cannot
 // receive.
+//
+// Only a reception that could deliver — a frame addressed to id, or a
+// broadcast — schedules its completion event. An overheard frame still
+// occupies the receiver until rxUntil, so it corrupts whatever overlaps
+// it, but it would complete into nothing: the occupancy test below reads
+// rxUntil, not rxActive alone, and at equal timestamps a completion sorts
+// before any propagate, so an expired reception reads as finished
+// whether or not an event ever cleared it. The same holds for a window a
+// collision extends: a corrupted reception never delivers.
 func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 	now := r.eng.Now()
 	st := &r.grp.states[id]
@@ -1066,10 +1068,9 @@ func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 				Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
 		}
 		// Extend the busy window to cover the interferer; finishRx at the
-		// old deadline no-ops, so arm one at the new deadline.
+		// old deadline no-ops against it.
 		if now+dur > st.rxUntil {
 			st.rxUntil = now + dur
-			r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id})
 		}
 		return
 	}
@@ -1077,7 +1078,9 @@ func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 	st.rxUntil = now + dur
 	st.rxCorrupted = false
 	st.rxFrame = f
-	r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id})
+	if f.To == id || f.To == broadcastAddr {
+		r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id})
+	}
 }
 
 // markDelivered flags the sender's pending copy of a delivered data
@@ -1117,9 +1120,6 @@ func (r *Radio) finishRx(id network.NodeID) {
 	corrupted := st.rxCorrupted
 	st.rxActive = false
 	st.rxCorrupted = false
-	if r.trace != nil {
-		r.trace(fmtRxEnd(f, corrupted, id))
-	}
 	if corrupted || (f.To != id && f.To != broadcastAddr) {
 		return
 	}
@@ -1194,31 +1194,4 @@ func (r *Radio) ackSend(slot int32) {
 // ackRetry is the single deferred ack retransmission.
 func (r *Radio) ackRetry(slot int32) {
 	r.transmit(slot)
-}
-
-func fmtFrame(kind string, f Frame) string {
-	var b strings.Builder
-	b.WriteString(kind)
-	if f.isAck {
-		b.WriteString(" ack seq=")
-	} else {
-		b.WriteString(" data seq=")
-	}
-	b.WriteString(strconv.Itoa(int(f.seq)))
-	b.WriteByte(' ')
-	b.WriteString(strconv.Itoa(int(f.From)))
-	b.WriteString("->")
-	b.WriteString(strconv.Itoa(int(f.To)))
-	return b.String()
-}
-
-func fmtRxEnd(f Frame, corrupted bool, at network.NodeID) string {
-	var b strings.Builder
-	b.WriteString(fmtFrame("rxEnd", f))
-	if corrupted {
-		b.WriteString(" CORRUPT")
-	}
-	b.WriteString(" at ")
-	b.WriteString(strconv.Itoa(int(at)))
-	return b.String()
 }

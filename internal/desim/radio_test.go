@@ -313,3 +313,56 @@ func TestBroadcastReachesIntactNeighbors(t *testing.T) {
 		t.Error("want error for dead broadcaster")
 	}
 }
+
+// TestOverheardFrameSchedulesNoCompletion pins the completion-event
+// elision: a unicast frame overheard by a bystander arms no evFinishRx,
+// yet it still occupies the bystander's receiver, so a frame addressed
+// to that node overlapping it is corrupted — both receptions count as
+// collisions and nothing delivers. Once the (extended) window has passed,
+// the stale reception reads as finished without any event having
+// cleared it.
+func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
+	nw := cliqueNetwork(t)
+	eng := NewEngine()
+	r, err := NewRadio(eng, nw, DefaultRadioConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Frame
+	r.OnReceive(0, func(_ network.NodeID, f Frame) { got = append(got, f) })
+	dur := r.airtime(20)
+
+	// Node 0 overhears 1 -> 3: no completion event is queued.
+	eng.Schedule(0, func() { r.arrive(0, Frame{From: 1, To: 3, Bytes: 20, seq: 1}, dur) })
+	eng.RunUntil(0)
+	if n := len(eng.heap); n != 0 {
+		t.Fatalf("overheard reception queued %d events, want 0", n)
+	}
+
+	// A frame addressed to 0 lands mid-reception: both are corrupted, the
+	// window extends, and still no completion event is armed.
+	eng.Schedule(dur/2, func() { r.arrive(0, Frame{From: 2, To: 0, Bytes: 20, seq: 2}, dur) })
+	eng.RunUntil(dur / 2)
+	if n := len(eng.heap); n != 0 {
+		t.Fatalf("collision extension queued %d events, want 0", n)
+	}
+	if r.Stats.Collisions != 2 {
+		t.Errorf("Collisions = %d, want 2 (the overheard frame and the addressed one)", r.Stats.Collisions)
+	}
+
+	// After the extended window a broadcast is received intact: the
+	// overheard reception never needed an event to end.
+	eng.Schedule(dur, func() { r.arrive(0, Frame{From: 2, To: broadcastAddr, Bytes: 20, seq: 3}, dur) })
+	eng.Run()
+	if len(got) != 1 || got[0].seq != 3 {
+		t.Fatalf("deliveries = %+v, want only the broadcast (seq 3)", got)
+	}
+	if r.Stats.Collisions != 2 || r.Stats.Delivered != 0 {
+		t.Errorf("stats = %+v, want 2 collisions and no unicast delivery", r.Stats)
+	}
+	// Three arrivals plus the broadcast's completion: the overheard and
+	// the corrupted receptions executed no completion event.
+	if s := eng.Steps(); s != 4 {
+		t.Errorf("Steps = %d, want 4", s)
+	}
+}
