@@ -259,3 +259,62 @@ func TestPlanByteIdenticalAcrossRunsAndWidths(t *testing.T) {
 		}
 	}
 }
+
+// TestLossRatesOverManyShortLinks checks the access pattern a packet
+// round produces — tens of thousands of directed links, each drawn only a
+// few times — rather than a few long-lived links: the stationary loss
+// rate must hold for Bernoulli and for Gilbert–Elliott chains that start
+// from their stationary state and take only a handful of steps.
+func TestLossRatesOverManyShortLinks(t *testing.T) {
+	const links, draws = 20000, 5
+	// Tolerances are about four standard errors of the 100k-draw mean;
+	// bursty chains correlate draws within a link, which widens theirs.
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		tol  float64
+	}{
+		{"bernoulli", Config{Seed: 13, Channel: ChannelBernoulli, LossRate: 0.05}, 0.003},
+		{"ge", Config{Seed: 13, Channel: ChannelGilbertElliott, LossRate: 0.05, Burstiness: 0.5}, 0.005},
+		{"ge-heavy", Config{Seed: 29, Channel: ChannelGilbertElliott, LossRate: 0.3, Burstiness: 0.8}, 0.012},
+	} {
+		p, err := New(c.cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lost := 0
+		for i := 0; i < links; i++ {
+			// Neighbour-like links: small id gaps, both directions.
+			from, to := network.NodeID(i/2), network.NodeID(i/2+1+i%7)
+			if i%2 == 1 {
+				from, to = to, from
+			}
+			for d := 0; d < draws; d++ {
+				if p.Lose(from, to) {
+					lost++
+				}
+			}
+		}
+		rate := float64(lost) / (links * draws)
+		t.Logf("%s: empirical loss rate %.4f", c.name, rate)
+		if math.Abs(rate-c.cfg.LossRate) > c.tol {
+			t.Errorf("%s: empirical loss rate %.4f over %d links x %d draws, want %.2f +- %.3f",
+				c.name, rate, links, draws, c.cfg.LossRate, c.tol)
+		}
+	}
+}
+
+// TestLoseAllocatesNothingOnKnownLink pins the per-draw cost: once a
+// link's stream exists, drawing from it allocates nothing.
+func TestLoseAllocatesNothingOnKnownLink(t *testing.T) {
+	for _, kind := range []ChannelKind{ChannelBernoulli, ChannelGilbertElliott} {
+		p, err := New(Config{Seed: 5, Channel: kind, LossRate: 0.2, Burstiness: 0.5}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Lose(3, 4)
+		if allocs := testing.AllocsPerRun(1000, func() { p.Lose(3, 4) }); allocs != 0 {
+			t.Errorf("channel %d: Lose on a known link allocates %.1f times, want 0", kind, allocs)
+		}
+	}
+}
