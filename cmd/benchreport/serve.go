@@ -127,7 +127,7 @@ func runServe(out string, smoke bool) error {
 		return err
 	}
 	rep.Load = load
-	cache, err := measureServeCache(smoke, warmRepeats)
+	cache, err := measureServeCache(smoke, warmRepeats, 1)
 	if err != nil {
 		return err
 	}
@@ -251,7 +251,10 @@ func scrapeVars(base string) (map[string]int64, error) {
 // cold (first request per path after a publish: every one renders) and
 // warm (repeated: every one is a cache hit), deriving the fast-lane
 // speedup and the hit/miss/eviction counts from /debug/vars deltas.
-func measureServeCache(smoke bool, warmRepeats int) (serveCacheEntry, error) {
+// passes interleaves that many cold/warm pairs, each cold pass after a
+// fresh publish, so a burst of outside load lands on both sides rather
+// than on one; the rates, medians and counts cover every pass.
+func measureServeCache(smoke bool, warmRepeats, passes int) (serveCacheEntry, error) {
 	nodes := 400
 	if smoke {
 		nodes = 250
@@ -297,13 +300,24 @@ func measureServeCache(smoke bool, warmRepeats int) (serveCacheEntry, error) {
 		}
 		return lats, time.Since(start), nil
 	}
-	coldLats, coldDur, err := run(1)
-	if err != nil {
-		return serveCacheEntry{}, err
-	}
-	warmLats, warmDur, err := run(warmRepeats)
-	if err != nil {
-		return serveCacheEntry{}, err
+	var coldLats, warmLats []float64
+	var coldDur, warmDur time.Duration
+	for pass := 0; pass < passes; pass++ {
+		if pass > 0 {
+			// A new version: every path is cold again.
+			if err := srv.AdvanceAll(); err != nil {
+				return serveCacheEntry{}, err
+			}
+		}
+		lats, dur, err := run(1)
+		if err != nil {
+			return serveCacheEntry{}, err
+		}
+		coldLats, coldDur = append(coldLats, lats...), coldDur+dur
+		if lats, dur, err = run(warmRepeats); err != nil {
+			return serveCacheEntry{}, err
+		}
+		warmLats, warmDur = append(warmLats, lats...), warmDur+dur
 	}
 	after, err := scrapeVars(base)
 	if err != nil {

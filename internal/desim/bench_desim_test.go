@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"isomap/internal/core"
+	"isomap/internal/faults"
 	"isomap/internal/field"
 	"isomap/internal/network"
 	"isomap/internal/routing"
@@ -47,16 +48,35 @@ func kLabel(n int) string {
 
 // benchFullRound runs the complete packet-level round on the given
 // engine constructor, reporting events/sec and ns/event alongside the
-// standard time and allocation metrics.
-func benchFullRound(b *testing.B, n int, mk func() EngineAPI) {
+// standard time and allocation metrics. With faulted set, every round
+// runs under a fresh fault plan in the configuration of sim's faulted
+// rounds: Bernoulli 5% loss, 5% of nodes crashing in [0.05, 0.6] s, on
+// the radio with a 1.5 s frame deadline. Building the plan is part of the
+// timed round, as it is in sim.
+func benchFullRound(b *testing.B, n int, mk func() EngineAPI, faulted bool) {
 	tree, f, q := benchRoundSetup(b, n)
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
+	if faulted {
+		cfg.FrameDeadline = 1.5
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var events int64
 	for i := 0; i < b.N; i++ {
-		res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: mk()})
+		opt := RoundOptions{Engine: mk()}
+		if faulted {
+			plan, err := faults.New(faults.Config{
+				Seed: int64(i) + 1, Channel: faults.ChannelBernoulli, LossRate: 0.05,
+				CrashFraction: 0.05, CrashStart: 0.05, CrashEnd: 0.6,
+				Protect: []network.NodeID{tree.Root()},
+			}, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt.Faults = plan
+		}
+		res, err := RunRound(tree, f, q, fc, cfg, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +100,20 @@ func BenchmarkFullRound(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		n := n
 		b.Run(kLabel(n), func(b *testing.B) {
-			benchFullRound(b, n, func() EngineAPI { return NewEngine() })
+			benchFullRound(b, n, func() EngineAPI { return NewEngine() }, false)
+		})
+	}
+}
+
+// BenchmarkFullRoundFaulted is BenchmarkFullRound under a fault plan: a
+// lossy channel drawn per reception on every directed link a frame
+// reaches, plus mid-round crashes with route repair. It is the packet
+// path the faulted rounds of sim.RoundSource take.
+func BenchmarkFullRoundFaulted(b *testing.B) {
+	for _, n := range []int{1000, 4000} {
+		n := n
+		b.Run(kLabel(n), func(b *testing.B) {
+			benchFullRound(b, n, func() EngineAPI { return NewEngine() }, true)
 		})
 	}
 }
@@ -158,7 +191,7 @@ func BenchmarkFullRoundNaive(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
 		n := n
 		b.Run(kLabel(n), func(b *testing.B) {
-			benchFullRound(b, n, func() EngineAPI { return NewEngineNaive() })
+			benchFullRound(b, n, func() EngineAPI { return NewEngineNaive() }, false)
 		})
 	}
 }
