@@ -13,7 +13,7 @@
 //	        [-field KIND] [-field-speed 1] [-delta] [-delta-expiry 0]
 //	        [-shards 0] [-workers 0] [-cache-entries 0]
 //	        [-checkpoint-dir DIR] [-checkpoint-every N]
-//	        [-pprof ADDR] [-smoke] [-smoke-chaos] [-smoke-temporal]
+//	        [-pprof ADDR]
 //
 // -interval N hands each deployment to a supervised ingest loop that
 // advances one round every N (with exponential backoff after failures
@@ -26,15 +26,7 @@
 // worker pools (0 picks GOMAXPROCS); output is byte-identical at any
 // width. -cache-entries bounds the per-deployment response artifact
 // cache. -pprof ADDR serves net/http/pprof on a separate listener (off
-// by default; never exposed on the main address). -smoke boots the
-// server on a loopback port, replays a three-round churn sequence (the
-// third crash-faulted when -faultevery 3, as the CI smoke uses), checks
-// ETag rotation, 304 handling and the incremental-vs-oracle contract,
-// then exits; non-zero on any failure. -smoke-chaos runs the
-// self-healing sequence instead: a supervised loopback server under a
-// seeded chaos plan (panics, synthetic divergences, slow rounds) must
-// keep serving while degraded, then return to healthy and ready once
-// the chaos lifts.
+// by default; never exposed on the main address).
 //
 // -field selects the evolving field the deployments monitor (one of
 // field.TemporalKinds: silting, drift, front, step) and -field-speed its
@@ -42,22 +34,14 @@
 // delta-report protocol — nodes transmit only level-crossing deltas and
 // the server ingests the sink's aged merged belief — with -delta-expiry
 // bounding belief staleness in rounds (0 keeps entries forever).
-// -smoke-temporal replays a three-round delta sequence over a drifting
-// field on a loopback server (oracle-verified), checks the traffic
-// telemetry and the query surface, then exits; non-zero on any failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
-	"os"
-	"strings"
 	"time"
 
 	"isomap/internal/serve"
@@ -82,45 +66,15 @@ func main() {
 		workers     = flag.Int("workers", 0, "ingest worker width: shard executor + incremental engine pools (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache-entries", 0, "response artifact cache entries per deployment (0 = default)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
-		smoke       = flag.Bool("smoke", false, "run the loopback smoke sequence and exit")
-		smokeChaos  = flag.Bool("smoke-chaos", false, "run the loopback chaos-recovery sequence and exit")
-		smokeTemp   = flag.Bool("smoke-temporal", false, "run the loopback temporal delta-replay sequence and exit")
 	)
 	flag.Parse()
 
-	pprofBase := ""
 	if *pprofAddr != "" {
 		base, _, err := startPprof(*pprofAddr)
 		if err != nil {
 			log.Fatalf("isomapd: pprof listener: %v", err)
 		}
-		pprofBase = base
 		log.Printf("isomapd: pprof on %s/debug/pprof/", base)
-	}
-
-	if *smoke {
-		if err := runSmoke(pprofBase); err != nil {
-			fmt.Fprintf(os.Stderr, "isomapd: smoke failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("isomapd: smoke ok")
-		return
-	}
-	if *smokeChaos {
-		if err := runSmokeChaos(); err != nil {
-			fmt.Fprintf(os.Stderr, "isomapd: chaos smoke failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("isomapd: chaos smoke ok")
-		return
-	}
-	if *smokeTemp {
-		if err := runSmokeTemporal(); err != nil {
-			fmt.Fprintf(os.Stderr, "isomapd: temporal smoke failed: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println("isomapd: temporal smoke ok")
-		return
 	}
 
 	srv, err := serve.NewServer(serve.Config{
@@ -145,7 +99,6 @@ func main() {
 	}
 	if *interval > 0 {
 		srv.Start(serve.SupervisorConfig{Interval: *interval})
-		defer srv.Stop()
 	}
 	log.Printf("isomapd: %d deployments of %d nodes on %s", *deployments, *nodes, *addr)
 	hs := &http.Server{
@@ -177,418 +130,4 @@ func startPprof(addr string) (string, func(), error) {
 		ln.Close()
 	}
 	return "http://" + ln.Addr().String(), stop, nil
-}
-
-// listenLoopback boots srv on an ephemeral loopback port with the same
-// hardened http.Server settings production uses, returning the base URL
-// and a shutdown func.
-func listenLoopback(srv *serve.Server) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = hs.Serve(ln) }()
-	stop := func() {
-		hs.Close()
-		ln.Close()
-	}
-	return "http://" + ln.Addr().String(), stop, nil
-}
-
-// runSmoke is the self-contained health sequence the CI serve-smoke step
-// runs: a real TCP listener, three churn rounds with the third faulted,
-// oracle verification on every update, and the caching contract probed
-// from the client side. The ingest path runs sharded and parallel
-// (oracle-checked against the full rebuild), and when -pprof was given
-// its endpoint is probed too.
-func runSmoke(pprofBase string) error {
-	srv, err := serve.NewServer(serve.Config{
-		Deployments: 1,
-		Nodes:       400,
-		Seed:        11,
-		FaultEvery:  3,
-		Oracle:      true,
-		Shards:      4,
-		Workers:     2,
-	})
-	if err != nil {
-		return err
-	}
-	base, stop, err := listenLoopback(srv)
-	if err != nil {
-		return err
-	}
-	defer stop()
-
-	// Readiness gates on the first snapshot: not ready before round 1.
-	resp, err := http.Get(base + "/readyz")
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		return fmt.Errorf("readyz before first round: status %d, want 503", resp.StatusCode)
-	}
-
-	var etags []string
-	for round := 1; round <= 3; round++ {
-		resp, err := http.Post(base+"/v1/deployments/d0/rounds", "application/json", nil)
-		if err != nil {
-			return err
-		}
-		var out struct {
-			ETag    string `json:"etag"`
-			Faulted bool   `json:"faulted"`
-			Reports int    `json:"reports"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("round %d: status %d (oracle divergence fails here)", round, resp.StatusCode)
-		}
-		if out.Reports == 0 {
-			return fmt.Errorf("round %d delivered no reports", round)
-		}
-		if round == 3 && !out.Faulted {
-			return fmt.Errorf("round 3 was not fault-injected")
-		}
-		etags = append(etags, out.ETag)
-	}
-	for i := 1; i < len(etags); i++ {
-		if etags[i] == etags[i-1] {
-			return fmt.Errorf("etag did not rotate between rounds: %q", etags[i])
-		}
-	}
-
-	// Malformed pushed batches are the client's fault, not the server's:
-	// out-of-range coordinates must bounce with 400 and no version bump.
-	resp, err = http.Post(base+"/v1/deployments/d0/rounds", "application/json",
-		strings.NewReader(`{"reports":[{"level":6,"levelIndex":0,"pos":{"x":1e999,"y":1},"grad":{"x":1,"y":0},"source":3}],"sinkValue":5}`))
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		return fmt.Errorf("corrupt pushed batch: status %d, want 400", resp.StatusCode)
-	}
-
-	// Caching contract: a conditional GET with the live ETag is a 304; a
-	// stale ETag gets a full 200 with the new tag. A weak-validator,
-	// multi-member If-None-Match must match too (RFC 9110 §13.1.2).
-	req, err := http.NewRequest("GET", base+"/v1/deployments/d0/levels/0/polyline", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("If-None-Match", etags[2])
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		return fmt.Errorf("conditional polyline: status %d, want 304", resp.StatusCode)
-	}
-	req.Header.Set("If-None-Match", etags[0]+", W/"+etags[2])
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		return fmt.Errorf("weak list conditional polyline: status %d, want 304", resp.StatusCode)
-	}
-	req.Header.Set("If-None-Match", etags[0])
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("stale conditional polyline: status %d, want 200", resp.StatusCode)
-	}
-	if got := resp.Header.Get("ETag"); got != etags[2] {
-		return fmt.Errorf("stale conditional served ETag %q, want %q", got, etags[2])
-	}
-
-	// The query surface answers, and the invariant raster renders.
-	for _, path := range []string{
-		"/healthz",
-		"/readyz",
-		"/v1/deployments",
-		"/v1/deployments/d0",
-		"/v1/deployments/d0/classify?x=25&y=25",
-		"/v1/deployments/d0/range?x0=10&y0=10&x1=40&y1=40&rows=6&cols=6",
-		"/v1/deployments/d0/raster?rows=32&cols=32",
-		"/debug/vars",
-	} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-	}
-	resp, err = http.Get(base + "/v1/deployments/d0/raster?rows=16&cols=16&format=pgm")
-	if err != nil {
-		return err
-	}
-	head := make([]byte, 10)
-	n, _ := resp.Body.Read(head)
-	resp.Body.Close()
-	if !strings.HasPrefix(string(head[:n]), "P2\n16 16\n") {
-		return fmt.Errorf("pgm tile header = %q", string(head[:n]))
-	}
-
-	// Response cache contract from the client side: a repeated query is
-	// byte-identical to its cold render and counted as a hit.
-	fetchBytes := func(path string) ([]byte, error) {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return io.ReadAll(resp.Body)
-	}
-	before, err := chaosCounters(base)
-	if err != nil {
-		return err
-	}
-	cold, err := fetchBytes("/v1/deployments/d0/raster?rows=32&cols=32")
-	if err != nil {
-		return err
-	}
-	warm, err := fetchBytes("/v1/deployments/d0/raster?rows=32&cols=32")
-	if err != nil {
-		return err
-	}
-	if string(cold) != string(warm) {
-		return fmt.Errorf("warm cached raster bytes diverge from cold render")
-	}
-	after, err := chaosCounters(base)
-	if err != nil {
-		return err
-	}
-	if after["cache_hits"] <= before["cache_hits"] {
-		return fmt.Errorf("warm raster was not a counted cache hit: %d -> %d", before["cache_hits"], after["cache_hits"])
-	}
-
-	// When -pprof was given, the profiling surface must answer on its own
-	// listener (and only there).
-	if pprofBase != "" {
-		resp, err := http.Get(pprofBase + "/debug/pprof/")
-		if err != nil {
-			return fmt.Errorf("pprof probe: %w", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("pprof probe: status %d", resp.StatusCode)
-		}
-	}
-	return nil
-}
-
-// runSmokeTemporal is the CI temporal smoke: a loopback server in delta
-// mode over a drifting field replays three oracle-verified rounds. Round
-// one seeds the sink belief; later rounds ingest only crossing deltas,
-// so the served belief must stay populated (and versions must rotate)
-// even when a round delivers few fresh reports.
-func runSmokeTemporal() error {
-	srv, err := serve.NewServer(serve.Config{
-		Deployments:   1,
-		Nodes:         400,
-		Seed:          11,
-		TemporalField: "drift",
-		FieldSpeed:    0.5,
-		Delta:         true,
-		DeltaExpiry:   4,
-		Oracle:        true,
-	})
-	if err != nil {
-		return err
-	}
-	base, stop, err := listenLoopback(srv)
-	if err != nil {
-		return err
-	}
-	defer stop()
-
-	var etags []string
-	for round := 1; round <= 3; round++ {
-		resp, err := http.Post(base+"/v1/deployments/d0/rounds", "application/json", nil)
-		if err != nil {
-			return err
-		}
-		var out struct {
-			ETag    string `json:"etag"`
-			Reports int    `json:"reports"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("delta round %d: status %d (oracle divergence fails here)", round, resp.StatusCode)
-		}
-		if out.Reports == 0 {
-			return fmt.Errorf("delta round %d served an empty belief", round)
-		}
-		etags = append(etags, out.ETag)
-	}
-	for i := 1; i < len(etags); i++ {
-		if etags[i] == etags[i-1] {
-			return fmt.Errorf("etag did not rotate between delta rounds: %q", etags[i])
-		}
-	}
-	for _, path := range []string{
-		"/v1/deployments/d0",
-		"/v1/deployments/d0/classify?x=25&y=25",
-		"/v1/deployments/d0/raster?rows=32&cols=32",
-	} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			return fmt.Errorf("GET %s: %w", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
-		}
-	}
-	return nil
-}
-
-// chaosCounters reads the isomapd expvar map over HTTP — the same
-// counters an operator's scrape sees.
-func chaosCounters(base string) (map[string]int64, error) {
-	resp, err := http.Get(base + "/debug/vars")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Isomapd map[string]int64 `json:"isomapd"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return nil, err
-	}
-	return doc.Isomapd, nil
-}
-
-// runSmokeChaos proves the self-healing loop end to end from the client
-// side: under a seeded chaos plan the supervised server must keep a
-// snapshot served through panics and divergences (degraded, never down),
-// and once the chaos lifts every deployment must return to healthy and
-// /readyz to 200. Exits non-zero if recovery stalls.
-func runSmokeChaos() error {
-	dir, err := os.MkdirTemp("", "isomapd-chaos-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	srv, err := serve.NewServer(serve.Config{
-		Deployments:   2,
-		Nodes:         250,
-		Seed:          41,
-		FaultEvery:    4,
-		Oracle:        true,
-		OracleRes:     32,
-		CheckpointDir: dir,
-		Chaos: serve.NewChaosPlan(serve.ChaosConfig{
-			Seed: 77, PanicRate: 0.12, DivergeRate: 0.15,
-			SlowRate: 0.1, SlowDelay: time.Millisecond,
-		}),
-	})
-	if err != nil {
-		return err
-	}
-	base, stop, err := listenLoopback(srv)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	srv.Start(serve.SupervisorConfig{
-		Interval:    2 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  8 * time.Millisecond,
-	})
-	defer srv.Stop()
-
-	// Phase 1: soak until every failure kind has fired and been absorbed
-	// (divergence quarantines, panic recoveries, resyncs, checkpoints)
-	// while the query surface stays up.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			c, _ := chaosCounters(base)
-			return fmt.Errorf("chaos phase never exercised all failure kinds: %v", c)
-		}
-		resp, err := http.Get(base + "/v1/deployments/d0")
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-			return fmt.Errorf("meta under chaos: status %d", resp.StatusCode)
-		}
-		c, err := chaosCounters(base)
-		if err != nil {
-			return err
-		}
-		if c["divergences"] > 0 && c["panics_recovered"] > 0 && c["resyncs"] > 0 && c["checkpoints"] > 0 && c["updates"] >= 20 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Phase 2: lift the chaos; both deployments must return to healthy
-	// and readiness must flip back within the deadline.
-	srv.SetChaos(nil)
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("deployments did not recover after chaos lifted")
-		}
-		resp, err := http.Get(base + "/v1/deployments")
-		if err != nil {
-			return err
-		}
-		var list struct {
-			Deployments []struct {
-				ID    string `json:"id"`
-				State string `json:"state"`
-			} `json:"deployments"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&list)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		healthy := len(list.Deployments) == 2
-		for _, d := range list.Deployments {
-			if d.State != "healthy" {
-				healthy = false
-			}
-		}
-		if healthy {
-			resp, err := http.Get(base + "/readyz")
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }

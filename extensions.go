@@ -1,11 +1,9 @@
 package isomap
 
 import (
-	"isomap/internal/contour"
 	"isomap/internal/core"
 	"isomap/internal/events"
 	"isomap/internal/field"
-	"isomap/internal/monitor"
 )
 
 // Extension types: continuous monitoring, time-varying fields and
@@ -15,14 +13,6 @@ type (
 	DynamicField = field.DynamicField
 	// SiltingSeabed is a seabed with progressive silt deposition.
 	SiltingSeabed = field.SiltingSeabed
-	// Monitor drives periodic Iso-Map rounds with temporal suppression.
-	Monitor = monitor.Monitor
-	// MonitorConfig assembles a monitoring session.
-	MonitorConfig = monitor.Config
-	// TemporalConfig tunes cross-round report suppression.
-	TemporalConfig = monitor.TemporalConfig
-	// RoundStats summarizes one monitoring round.
-	RoundStats = monitor.RoundStats
 	// Region is a connected contour region extracted from a raster.
 	Region = events.Region
 	// Change describes a region's evolution between rounds.
@@ -42,23 +32,6 @@ func NewConfusion(truth, estimate *Raster) *Confusion {
 // base seabed: a deposition band across the route with a 3x storm between
 // t=4 and t=6.
 func DefaultSilting(base Field) *SiltingSeabed { return field.DefaultSilting(base) }
-
-// NewMonitor starts a continuous monitoring session over a routing tree
-// with the default temporal suppression (repeat reports whose gradient
-// rotated under 10 degrees stay silent).
-func NewMonitor(tree *Tree, q Query, fc FilterConfig) (*Monitor, error) {
-	return monitor.New(tree, monitor.Config{
-		Query:    q,
-		Filter:   fc,
-		Temporal: monitor.DefaultTemporal(),
-		Options:  contour.DefaultOptions(),
-	})
-}
-
-// NewMonitorWithConfig starts a monitoring session with full control.
-func NewMonitorWithConfig(tree *Tree, cfg MonitorConfig) (*Monitor, error) {
-	return monitor.New(tree, cfg)
-}
 
 // Regions extracts the connected contour regions of a raster whose class
 // satisfies pred (see RegionsBelow / RegionsAtLeast for common

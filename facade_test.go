@@ -18,6 +18,14 @@ func TestFacadeFieldConstructors(t *testing.T) {
 	if v := f.Value(25, 25); v <= 0 {
 		t.Errorf("Value = %v", v)
 	}
+	// Silting leaves the route untouched at t=0 and shallows it later.
+	silt := isomap.DefaultSilting(f)
+	if v := silt.At(0).Value(25, 25); v != f.Value(25, 25) {
+		t.Errorf("silting at t=0 changed depth: %v -> %v", f.Value(25, 25), v)
+	}
+	if v := silt.At(8).Value(25, 25); v >= f.Value(25, 25) {
+		t.Errorf("silting at t=8 did not shallow the route: %v -> %v", f.Value(25, 25), v)
+	}
 }
 
 func TestFacadeQueryEpsilon(t *testing.T) {
@@ -44,49 +52,6 @@ func TestFacadeRendering(t *testing.T) {
 	side := isomap.RenderSideBySide(ra, ra, "L", "R")
 	if !strings.Contains(side, "L") || !strings.Contains(side, " | ") {
 		t.Error("side-by-side render malformed")
-	}
-}
-
-func TestFacadeMonitorSession(t *testing.T) {
-	f := isomap.DefaultSeabed()
-	nw, err := isomap.DeployUniform(900, f, 2.5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := isomap.NewTreeAtCenter(nw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := isomap.NewQuery(isomap.Levels{Low: 6, High: 12, Step: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon, err := isomap.NewMonitor(tree, q, isomap.DefaultFilter())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn := isomap.DefaultSilting(f)
-	st1, err := mon.Round(dyn.At(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := mon.Round(dyn.At(0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Round != 0 || st2.Round != 1 {
-		t.Errorf("round numbering %d, %d", st1.Round, st2.Round)
-	}
-	if st2.Suppressed == 0 {
-		t.Error("slow drift should suppress repeats")
-	}
-	// Custom config path.
-	mon2, err := isomap.NewMonitorWithConfig(tree, isomap.MonitorConfig{Query: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mon2.Round(f); err != nil {
-		t.Fatal(err)
 	}
 }
 

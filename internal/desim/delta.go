@@ -21,7 +21,7 @@ import (
 // the oracle: the delta path leaves them byte-identical.
 
 // DefaultGradAngle is the gradient rotation above which a repeat is
-// re-transmitted: 10 degrees, matching monitor.DefaultTemporal.
+// re-transmitted: 10 degrees.
 const DefaultGradAngle = 10 * math.Pi / 180
 
 // DeltaConfig tunes the delta-report mode.

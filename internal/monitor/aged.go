@@ -1,3 +1,10 @@
+// Package monitor holds the sink side of continuous contour monitoring —
+// the deployment mode of the paper's motivating harbor application, where
+// the silting sea route is mapped round after round rather than once.
+// AgedMap is the sink's belief under the packet engine's delta-report
+// protocol (desim.DeltaState): it merges each round's crossing reports
+// and retirement records and ages out entries a lost retirement would
+// otherwise pin forever.
 package monitor
 
 import (
@@ -9,13 +16,12 @@ import (
 	"isomap/internal/trace"
 )
 
-// AgedMap is the sink half of the delta-report protocol (the packet-level
-// counterpart of Monitor's seed-layer cache): the sink's current belief
-// as a report per (source, isolevel), each entry stamped with the round
-// that last refreshed it. Delta rounds feed it what the network
-// delivered — crossing reports upsert their entry, retirement records
-// withdraw theirs — and the merged, deterministically ordered view feeds
-// contour reconstruction.
+// AgedMap is the sink half of the delta-report protocol: the sink's
+// current belief as a report per (source, isolevel), each entry stamped
+// with the round that last refreshed it. Delta rounds feed it what the
+// network delivered — crossing reports upsert their entry, retirement
+// records withdraw theirs — and the merged, deterministically ordered
+// view feeds contour reconstruction.
 //
 // Aging is the staleness guard: a retirement lost to the radio would
 // otherwise pin its stale report forever, so entries not refreshed
@@ -33,6 +39,13 @@ type AgedConfig struct {
 	// refresh; an entry refreshed at round r is dropped after round
 	// r+ExpiryRounds. Zero disables aging entirely.
 	ExpiryRounds int
+}
+
+// cacheKey identifies one belief entry: a source node's report on one
+// isolevel.
+type cacheKey struct {
+	source network.NodeID
+	level  int
 }
 
 type agedEntry struct {

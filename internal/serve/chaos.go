@@ -112,8 +112,8 @@ func (p *ChaosPlan) Corrupt(dep string, attempt int) bool {
 // CorruptReports returns a copy of reports poisoned the way a damaged
 // pushed batch arrives: a deterministically chosen report gets NaN
 // coordinates and another an infinite gradient. It never mutates its
-// input; callers (the chaos soak, the smoke harness) POST the result and
-// assert the validation layer rejects it with 400 leaving the engine
+// input; callers (the resilience tests) feed the result to the
+// validation layer and assert it is rejected, leaving the engine
 // untouched.
 func (p *ChaosPlan) CorruptReports(reports []core.Report, dep string, attempt int) []core.Report {
 	out := append([]core.Report(nil), reports...)

@@ -219,8 +219,21 @@ func TestChaosSoak(t *testing.T) {
 				return false
 			}
 		}
+		// The operator's view agrees: the list endpoint reports every
+		// deployment healthy before readiness is checked.
+		var list struct {
+			Deployments []struct {
+				State string `json:"state"`
+			} `json:"deployments"`
+		}
+		getJSON(t, ts, "/v1/deployments", &list)
+		for _, d := range list.Deployments {
+			if d.State != "healthy" {
+				return false
+			}
+		}
 		resp := getJSON(t, ts, "/readyz", nil)
-		return resp.StatusCode == http.StatusOK
+		return len(list.Deployments) == 2 && resp.StatusCode == http.StatusOK
 	})
 	stop.Store(true)
 	wg.Wait()

@@ -88,7 +88,7 @@ type Config struct {
 	Delta       bool
 	DeltaExpiry int
 	// Oracle verifies every incremental update against a full rebuild
-	// before publishing (expensive; for tests, smoke and CI).
+	// before publishing (expensive; for tests and CI).
 	Oracle bool
 	// OracleRes is the raster resolution of oracle comparisons; zero
 	// selects 64.
@@ -380,7 +380,7 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // AdvanceAll runs one churn round on every deployment (startup warming
-// and the smoke harness; continuous driving belongs to the Supervisor).
+// and the serve benchmark; continuous driving belongs to the Supervisor).
 func (s *Server) AdvanceAll() error {
 	for _, id := range s.ids {
 		if _, err := s.advance(s.deps[id]); err != nil {

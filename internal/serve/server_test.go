@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	_ "net/http/pprof"
 	"strings"
 	"testing"
 )
@@ -55,11 +56,28 @@ func postRound(t *testing.T, ts *httptest.Server, id string) map[string]any {
 }
 
 // TestServerLifecycle covers the serving loop end to end: 503 before the
-// first round, rounds advancing versions, ETags changing with content and
-// 304s while quiet — all under oracle verification.
+// first round, rounds advancing versions, ETags changing with content,
+// 304s while quiet and readiness gated on every deployment's first
+// snapshot — all under oracle verification, unsharded and on a sharded,
+// parallel ingest path.
 func TestServerLifecycle(t *testing.T) {
-	_, ts := bootServer(t, Config{Deployments: 2, Seed: 4, FaultEvery: 3, Oracle: true, OracleRes: 48})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unsharded", Config{Deployments: 2, Seed: 4, FaultEvery: 3, Oracle: true, OracleRes: 48}},
+		{"sharded", Config{Deployments: 2, Nodes: 400, Seed: 11, FaultEvery: 3, Oracle: true, Shards: 4, Workers: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testServerLifecycle(t, tc.cfg) })
+	}
+}
 
+func testServerLifecycle(t *testing.T, cfg Config) {
+	_, ts := bootServer(t, cfg)
+
+	if resp := getJSON(t, ts, "/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("pre-round readyz: status %d, want 503", resp.StatusCode)
+	}
 	if resp := getJSON(t, ts, "/v1/deployments/d0/classify?x=5&y=5", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("pre-round classify: status %d, want 503", resp.StatusCode)
 	}
@@ -71,6 +89,9 @@ func TestServerLifecycle(t *testing.T) {
 	etag1 := r1["etag"].(string)
 	if etag1 == "" || !strings.HasPrefix(etag1, `"d0-v`) {
 		t.Fatalf("bad etag %q", etag1)
+	}
+	if r1["reports"].(float64) == 0 {
+		t.Fatal("round 1 delivered no reports")
 	}
 
 	var meta map[string]any
@@ -106,6 +127,9 @@ func TestServerLifecycle(t *testing.T) {
 		if round == 3 && r["faulted"] != true {
 			t.Fatalf("round 3 not faulted: %v", r)
 		}
+		if r["reports"].(float64) == 0 {
+			t.Fatalf("round %d delivered no reports", round)
+		}
 	}
 
 	// The old ETag now misses: full response with the new tag.
@@ -118,13 +142,33 @@ func TestServerLifecycle(t *testing.T) {
 	if hit.StatusCode != http.StatusOK {
 		t.Fatalf("stale conditional: status %d, want 200", hit.StatusCode)
 	}
-	if hit.Header.Get("ETag") == etag1 {
-		t.Fatal("stale conditional still served old ETag")
+	if hit.Header.Get("ETag") != prev {
+		t.Fatalf("stale conditional served ETag %q, want %q", hit.Header.Get("ETag"), prev)
 	}
 
-	// Deployments are independent: d1 has seen no rounds.
+	// A weak-validator, multi-member If-None-Match matches the live tag
+	// too (RFC 9110 §13.1.2).
+	req.Header.Set("If-None-Match", etag1+", W/"+prev)
+	weak, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weak.Body.Close()
+	if weak.StatusCode != http.StatusNotModified {
+		t.Fatalf("weak list conditional: status %d, want 304", weak.StatusCode)
+	}
+
+	// Deployments are independent: d1 has seen no rounds, and readiness
+	// waits for it.
 	if resp := getJSON(t, ts, "/v1/deployments/d1/classify?x=1&y=1", nil); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("d1 classify: status %d, want 503", resp.StatusCode)
+	}
+	if resp := getJSON(t, ts, "/readyz", nil); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz with d1 unpublished: status %d, want 503", resp.StatusCode)
+	}
+	postRound(t, ts, "d1")
+	if resp := getJSON(t, ts, "/readyz", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("readyz after every first round: status %d, want 200", resp.StatusCode)
 	}
 }
 
@@ -208,6 +252,18 @@ func TestServerQueryEndpoints(t *testing.T) {
 	getJSON(t, ts, "/v1/deployments", &list)
 	if len(list.Deployments) != 1 || list.Deployments[0].Version != 1 {
 		t.Fatalf("list = %+v", list)
+	}
+
+	// Liveness and expvar answer on the query address; pprof does not,
+	// even with net/http/pprof registered on the default mux — it only
+	// serves on isomapd's separate -pprof listener.
+	for _, path := range []string{"/healthz", "/debug/vars"} {
+		if resp := getJSON(t, ts, path, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, want 200", path, resp.StatusCode)
+		}
+	}
+	if resp := getJSON(t, ts, "/debug/pprof/", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /debug/pprof/ on the query address: status %d, want 404", resp.StatusCode)
 	}
 }
 

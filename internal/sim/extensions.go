@@ -8,7 +8,6 @@ import (
 	"isomap/internal/energy"
 	"isomap/internal/field"
 	"isomap/internal/metrics"
-	"isomap/internal/monitor"
 )
 
 // The extension experiments go beyond the paper's figures: they quantify
@@ -159,15 +158,16 @@ func (r *Runner) lossCounters() ([3]*metrics.Counters, error) {
 }
 
 // ExtMonitorRounds traces a continuous-monitoring session over the silting
-// seabed, with and without temporal suppression, reporting per-round
-// traffic and delivered reports. Rounds are spaced monitorTimeStep apart:
-// temporal suppression is the win when the field drifts slowly relative
-// to the monitoring period (fast change re-reports everything anyway).
+// seabed on the packet engine, with the delta-report protocol and with
+// full reports every round, reporting per-round data frames and
+// transmitted volume. Rounds are spaced monitorTimeStep apart: delta
+// reporting is the win when the field drifts slowly relative to the
+// monitoring period (fast change re-reports everything anyway).
 func ExtMonitorRounds(rounds int) (*Table, error) { return defaultRunner().ExtMonitorRounds(rounds) }
 
 // ExtMonitorRounds is the Runner form of the package-level function; the
-// two sessions (with and without temporal suppression) run as independent
-// jobs over their own Envs.
+// two sessions (delta and full-report) run as independent jobs over
+// their own Envs.
 func (r *Runner) ExtMonitorRounds(rounds int) (*Table, error) {
 	const monitorTimeStep = 0.25
 	if rounds < 1 {
@@ -175,46 +175,39 @@ func (r *Runner) ExtMonitorRounds(rounds int) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "ext-monitor",
-		Title:   "Continuous monitoring of the silting route (dt=0.25, storm at t=4..6)",
-		Columns: []string{"t", "delivered (temporal)", "traffic KB (temporal)", "delivered (plain)", "traffic KB (plain)"},
+		Title:   "Continuous monitoring of the silting route (dt=0.25): delta vs full-report packet rounds",
+		Columns: []string{"t", "data frames (delta)", "tx KB (delta)", "data frames (full)", "tx KB (full)"},
 	}
-	runSession := func(temporal monitor.TemporalConfig) ([]*monitor.RoundStats, error) {
+	sessions, err := runJobs(r, 2, func(i int) ([]*RoundData, error) {
 		env, err := r.Build(Scenario{Seed: 7})
 		if err != nil {
 			return nil, err
 		}
-		dyn := field.DefaultSilting(env.Field)
-		m, err := monitor.New(env.Tree, monitor.Config{
-			Query:    env.Query,
-			Filter:   *env.Scenario.Filter,
-			Temporal: temporal,
-			Options:  contour.DefaultOptions(),
-		})
-		if err != nil {
-			return nil, err
+		// The delta session ages its belief like ext-temporal's aged
+		// cells; the full-report session is the oracle it is measured
+		// against.
+		rs := &RoundSource{Env: env, Dt: monitorTimeStep}
+		if i == 0 {
+			rs.Delta, rs.DeltaExpiry = true, 8
+		} else {
+			rs.PacketRounds = true
 		}
-		var out []*monitor.RoundStats
-		for i := 0; i < rounds; i++ {
-			st, err := m.Round(dyn.At(float64(i) * monitorTimeStep))
-			if err != nil {
+		out := make([]*RoundData, rounds)
+		for k := range out {
+			if out[k], err = rs.Next(); err != nil {
 				return nil, err
 			}
-			out = append(out, st)
 		}
 		return out, nil
-	}
-	configs := []monitor.TemporalConfig{monitor.DefaultTemporal(), {}}
-	sessions, err := runJobs(r, len(configs), func(i int) ([]*monitor.RoundStats, error) {
-		return runSession(configs[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	withTemporal, plain := sessions[0], sessions[1]
-	for i := range withTemporal {
-		t.AddRow(float64(i)*monitorTimeStep,
-			withTemporal[i].Delivered, withTemporal[i].TrafficKB,
-			plain[i].Delivered, plain[i].TrafficKB)
+	delta, full := sessions[0], sessions[1]
+	for i := range delta {
+		t.AddRow(delta[i].T,
+			delta[i].DataFrames, float64(delta[i].TxBytes)/1024,
+			full[i].DataFrames, float64(full[i].TxBytes)/1024)
 	}
 	return t, nil
 }

@@ -74,8 +74,8 @@ func TestExtMonitorRoundsTemporalSaves(t *testing.T) {
 	if len(tb.Rows) != 5 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	// After round 0 the temporal session delivers (and transmits) less
-	// than the plain one.
+	// After the first round the delta session transmits less than the
+	// full-report one.
 	var tempSum, plainSum float64
 	for _, row := range tb.Rows[1:] {
 		tempSum += parse(t, row[2])
