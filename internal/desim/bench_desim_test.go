@@ -46,15 +46,15 @@ func kLabel(n int) string {
 	return fmt.Sprintf("n=%d", n)
 }
 
-// benchFullRound runs the complete packet-level round on the given
-// engine constructor, reporting events/sec and ns/event alongside the
-// standard time and allocation metrics. With faulted set, every round
+// benchFullRound runs the complete packet-level round over a
+// benchRoundSetup deployment on the given engine constructor, reporting
+// events/sec and ns/event alongside the standard time and allocation
+// metrics. With faulted set, every round
 // runs under a fresh fault plan in the configuration of sim's faulted
 // rounds: Bernoulli 5% loss, 5% of nodes crashing in [0.05, 0.6] s, on
 // the radio with a 1.5 s frame deadline. Building the plan is part of the
 // timed round, as it is in sim.
-func benchFullRound(b *testing.B, n int, mk func() EngineAPI, faulted bool) {
-	tree, f, q := benchRoundSetup(b, n)
+func benchFullRound(b *testing.B, tree *routing.Tree, f field.Field, q core.Query, mk func() EngineAPI, faulted bool) {
 	fc := core.DefaultFilterConfig()
 	cfg := DefaultRadioConfig()
 	if faulted {
@@ -70,7 +70,7 @@ func benchFullRound(b *testing.B, n int, mk func() EngineAPI, faulted bool) {
 				Seed: int64(i) + 1, Channel: faults.ChannelBernoulli, LossRate: 0.05,
 				CrashFraction: 0.05, CrashStart: 0.05, CrashEnd: 0.6,
 				Protect: []network.NodeID{tree.Root()},
-			}, n)
+			}, tree.Network().Len())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +100,8 @@ func BenchmarkFullRound(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000} {
 		n := n
 		b.Run(kLabel(n), func(b *testing.B) {
-			benchFullRound(b, n, func() EngineAPI { return NewEngine() }, false)
+			tree, f, q := benchRoundSetup(b, n)
+			benchFullRound(b, tree, f, q, func() EngineAPI { return NewEngine() }, false)
 		})
 	}
 }
@@ -113,7 +114,8 @@ func BenchmarkFullRoundFaulted(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
 		n := n
 		b.Run(kLabel(n), func(b *testing.B) {
-			benchFullRound(b, n, func() EngineAPI { return NewEngine() }, true)
+			tree, f, q := benchRoundSetup(b, n)
+			benchFullRound(b, tree, f, q, func() EngineAPI { return NewEngine() }, true)
 		})
 	}
 }
@@ -146,52 +148,52 @@ func BenchmarkFullRoundTraced(b *testing.B) {
 }
 
 // BenchmarkFullRoundSharded runs the round on the sharded parallel
-// engine over a grid partition, sweeping shard counts at a size where
-// the per-window barrier cost is amortized. On a single-core host this
+// engine over a grid partition. The 16k rows sweep shard counts at a size
+// where the per-window barrier cost is amortized. The 256k rows are the
+// strong-scaling table: shards=1 is the sequential Engine anchor, and
+// `-cpu 1,2,4,8` supplies the GOMAXPROCS axis (the sharded engine runs
+// GOMAXPROCS workers). Where GOMAXPROCS exceeds the core count this
 // measures the sharding overhead (windowing, mailbox barriers, trace
-// merge) rather than speedup; the strong-scaling table in
-// BENCH_DESIM.json is the multi-core view.
+// merge) rather than speedup. Each size is deployed once, outside the
+// timer, and shared by its rows.
 func BenchmarkFullRoundSharded(b *testing.B) {
-	const n = 16000
-	for _, shards := range []int{4, 16} {
-		shards := shards
-		b.Run(fmt.Sprintf("%s/shards=%d", kLabel(n), shards), func(b *testing.B) {
-			tree, f, q := benchRoundSetup(b, n)
-			fc := core.DefaultFilterConfig()
-			cfg := DefaultRadioConfig()
-			part := network.NewGridPartition(tree.Network(), shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: NewShardedEngine(part, 0)})
-				if err != nil {
-					b.Fatal(err)
+	for _, size := range []struct {
+		n      int
+		shards []int
+	}{
+		{16000, []int{4, 16}},
+		{256000, []int{1, 4, 16, 64}},
+	} {
+		var tree *routing.Tree
+		var f field.Field
+		var q core.Query
+		for _, shards := range size.shards {
+			b.Run(fmt.Sprintf("%s/shards=%d", kLabel(size.n), shards), func(b *testing.B) {
+				if tree == nil {
+					tree, f, q = benchRoundSetup(b, size.n)
 				}
-				if len(res.Delivered) == 0 {
-					b.Fatal("round delivered nothing")
+				mk := func() EngineAPI { return NewEngine() }
+				if shards > 1 {
+					part := network.NewGridPartition(tree.Network(), shards)
+					mk = func() EngineAPI { return NewShardedEngine(part, 0) }
 				}
-				events += res.Events
-			}
-			b.StopTimer()
-			if events > 0 {
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-			}
-		})
+				benchFullRound(b, tree, f, q, mk, false)
+			})
+		}
 	}
 }
 
-// BenchmarkFullRoundNaive is the same round on the EngineNaive reference
-// oracle — the pre-rewrite closure-per-event implementation — so the
-// speedup and allocation ratios stay measurable in one `go test -bench`
+// BenchmarkFullRoundNaive is the same round on the test-only EngineNaive
+// reference oracle — the pre-rewrite closure-per-event implementation — so
+// the speedup and allocation ratios stay measurable in one `go test -bench`
 // invocation. 16k is omitted: the naive engine exists for comparison,
 // not for scale.
 func BenchmarkFullRoundNaive(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
 		n := n
 		b.Run(kLabel(n), func(b *testing.B) {
-			benchFullRound(b, n, func() EngineAPI { return NewEngineNaive() }, false)
+			tree, f, q := benchRoundSetup(b, n)
+			benchFullRound(b, tree, f, q, func() EngineAPI { return NewEngineNaive() }, false)
 		})
 	}
 }
@@ -200,8 +202,13 @@ func BenchmarkFullRoundNaive(b *testing.B) {
 // events — roughly the peak queue depth a 4k-node round reaches — are
 // pushed with shuffled timestamps and drained, measuring pure push+pop
 // cost without radio or protocol work.
-func BenchmarkEngineSchedule(b *testing.B) {
-	eng := NewEngine()
+func BenchmarkEngineSchedule(b *testing.B) { benchSchedule(b, NewEngine()) }
+
+// BenchmarkEngineScheduleNaive is the same scheduler workload on the
+// EngineNaive reference oracle.
+func BenchmarkEngineScheduleNaive(b *testing.B) { benchSchedule(b, NewEngineNaive()) }
+
+func benchSchedule(b *testing.B, eng EngineAPI) {
 	eng.SetHandler(func(Event) {})
 	const burst = 1024
 	for i := 0; i < burst; i++ {

@@ -66,8 +66,9 @@ func CollectReports(tree *routing.Tree, reports []core.Report, fc core.FilterCon
 }
 
 // CollectReportsEngine is CollectReports on a caller-supplied scheduler:
-// the production Engine or the EngineNaive reference oracle. Both execute
-// the identical event sequence — the equivalence property tests pin that.
+// the production Engine or the test-only EngineNaive reference oracle.
+// Both execute the identical event sequence — the equivalence property
+// tests pin that.
 func CollectReportsEngine(eng EngineAPI, tree *routing.Tree, reports []core.Report, fc core.FilterConfig, cfg RadioConfig) (*CollectionResult, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("desim: nil routing tree")

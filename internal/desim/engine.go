@@ -15,9 +15,10 @@
 // typed, fixed-size records on an index-addressed 4-ary heap whose
 // record slots are recycled through a free-list, so scheduling a
 // tx/rx/backoff/timer event never touches the garbage collector once the
-// arena has warmed up. EngineNaive retains the original closure-per-event
-// implementation as the reference oracle (see engine_naive.go); the
-// equivalence property tests prove both execute identical schedules.
+// arena has warmed up. The tests keep the original closure-per-event
+// implementation as the reference oracle (EngineNaive, in
+// engine_naive_test.go); the equivalence property tests prove both
+// execute identical schedules.
 package desim
 
 import "isomap/internal/network"
@@ -70,9 +71,10 @@ type Event struct {
 	Arg  int32
 }
 
-// EngineAPI is the scheduling surface shared by the production Engine and
-// the EngineNaive reference, letting the same radio and round code run on
-// either for oracle tests and benchmarks.
+// EngineAPI is the scheduling surface shared by the sequential Engine and
+// the ShardedEngine, letting the same radio and round code run on either.
+// Its closure methods carry the round driver's cold control events; the
+// test-only EngineNaive oracle implements it too.
 type EngineAPI interface {
 	// Now returns the current simulation time in seconds.
 	Now() float64
@@ -100,10 +102,7 @@ type EngineAPI interface {
 	RunUntil(deadline float64)
 }
 
-var (
-	_ EngineAPI = (*Engine)(nil)
-	_ EngineAPI = (*EngineNaive)(nil)
-)
+var _ EngineAPI = (*Engine)(nil)
 
 // evClosure is the internal kind marking a closure-fallback entry; the
 // closure lives in the fns arena at index arg. It sits far above the
@@ -242,8 +241,9 @@ func (e *Engine) push(t float64, fn func(), ev Event) {
 // (evClosure = 0xff) sort after every typed kind and among themselves by
 // insertion sequence (their arg is an arena index, which is not stable
 // across engines); typed events with byte-identical keys are required to
-// be order-insensitive (handler-idempotent). EngineNaive implements the
-// identical order, and the tie-break property tests pin both.
+// be order-insensitive (handler-idempotent). The test-only EngineNaive
+// implements the identical order, and the tie-break property tests pin
+// both.
 func less(a, b *heapEnt) bool {
 	if a.t != b.t {
 		return a.t < b.t

@@ -62,8 +62,8 @@ type RoundResult struct {
 // RoundOptions selects how RunRound runs one round. The zero value is a
 // fault-free, untraced, full-report round on a fresh NewEngine().
 type RoundOptions struct {
-	// Engine is the scheduler: the production Engine, the EngineNaive
-	// reference oracle, or a ShardedEngine. Nil selects NewEngine().
+	// Engine is the scheduler: the production Engine or a ShardedEngine
+	// (tests also pass the EngineNaive oracle). Nil selects NewEngine().
 	Engine EngineAPI
 	// Faults is the injected fault plan; nil runs fault-free. Plans are
 	// stateful: pass a fresh one per round.

@@ -20,7 +20,8 @@ type VoronoiCell struct {
 	SharedEdges []Segment
 	// horizonD2 is the squared site distance at which the pruned
 	// construction stopped scanning candidates for this cell (+Inf when
-	// the scan exhausted every site, as VoronoiNaive's cells always do).
+	// the scan exhausted every site, as the naive oracle's cells always
+	// do).
 	// Every site the clip loop applied lies strictly below it, so a site
 	// set that only changes beyond the horizon provably replays the
 	// identical clip sequence — the fact DiffSites uses to prove cells
@@ -36,7 +37,7 @@ type VoronoiDiagram struct {
 	Cells []VoronoiCell
 	// index, when set, answers nearest-site queries for CellContaining and
 	// adjacency without scanning all sites. Diagrams built by Voronoi carry
-	// one; zero-value and VoronoiNaive diagrams fall back to linear scans.
+	// one; zero-value diagrams fall back to linear scans.
 	index *NNIndex
 }
 
@@ -65,40 +66,6 @@ func VoronoiWithIndex(sites []Point, bounds Polygon, index *NNIndex) *VoronoiDia
 	for i, s := range sites {
 		region, horizon := voronoiCell(index, sites, i, bounds)
 		d.Cells[i] = VoronoiCell{Site: s, Index: i, Region: region, horizonD2: horizon}
-	}
-	d.computeAdjacency(sites)
-	return d
-}
-
-// VoronoiNaive is the reference O(k^2) construction: every cell is clipped
-// against the bisector of every other site in input order. It is retained
-// as the oracle for the indexed construction's equivalence property tests
-// and as the pre-index baseline in the benchmark report.
-func VoronoiNaive(sites []Point, bounds Polygon) *VoronoiDiagram {
-	bounds = bounds.EnsureCCW()
-	d := &VoronoiDiagram{
-		Bounds: bounds,
-		Cells:  make([]VoronoiCell, len(sites)),
-	}
-	for i, s := range sites {
-		cell := VoronoiCell{Site: s, Index: i, horizonD2: math.Inf(1)}
-		region := bounds
-		for j, t := range sites {
-			if j == i || region == nil {
-				continue
-			}
-			if s.NearlyEqual(t) {
-				// Duplicate sites split the plane ambiguously; assign the
-				// region to the lower-indexed site.
-				if j < i {
-					region = nil
-				}
-				continue
-			}
-			region = region.ClipHalfPlane(bisectorHalfPlane(s, t))
-		}
-		cell.Region = region
-		d.Cells[i] = cell
 	}
 	d.computeAdjacency(sites)
 	return d

@@ -65,9 +65,9 @@ const dupeSlack = 4 * Eps
 
 // DiffSites diffs sites against the receiver's generating sites. The
 // receiver must have been built by Voronoi, VoronoiWithIndex or
-// VoronoiIncremental over the same bounds (VoronoiNaive diagrams carry
-// infinite horizons, so every cell diffs dirty — correct but never an
-// improvement).
+// VoronoiIncremental over the same bounds (diagrams with infinite
+// horizons, such as the naive test oracle's, diff every cell dirty —
+// correct but never an improvement).
 func (d *VoronoiDiagram) DiffSites(sites []Point) VoronoiDiff {
 	return d.DiffSitesWorkers(sites, 1)
 }

@@ -378,7 +378,7 @@ func BenchmarkVoronoi(b *testing.B) {
 
 func BenchmarkVoronoiNaive(b *testing.B) {
 	bounds := Rect(0, 0, 50, 50)
-	for _, k := range []int{32, 128, 512} {
+	for _, k := range []int{32, 128, 512, 2048} {
 		sites := benchSites(k)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()

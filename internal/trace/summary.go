@@ -46,8 +46,8 @@ type StageTiming struct {
 }
 
 // Summary is the aggregated view of a recorded trace: per-phase
-// breakdown tables plus round-level totals. It is what
-// cmd/benchreport -kind trace emits into BENCH_TRACE.json.
+// breakdown tables plus round-level totals. perfbench's traced run reads
+// its per-phase metrics from it, and cmd/isomapsim publishes it.
 type Summary struct {
 	// Events counts aggregated events; DroppedEvents counts ring
 	// overwrites (nonzero means the breakdown undercounts).

@@ -14,8 +14,8 @@
 //
 //   - humans: Recorder.WriteJSONL serializes a deterministic JSONL trace
 //     (cmd/isomapsim -roundtrace / -diag) for offline inspection;
-//   - reports: Summarize aggregates per-phase breakdowns
-//     (cmd/benchreport -kind trace, BENCH_TRACE.json);
+//   - reports: Summarize aggregates per-phase breakdowns (perfbench's
+//     traced run, cmd/isomapsim's published round counters);
 //   - tests: Check runs an invariant pass over a recorded trace — frame
 //     conservation, re-parent level monotonicity, crash finality, sink
 //     report accounting — turning round-internal correctness into
