@@ -6,7 +6,9 @@ import (
 )
 
 // FuzzClipHalfPlane feeds arbitrary half-planes to the clipper; the result
-// must always be inside both the half-plane and the original rectangle.
+// must always be inside both the half-plane and the original rectangle, and
+// clipping into a dirty, reused buffer must give the fresh result bit for
+// bit (nil included).
 func FuzzClipHalfPlane(f *testing.F) {
 	f.Add(5.0, 5.0, 1.0, 0.0)
 	f.Add(0.0, 0.0, 0.0, 0.0)
@@ -20,6 +22,13 @@ func FuzzClipHalfPlane(f *testing.F) {
 		h := HalfPlane{Origin: Point{X: ox, Y: oy}, Normal: Vec{X: nx, Y: ny}}
 		pg := Rect(0, 0, 10, 10)
 		clipped := pg.ClipHalfPlane(h)
+		dirty := make(Polygon, 5, 16)
+		for i := range dirty {
+			dirty[i] = Point{X: math.NaN(), Y: float64(i)}
+		}
+		if reused := pg.clipInto(dirty, h); !polygonBitsEqual(reused, clipped) {
+			t.Fatalf("clipInto into a reused buffer = %v, ClipHalfPlane = %v", reused, clipped)
+		}
 		area := clipped.Area()
 		if area < 0 || area > 100+1e-6 {
 			t.Fatalf("clipped area %v outside [0, 100]", area)
@@ -34,6 +43,21 @@ func FuzzClipHalfPlane(f *testing.F) {
 			}
 		}
 	})
+}
+
+// polygonBitsEqual reports whether a and b are both nil or hold the same
+// vertices bit for bit.
+func polygonBitsEqual(a, b Polygon) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) ||
+			math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzSegmentIntersection checks that intersection points (when reported)

@@ -1,8 +1,9 @@
 package geom
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // NNIndex is a uniform-grid nearest-site index over a fixed point set: the
@@ -17,7 +18,7 @@ import (
 // inside its own (ring-0) bucket, so any site stored in a bucket at
 // Chebyshev ring r is at Euclidean distance >= (r-1)*cell from p.
 type NNIndex struct {
-	sites []Point
+	sites  []Point
 	x0, y0 float64
 	cell   float64
 	nx, ny int
@@ -122,32 +123,30 @@ func (ix *NNIndex) maxRing(qx, qy int) int {
 	return max(r, max(qy, ix.ny-1-qy))
 }
 
-// scanBucket calls f for every site in grid bucket (bx, by), in ascending
-// site order; out-of-grid buckets are empty.
-func (ix *NNIndex) scanBucket(bx, by int, f func(si int32)) {
-	if bx < 0 || bx >= ix.nx || by < 0 || by >= ix.ny {
-		return
+// rowSpan returns the site ids of buckets x0..x1 of grid row y, clipped to
+// the grid; a row's buckets are consecutive in the CSR layout, so the span
+// is one slice of ids.
+func (ix *NNIndex) rowSpan(x0, x1, y int) []int32 {
+	x0, x1 = max(x0, 0), min(x1, ix.nx-1)
+	if y < 0 || y >= ix.ny || x0 > x1 {
+		return nil
 	}
-	b := by*ix.nx + bx
-	for _, si := range ix.ids[ix.start[b]:ix.start[b+1]] {
-		f(si)
-	}
+	b := y * ix.nx
+	return ix.ids[ix.start[b+x0]:ix.start[b+x1+1]]
 }
 
-// scanRing calls f for every site in the Chebyshev ring of radius r around
-// bucket (qx, qy).
-func (ix *NNIndex) scanRing(qx, qy, r int, f func(si int32)) {
+// scanRing calls f with the site ids of the Chebyshev ring of radius r
+// around bucket (qx, qy), one row span at a time: the ring's bottom and top
+// rows whole, then its two side columns bucket by bucket.
+func (ix *NNIndex) scanRing(qx, qy, r int, f func(ids []int32)) {
+	f(ix.rowSpan(qx-r, qx+r, qy-r))
 	if r == 0 {
-		ix.scanBucket(qx, qy, f)
 		return
 	}
-	for x := qx - r; x <= qx+r; x++ {
-		ix.scanBucket(x, qy-r, f)
-		ix.scanBucket(x, qy+r, f)
-	}
-	for y := qy - r + 1; y <= qy+r-1; y++ {
-		ix.scanBucket(qx-r, y, f)
-		ix.scanBucket(qx+r, y, f)
+	f(ix.rowSpan(qx-r, qx+r, qy+r))
+	for y := max(qy-r+1, 0); y <= min(qy+r-1, ix.ny-1); y++ {
+		f(ix.rowSpan(qx-r, qx-r, y))
+		f(ix.rowSpan(qx+r, qx+r, y))
 	}
 }
 
@@ -195,13 +194,15 @@ func (ix *NNIndex) nearestFrom(p Point, best, exclude int32) int32 {
 				break
 			}
 		}
-		ix.scanRing(qx, qy, r, func(si int32) {
-			if si == exclude {
-				return
-			}
-			d2 := p.Dist2To(ix.sites[si])
-			if best < 0 || d2 < bestD2 || (d2 == bestD2 && si < best) {
-				best, bestD2 = si, d2
+		ix.scanRing(qx, qy, r, func(ids []int32) {
+			for _, si := range ids {
+				if si == exclude {
+					continue
+				}
+				d2 := p.Dist2To(ix.sites[si])
+				if best < 0 || d2 < bestD2 || (d2 == bestD2 && si < best) {
+					best, bestD2 = si, d2
+				}
 			}
 		})
 	}
@@ -214,45 +215,75 @@ type nnCand struct {
 	idx int32
 }
 
+// cmpCand is the enumeration's total order: squared distance, then site
+// index. No two candidates compare equal, so any correct sort or merge
+// yields the same sequence.
+func cmpCand(a, b nnCand) int {
+	if a.d2 != b.d2 {
+		if a.d2 < b.d2 {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
 // VisitByDistance calls visit for every site in nondecreasing distance from
 // p (exact ties in ascending index order), stopping early when visit
 // returns false. A site is only emitted once every strictly closer site has
 // been: after ring r completes, any unscanned site is at distance >= r*cell,
 // so the sorted pending candidates below that horizon are final.
 func (ix *NNIndex) VisitByDistance(p Point, visit func(i int, d2 float64) bool) {
+	var pend []nnCand
+	ix.visitByDistance(p, &pend, visit)
+}
+
+// visitByDistance is VisitByDistance keeping its pending candidates in
+// *pend, a buffer the caller reuses across queries; it is left empty with
+// whatever capacity the query grew it to.
+//
+// Only the candidates a ring makes final are sorted: after each ring the
+// pending pool is partitioned at the ring's horizon and the part below it
+// is sorted and emitted, while the rest waits unsorted for a later ring.
+// Every candidate below a horizon is emitted before any at or beyond it,
+// so the sequence is the one a full sort of the pool would give.
+func (ix *NNIndex) visitByDistance(p Point, pend *[]nnCand, visit func(i int, d2 float64) bool) {
 	if len(ix.sites) == 0 {
 		return
 	}
+	buf := (*pend)[:0]
+	defer func() { *pend = buf[:0] }()
 	qx, qy := ix.bucketCoords(p)
 	maxR := ix.maxRing(qx, qy)
-	var pend []nnCand
 	head := 0
 	for r := 0; r <= maxR; r++ {
-		grew := false
-		ix.scanRing(qx, qy, r, func(si int32) {
-			pend = append(pend, nnCand{d2: p.Dist2To(ix.sites[si]), idx: si})
-			grew = true
+		ix.scanRing(qx, qy, r, func(ids []int32) {
+			for _, si := range ids {
+				buf = append(buf, nnCand{d2: p.Dist2To(ix.sites[si]), idx: si})
+			}
 		})
-		if grew {
-			tail := pend[head:]
-			sort.Slice(tail, func(a, b int) bool {
-				if tail[a].d2 != tail[b].d2 {
-					return tail[a].d2 < tail[b].d2
-				}
-				return tail[a].idx < tail[b].idx
-			})
-		}
 		horizon := float64(r) * ix.cell
 		h2 := horizon * horizon
-		for head < len(pend) && pend[head].d2 < h2 {
-			if !visit(int(pend[head].idx), pend[head].d2) {
+		final := head
+		for k := head; k < len(buf); k++ {
+			if buf[k].d2 < h2 {
+				buf[final], buf[k] = buf[k], buf[final]
+				final++
+			}
+		}
+		slices.SortFunc(buf[head:final], cmpCand)
+		for ; head < final; head++ {
+			if !visit(int(buf[head].idx), buf[head].d2) {
 				return
 			}
-			head++
+		}
+		if head == len(buf) {
+			buf, head = buf[:0], 0
 		}
 	}
-	for ; head < len(pend); head++ {
-		if !visit(int(pend[head].idx), pend[head].d2) {
+	slices.SortFunc(buf[head:], cmpCand)
+	for ; head < len(buf); head++ {
+		if !visit(int(buf[head].idx), buf[head].d2) {
 			return
 		}
 	}

@@ -152,11 +152,18 @@ func (h HalfPlane) Contains(p Point) bool { return h.Side(p) <= Eps }
 // ClipHalfPlane clips a convex polygon against a half-plane using the
 // Sutherland-Hodgman rule, returning the (possibly empty) convex piece that
 // lies inside the half-plane.
-func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon {
+func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon { return pg.clipInto(nil, h) }
+
+// clipInto is ClipHalfPlane writing its result into dst[:0], growing dst
+// only when its capacity is short, so a caller that alternates two buffers
+// clips without allocating. dst must not alias pg. The vertices, their
+// arithmetic and their order are exactly ClipHalfPlane's; the result is nil
+// below three vertices whatever dst held.
+func (pg Polygon) clipInto(dst Polygon, h HalfPlane) Polygon {
 	if len(pg) == 0 {
 		return nil
 	}
-	var out Polygon
+	out := dst[:0]
 	n := len(pg)
 	for i := 0; i < n; i++ {
 		cur, next := pg[i], pg[(i+1)%n]
@@ -175,13 +182,16 @@ func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon {
 	return dedupeClosePoints(out)
 }
 
-// dedupeClosePoints removes consecutive (and wrap-around) duplicate vertices
-// that clipping can introduce.
+// dedupeClosePoints removes, in place, consecutive (and wrap-around)
+// duplicate vertices that clipping can introduce, returning nil when fewer
+// than three vertices remain.
 func dedupeClosePoints(pg Polygon) Polygon {
 	if len(pg) == 0 {
 		return nil
 	}
-	out := make(Polygon, 0, len(pg))
+	// The write index never passes the read index, and each point is
+	// compared with the last one kept, as a copying pass would.
+	out := pg[:0]
 	for _, p := range pg {
 		if len(out) > 0 && out[len(out)-1].NearlyEqual(p) {
 			continue

@@ -44,7 +44,7 @@ type VoronoiDiagram struct {
 // Voronoi computes the Voronoi diagram of sites bounded by the convex
 // polygon bounds. Each cell clips bounds against bisector half-planes in
 // increasing site distance, pruned by a grid index and a security-radius
-// early exit (see voronoiCell), so typical cells cost O(1) clips instead of
+// early exit (see buildCell), so typical cells cost O(1) clips instead of
 // the O(k) of the naive construction.
 func Voronoi(sites []Point, bounds Polygon) *VoronoiDiagram {
 	return VoronoiWithIndex(sites, bounds, nil)
@@ -63,66 +63,109 @@ func VoronoiWithIndex(sites []Point, bounds Polygon, index *NNIndex) *VoronoiDia
 		Cells:  make([]VoronoiCell, len(sites)),
 		index:  index,
 	}
-	for i, s := range sites {
-		region, horizon := voronoiCell(index, sites, i, bounds)
-		d.Cells[i] = VoronoiCell{Site: s, Index: i, Region: region, horizonD2: horizon}
+	var sc voronoiScratch
+	for i := range sites {
+		d.buildCell(&sc, sites, i)
 	}
-	d.computeAdjacency(sites)
 	return d
 }
 
-// voronoiCell computes the cell of site i by clipping bounds against
-// bisectors in increasing distance from the site. The early exit is the
-// security-radius argument: once the candidate distance d(s, t) reaches
-// twice the distance R from s to its farthest current region vertex, every
-// region point q satisfies d(q, t) >= d(s, t) - d(s, q) >= 2R - R >= d(q, s),
-// so neither t nor any farther site can cut the region.
+// voronoiScratch is the working memory of one diagram build. Each
+// VoronoiWithIndex or VoronoiIncremental call makes its own and uses it on
+// its own goroutine only; no diagram or index keeps a reference, so it is
+// garbage once the build returns. Every kept cell copies its region and
+// adjacency out of it, so only those three slices are allocated per cell.
+type voronoiScratch struct {
+	// clip holds the two buffers the clip loop alternates between: once a
+	// cell has been clipped, its region lives in clip[0] and the next clip
+	// writes into clip[1] before the two swap.
+	clip [2]Polygon
+	// pend is visitByDistance's pending-candidate buffer.
+	pend []nnCand
+	// adj collects one cell's shared edges before they are copied out.
+	adj []adjEdge
+
+	// The cell being built; visit reads and updates these.
+	sites   []Point
+	i       int
+	region  Polygon
+	clipped bool // region lives in clip[0] rather than being the bounds
+	r2      float64
+	horizon float64
+}
+
+// adjEdge is one shared edge of a cell and the neighbor across it.
+type adjEdge struct {
+	j int
+	e Segment
+}
+
+// buildCell computes cell i of d — region, horizon and adjacency — with
+// the diagram's index, which must be set. The region clips the bounds
+// against bisectors in increasing distance from the site. The early exit
+// is the security-radius argument: once the candidate distance d(s, t)
+// reaches twice the distance R from s to its farthest current region
+// vertex, every region point q satisfies
+// d(q, t) >= d(s, t) - d(s, q) >= 2R - R >= d(q, s), so neither t nor any
+// farther site can cut the region.
 //
-// The second return is the cell's scan horizon: the squared distance of
-// the candidate that stopped the scan, or +Inf when every site was
-// visited. Sites at or beyond the horizon were never applied, so the
-// region (and its exact float vertices) depends only on the sites
-// strictly inside it.
-func voronoiCell(index *NNIndex, sites []Point, i int, bounds Polygon) (Polygon, float64) {
+// The cell's horizon is the squared distance of the candidate that
+// stopped the scan, or +Inf when every site was visited. Sites at or
+// beyond the horizon were never applied, so the region (and its exact
+// float vertices) depends only on the sites strictly inside it.
+//
+// A clipped region is copied out of the scratch buffers at its exact size;
+// an unclipped one is the bounds itself, shared.
+func (d *VoronoiDiagram) buildCell(sc *voronoiScratch, sites []Point, i int) {
 	s := sites[i]
-	region := bounds
-	r2 := farthestVertexDist2(region, s)
-	horizon := math.Inf(1)
-	index.VisitByDistance(s, func(j int, d2 float64) bool {
-		if j == i {
-			return true
-		}
-		if len(region) < 3 {
-			// Degenerate bounds: the naive path nils such a region on its
-			// first clip (dedupe drops sub-triangle output).
-			region = nil
-			horizon = d2
-			return false
-		}
-		if d2 >= 4*r2 {
-			horizon = d2
-			return false
-		}
-		t := sites[j]
-		if s.NearlyEqual(t) {
-			// Duplicate sites split the plane ambiguously; assign the
-			// region to the lower-indexed site.
-			if j < i {
-				region = nil
-				horizon = d2
-				return false
-			}
-			return true
-		}
-		region = region.ClipHalfPlane(bisectorHalfPlane(s, t))
-		if region == nil {
-			horizon = d2
-			return false
-		}
-		r2 = farthestVertexDist2(region, s)
+	sc.sites, sc.i = sites, i
+	sc.region, sc.clipped = d.Bounds, false
+	sc.r2 = farthestVertexDist2(d.Bounds, s)
+	sc.horizon = math.Inf(1)
+	d.index.visitByDistance(s, &sc.pend, sc.visit)
+	region := sc.region
+	if sc.clipped && region != nil {
+		region = append(make(Polygon, 0, len(region)), region...)
+	}
+	d.Cells[i] = VoronoiCell{Site: s, Index: i, Region: region, horizonD2: sc.horizon}
+	d.cellAdjacency(sc, sites, i)
+}
+
+// visit applies candidate j at squared distance d2 to the cell being
+// built, returning false once the scan can stop.
+func (sc *voronoiScratch) visit(j int, d2 float64) bool {
+	if j == sc.i {
 		return true
-	})
-	return region, horizon
+	}
+	if len(sc.region) < 3 {
+		// Degenerate bounds: the naive path nils such a region on its
+		// first clip (dedupe drops sub-triangle output).
+		sc.region, sc.horizon = nil, d2
+		return false
+	}
+	if d2 >= 4*sc.r2 {
+		sc.horizon = d2
+		return false
+	}
+	s, t := sc.sites[sc.i], sc.sites[j]
+	if s.NearlyEqual(t) {
+		// Duplicate sites split the plane ambiguously; assign the
+		// region to the lower-indexed site.
+		if j < sc.i {
+			sc.region, sc.horizon = nil, d2
+			return false
+		}
+		return true
+	}
+	out := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t))
+	if out == nil {
+		sc.region, sc.horizon = nil, d2
+		return false
+	}
+	sc.clip[0], sc.clip[1] = out, sc.clip[0]
+	sc.region, sc.clipped = out, true
+	sc.r2 = farthestVertexDist2(out, s)
+	return true
 }
 
 // farthestVertexDist2 returns the squared distance from s to the farthest
@@ -143,28 +186,31 @@ func bisectorHalfPlane(s, t Point) HalfPlane {
 	return HalfPlane{Origin: s.Mid(t), Normal: t.Sub(s)}
 }
 
-// computeAdjacency finds, for every cell, the neighboring cells with which
-// it shares a bisector edge, recording the shared edge segments.
-func (d *VoronoiDiagram) computeAdjacency(sites []Point) {
-	for i := range d.Cells {
-		d.cellAdjacency(sites, i)
-	}
-}
-
-// cellAdjacency fills Neighbors/SharedEdges of one cell; the cell's lists
-// must be empty on entry (freshly built cells are).
-func (d *VoronoiDiagram) cellAdjacency(sites []Point, i int) {
+// cellAdjacency fills Neighbors/SharedEdges of one cell, walking its
+// region's edges in order and allocating both lists once at their exact
+// size (nil when the cell has no neighbor).
+func (d *VoronoiDiagram) cellAdjacency(sc *voronoiScratch, sites []Point, i int) {
 	ci := &d.Cells[i]
-	if ci.Region == nil {
+	region := ci.Region
+	n := len(region)
+	if n < 2 {
 		return
 	}
-	for _, e := range ci.Region.Edges() {
-		j, ok := d.edgeNeighbor(sites, i, e)
-		if !ok {
-			continue
+	adj := sc.adj[:0]
+	for k := range region {
+		e := Segment{A: region[k], B: region[(k+1)%n]}
+		if j, ok := d.edgeNeighbor(sites, i, e); ok {
+			adj = append(adj, adjEdge{j: j, e: e})
 		}
-		ci.Neighbors = append(ci.Neighbors, j)
-		ci.SharedEdges = append(ci.SharedEdges, e)
+	}
+	sc.adj = adj
+	if len(adj) == 0 {
+		return
+	}
+	ci.Neighbors = make([]int, len(adj))
+	ci.SharedEdges = make([]Segment, len(adj))
+	for k, a := range adj {
+		ci.Neighbors[k], ci.SharedEdges[k] = a.j, a.e
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // property tests pin against the full construction.
 //
 // The cleanliness argument rests on the per-cell scan horizon recorded by
-// voronoiCell. The pruned construction visits candidates in increasing
+// buildCell. The pruned construction visits candidates in increasing
 // (distance, index) order and applies a clip for every candidate visited
 // before the one that trips the security-radius exit; the horizon is that
 // stopping candidate's squared distance. A cell whose own site is
@@ -182,20 +182,15 @@ func VoronoiIncremental(prev *VoronoiDiagram, sites []Point, index *NNIndex, dif
 		Cells:  make([]VoronoiCell, len(sites)),
 		index:  index,
 	}
-	for i, s := range sites {
+	var sc voronoiScratch
+	for i := range sites {
 		if !diff.Dirty[i] {
 			// Shares Region/Neighbors/SharedEdges slices with prev; all
 			// immutable after construction.
 			d.Cells[i] = prev.Cells[i]
 			continue
 		}
-		region, horizon := voronoiCell(index, sites, i, d.Bounds)
-		d.Cells[i] = VoronoiCell{Site: s, Index: i, Region: region, horizonD2: horizon}
-	}
-	for i := range d.Cells {
-		if diff.Dirty[i] {
-			d.cellAdjacency(sites, i)
-		}
+		d.buildCell(&sc, sites, i)
 	}
 	return d
 }

@@ -33,6 +33,9 @@ func VoronoiNaive(sites []Point, bounds Polygon) *VoronoiDiagram {
 		cell.Region = region
 		d.Cells[i] = cell
 	}
-	d.computeAdjacency(sites)
+	var sc voronoiScratch
+	for i := range d.Cells {
+		d.cellAdjacency(&sc, sites, i)
+	}
 	return d
 }
