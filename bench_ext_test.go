@@ -83,7 +83,7 @@ func BenchmarkPacketCollection(b *testing.B) {
 	generated := core.DetectIsolineNodes(env.Network, env.Query, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := desim.CollectReports(env.Tree, generated, core.DefaultFilterConfig(), desim.DefaultRadioConfig())
+		res, err := desim.CollectReports(nil, env.Tree, generated, core.DefaultFilterConfig(), desim.DefaultRadioConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

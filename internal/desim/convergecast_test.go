@@ -53,7 +53,7 @@ func TestCollectMatchesStructuralUnfiltered(t *testing.T) {
 	tree, reports := isoMapRound(t, 2500, 1)
 	structural := core.DeliverReports(tree, reports, core.FilterConfig{Enabled: false}, nil)
 
-	res, err := CollectReports(tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
+	res, err := CollectReports(nil, tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestCollectMatchesStructuralUnfiltered(t *testing.T) {
 	if len(res.Delivered) != len(structural) {
 		t.Fatalf("delivered %d != structural %d (duplicates?)", len(res.Delivered), len(structural))
 	}
-	if res.CompletionSeconds <= 0 {
+	if res.CollectSeconds <= 0 {
 		t.Error("zero completion time")
 	}
 	if res.Events <= 0 {
@@ -87,7 +87,7 @@ func TestCollectMatchesStructuralUnfiltered(t *testing.T) {
 
 func TestCollectFilteredStaysWithinGenerated(t *testing.T) {
 	tree, reports := isoMapRound(t, 2500, 1)
-	res, err := CollectReports(tree, reports, core.DefaultFilterConfig(), DefaultRadioConfig())
+	res, err := CollectReports(nil, tree, reports, core.DefaultFilterConfig(), DefaultRadioConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCollectFilteredStaysWithinGenerated(t *testing.T) {
 
 func TestCollectLatencyAboveAirtimeBound(t *testing.T) {
 	tree, reports := isoMapRound(t, 900, 3)
-	res, err := CollectReports(tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
+	res, err := CollectReports(nil, tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestCollectLatencyAboveAirtimeBound(t *testing.T) {
 	}
 	cfg := DefaultRadioConfig()
 	lower := float64(sinkBytes) * 8 / cfg.BitsPerSecond
-	if res.CompletionSeconds < lower {
-		t.Errorf("completion %v below serialization bound %v", res.CompletionSeconds, lower)
+	if res.CollectSeconds < lower {
+		t.Errorf("completion %v below serialization bound %v", res.CollectSeconds, lower)
 	}
 }
 
 func TestCollectChargesPhysicalCosts(t *testing.T) {
 	tree, reports := isoMapRound(t, 900, 3)
-	res, err := CollectReports(tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
+	res, err := CollectReports(nil, tree, reports, core.FilterConfig{Enabled: false}, DefaultRadioConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +155,18 @@ func TestCollectChargesPhysicalCosts(t *testing.T) {
 }
 
 func TestCollectNilTree(t *testing.T) {
-	if _, err := CollectReports(nil, nil, core.FilterConfig{}, DefaultRadioConfig()); err == nil {
+	if _, err := CollectReports(nil, nil, nil, core.FilterConfig{}, DefaultRadioConfig()); err == nil {
 		t.Error("want error for nil tree")
 	}
 }
 
 func TestCollectEmptyReports(t *testing.T) {
 	tree, _ := isoMapRound(t, 100, 2)
-	res, err := CollectReports(tree, nil, core.DefaultFilterConfig(), DefaultRadioConfig())
+	res, err := CollectReports(nil, tree, nil, core.DefaultFilterConfig(), DefaultRadioConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Delivered) != 0 || res.CompletionSeconds != 0 {
-		t.Errorf("empty collection delivered %d in %v", len(res.Delivered), res.CompletionSeconds)
+	if len(res.Delivered) != 0 || res.CollectSeconds != 0 {
+		t.Errorf("empty collection delivered %d in %v", len(res.Delivered), res.CollectSeconds)
 	}
 }

@@ -48,9 +48,9 @@ const (
 	evAckRetry         // Node: acker, Seq: ack frame seq, Arg: arena slot
 	evPropagate        // Node: sender, Seq: frame seq, Arg: slot (>=0 local, -(slot+1) import)
 
-	// Upper-layer events, handled by the convergecast / full round.
+	// Upper-layer events, handled by the round driver (roundShard).
 	evFlush       // Node: node whose outbox flushes toward its parent
-	evRequeue     // Node: original sender, Arg: parked-batch slot
+	evRequeue     // Node: original sender, Seq: dropped frame's seq, Arg: parked-batch slot
 	evInject      // Node: source injecting its reports
 	evRebroadcast // Node: node re-flooding the query
 	evProbeStart  // Node: isoline candidate starting its probe

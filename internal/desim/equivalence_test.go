@@ -7,6 +7,7 @@ import (
 	"isomap/internal/core"
 	"isomap/internal/faults"
 	"isomap/internal/network"
+	"isomap/internal/routing"
 )
 
 // recordedEvent is one dispatch observed by the equivalence harness.
@@ -160,23 +161,27 @@ func TestFullRoundFaultsEngineOracle(t *testing.T) {
 	}
 }
 
-// TestCollectReportsEngineOracle compares the standalone convergecast on
-// both engines, filters enabled.
+// TestCollectReportsEngineOracle compares the collection-only round on
+// both engines and on a grid-4 sharded engine, filters enabled.
 func TestCollectReportsEngineOracle(t *testing.T) {
-	run := func(eng EngineAPI) *CollectionResult {
+	run := func(mk func(*routing.Tree) EngineAPI) *RoundResult {
 		tree, reports := isoMapRound(t, 900, 3)
-		res, err := CollectReportsEngine(eng, tree, reports, core.DefaultFilterConfig(), DefaultRadioConfig())
+		res, err := CollectReports(mk(tree), tree, reports, core.DefaultFilterConfig(), DefaultRadioConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	fast := run(NewEngine())
-	naive := run(NewEngineNaive())
+	fast := run(func(*routing.Tree) EngineAPI { return NewEngine() })
+	naive := run(func(*routing.Tree) EngineAPI { return NewEngineNaive() })
 	if !reflect.DeepEqual(fast, naive) {
 		t.Errorf("collection diverged between engines:\n fast: %+v\nnaive: %+v", fast, naive)
 	}
 	if len(fast.Delivered) == 0 {
 		t.Error("oracle collection delivered nothing")
+	}
+	sharded := run(func(tree *routing.Tree) EngineAPI { return gridEngine(tree, 4, 2) })
+	if got, want := roundFingerprint(sharded), roundFingerprint(fast); got != want {
+		t.Errorf("sharded collection diverged from sequential:\n%s", firstDiff(got, want))
 	}
 }

@@ -52,8 +52,8 @@ type RoundResult struct {
 	// Severed counts nodes left with no alive upward neighbor after
 	// their parent died — their queued reports are lost.
 	Severed int
-	// Counters holds the physical per-node tx/rx/ops charges of the
-	// round (retries and acks included).
+	// Counters holds the physical per-node tx/rx byte charges of the
+	// round (retries and acks included); no operations are charged.
 	Counters *metrics.Counters
 	// Events is the number of simulator events executed.
 	Events int64
@@ -119,6 +119,16 @@ type roundState struct {
 	// delta, when non-nil, switches the round into delta-report mode;
 	// it carries the cross-round per-node transmitted-report memory.
 	delta *DeltaState
+
+	// eng is the caller's scheduler (the facade when sharded, se then
+	// non-nil); counters are the physical charges every shard's radio
+	// books into.
+	eng      EngineAPI
+	se       *ShardedEngine
+	counters *metrics.Counters
+	// injects holds each source's reports in a collection-only round
+	// (CollectReports); evInject hands them to the convergecast.
+	injects [][]core.Report
 
 	queryHeard  []bool
 	samples     [][]core.Sample
@@ -355,12 +365,18 @@ func (sh *roundShard) measure(id network.NodeID) {
 			return
 		}
 	}
+	sh.emit(id, reports)
+}
+
+// emit hands reports a node produced itself to the convergecast: filter
+// them at the node, then deliver at the sink or queue toward the parent.
+func (sh *roundShard) emit(id network.NodeID, reports []core.Report) {
 	fresh := sh.accept(id, reports)
-	if id == rs.root {
+	if id == sh.rs.root {
 		sh.res.Delivered = append(sh.res.Delivered, fresh...)
 		if sh.rec != nil {
 			sh.rec.Record(trace.Event{T: sh.eng.Now(), Kind: trace.KindSinkReport,
-				Node: int32(rs.root), Peer: -1, Arg: int32(len(fresh))})
+				Node: int32(id), Peer: -1, Arg: int32(len(fresh))})
 		}
 		return
 	}
@@ -465,16 +481,7 @@ func (sh *roundShard) deltaRetireAll(id network.NodeID) {
 		out = append(out, sh.deltaRetireOne(id, last, li, now))
 	}
 	sh.deltaScratch = out
-	fresh := sh.accept(id, out)
-	if id == rs.root {
-		sh.res.Delivered = append(sh.res.Delivered, fresh...)
-		if sh.rec != nil {
-			sh.rec.Record(trace.Event{T: now, Kind: trace.KindSinkReport,
-				Node: int32(rs.root), Peer: -1, Arg: int32(len(fresh))})
-		}
-		return
-	}
-	sh.forward(id, fresh)
+	sh.emit(id, out)
 }
 
 // onFrame is the receive handler every alive node shares: query flood,
@@ -564,6 +571,8 @@ func (sh *roundShard) onEvent(ev Event) {
 		}
 	case evDeltaRetire:
 		sh.deltaRetireAll(ev.Node)
+	case evInject:
+		sh.emit(ev.Node, rs.injects[ev.Node])
 	}
 }
 
@@ -613,17 +622,55 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 	if tree == nil {
 		return nil, fmt.Errorf("desim: nil routing tree")
 	}
+	tree.Network().Sense(f)
+	rs, err := newRound(tree, q, fc, cfg, opt)
+	if err != nil {
+		return nil, err
+	}
+
+	// The sink originates the query, on its own shard's scheduler — the
+	// bootstrap closure is the round's only untyped event, alone at t=0,
+	// so its execution slot is identical at every shard count.
+	rootSh := rs.shardFor(rs.root)
+	rs.queryHeard[rs.root] = true
+	rootSh.res.QueryReached++
+	if rootSh.rec != nil {
+		rootSh.rec.Record(trace.Event{Kind: trace.KindQueryHeard, Phase: trace.PhaseQuery,
+			Node: int32(rs.root), Peer: int32(rs.root)})
+	}
+	rootSh.eng.Schedule(0, func() {
+		_ = rootSh.radio.BroadcastQuery(rs.root, core.QueryBytes)
+	})
+	// The sink itself may be an isoline node: give it the same probe path.
+	if len(q.CandidateLevels(rs.nw.Node(rs.root).Value)) > 0 {
+		rootSh.eng.ScheduleEvent(probeDelay, Event{Kind: evProbeStart, Node: rs.root})
+	} else if ds := opt.Delta; ds != nil && ds.trackedAt(rs.root) > 0 {
+		rootSh.eng.ScheduleEvent(probeDelay+replyWindow, Event{Kind: evDeltaRetire, Node: rs.root})
+	}
+
+	res := rs.run(opt.Trace)
+	res.Delivered = opt.Faults.MangleSinkReports(res.Delivered, field.BoundsRect(f))
+	return res, nil
+}
+
+// newRound is the setup every packet round shares: one radio per shard,
+// all charging one set of counters; the cross-shard roundState seeded
+// from the tree; a roundShard with its drop and event handlers per radio;
+// a receive handler on every alive node; and the fault plan's crash
+// schedule. It senses nothing and schedules no protocol traffic — the
+// caller seeds that before run.
+func newRound(tree *routing.Tree, q core.Query, fc core.FilterConfig, cfg RadioConfig, opt RoundOptions) (*roundState, error) {
 	eng, plan, ds, rec := opt.Engine, opt.Faults, opt.Delta, opt.Trace
 	if eng == nil {
 		eng = NewEngine()
 	}
 	nw := tree.Network()
-	nw.Sense(f)
-	counters := metrics.NewCounters(nw.Len())
+	n := nw.Len()
+	counters := metrics.NewCounters(n)
 
-	se, sharded := eng.(*ShardedEngine)
+	se, _ := eng.(*ShardedEngine)
 	var radios []*Radio
-	if sharded {
+	if se != nil {
 		var err error
 		radios, err = newShardedRadios(se, nw, cfg, counters)
 		if err != nil {
@@ -637,7 +684,6 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 		radios = []*Radio{r}
 	}
 
-	n := nw.Len()
 	if ds != nil && ds.Nodes() != n {
 		return nil, fmt.Errorf("desim: delta state built for %d nodes, deployment has %d", ds.Nodes(), n)
 	}
@@ -651,6 +697,9 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 		delta:       ds,
 		crashes:     plan.Crashes(),
 		root:        tree.Root(),
+		eng:         eng,
+		se:          se,
+		counters:    counters,
 		queryHeard:  make([]bool, n),
 		samples:     make([][]core.Sample, n),
 		kept:        make([][]core.Report, n),
@@ -667,11 +716,11 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 
 	for i, r := range radios {
 		shEng := eng
-		if sharded {
+		if se != nil {
 			shEng = se.Shard(i)
 		}
 		shRec := rec
-		if sharded && rec != nil {
+		if se != nil && rec != nil {
 			shRec = trace.NewRecorder(rec.Capacity())
 		}
 		r.SetTrace(shRec)
@@ -683,46 +732,45 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 		r.OnDrop(sh.handleDrop)
 		r.OnEvent(sh.onEvent)
 	}
-	shardFor := func(id network.NodeID) *roundShard {
-		if sharded {
-			return rs.shards[se.ShardOf(id)]
-		}
-		return rs.shards[0]
+	// One method value per shard: evaluating sh.onFrame per node would
+	// allocate a closure for every node.
+	onFrame := make([]func(network.NodeID, Frame), len(rs.shards))
+	for i, sh := range rs.shards {
+		onFrame[i] = sh.onFrame
 	}
 	for i := 0; i < n; i++ {
 		if id := network.NodeID(i); nw.Alive(id) {
-			sh := shardFor(id)
-			sh.radio.OnReceive(id, sh.onFrame)
+			sh := 0
+			if se != nil {
+				sh = se.ShardOf(id)
+			}
+			rs.shards[sh].radio.OnReceive(id, onFrame[sh])
 		}
 	}
 	for i := range rs.crashes {
 		// The facade routes the crash to the owning node's shard.
 		eng.ScheduleEventAt(rs.crashes[i].Time, Event{Kind: evCrash, Node: rs.crashes[i].Node, Arg: int32(i)})
 	}
+	return rs, nil
+}
 
-	// The sink originates the query, on its own shard's scheduler — the
-	// bootstrap closure is the round's only untyped event, alone at t=0,
-	// so its execution slot is identical at every shard count.
-	rootSh := shardFor(rs.root)
-	rs.queryHeard[rs.root] = true
-	rootSh.res.QueryReached++
-	if rootSh.rec != nil {
-		rootSh.rec.Record(trace.Event{Kind: trace.KindQueryHeard, Phase: trace.PhaseQuery,
-			Node: int32(rs.root), Peer: int32(rs.root)})
+// shardFor returns the shard owning node id.
+func (rs *roundState) shardFor(id network.NodeID) *roundShard {
+	if rs.se != nil {
+		return rs.shards[rs.se.ShardOf(id)]
 	}
-	rootSh.eng.Schedule(0, func() {
-		_ = rootSh.radio.BroadcastQuery(rs.root, core.QueryBytes)
-	})
-	// The sink itself may be an isoline node: give it the same probe path.
-	if len(q.CandidateLevels(nw.Node(rs.root).Value)) > 0 {
-		rootSh.eng.ScheduleEvent(probeDelay, Event{Kind: evProbeStart, Node: rs.root})
-	} else if ds != nil && ds.trackedAt(rs.root) > 0 {
-		rootSh.eng.ScheduleEvent(probeDelay+replyWindow, Event{Kind: evDeltaRetire, Node: rs.root})
-	}
+	return rs.shards[0]
+}
 
-	total := eng.Run()
+// run executes the seeded round until its queue drains and merges the
+// shards' partial tallies into one result. rec is the caller's trace
+// recorder (nil when untraced): the round-end event goes to the root's
+// shard, and a sharded round's per-shard traces merge canonically into
+// rec. Crashed nodes get their Failed marks lifted before run returns.
+func (rs *roundState) run(rec *trace.Recorder) *RoundResult {
+	total := rs.eng.Run()
 
-	res := &RoundResult{Counters: counters}
+	res := &RoundResult{Counters: rs.counters}
 	for _, sh := range rs.shards {
 		res.QueryReached += sh.res.QueryReached
 		res.IsolineNodes += sh.res.IsolineNodes
@@ -748,16 +796,17 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 	}
 	// All sink deliveries happen on the root's shard, in its intrinsic
 	// event order — the same order a single engine pops them in.
+	rootSh := rs.shardFor(rs.root)
 	res.Delivered = rootSh.res.Delivered
 	res.TotalSeconds = total
-	res.Events = eng.Steps()
+	res.Events = rs.eng.Steps()
 	if rootSh.rec != nil {
 		// Recorded before sink mangling: the trace accounts for what the
 		// network delivered, not what fault injection corrupted after.
 		rootSh.rec.Record(trace.Event{T: res.TotalSeconds, Kind: trace.KindRoundEnd,
 			Node: int32(rs.root), Peer: -1, Seq: int64(len(res.Delivered))})
 	}
-	if sharded && rec != nil {
+	if rs.se != nil && rec != nil {
 		var all []trace.Event
 		for _, sh := range rs.shards {
 			all = append(all, sh.rec.Events()...)
@@ -767,11 +816,10 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 			rec.Record(e)
 		}
 	}
-	res.Delivered = plan.MangleSinkReports(res.Delivered, field.BoundsRect(f))
 	for _, sh := range rs.shards {
 		for _, id := range sh.crashed {
-			nw.Node(id).Failed = false
+			rs.nw.Node(id).Failed = false
 		}
 	}
-	return res, nil
+	return res
 }

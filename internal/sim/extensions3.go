@@ -53,14 +53,14 @@ func (r *Runner) ExtMACSweep() (*Table, error) {
 		structural := core.DeliverReports(env.Tree, routableReports, fc, sc)
 		structuralBytes := sc.TotalTxBytes()
 
-		res, err := desim.CollectReports(env.Tree, routableReports, fc, desim.DefaultRadioConfig())
+		res, err := desim.CollectReports(nil, env.Tree, routableReports, fc, desim.DefaultRadioConfig())
 		if err != nil {
 			return nil, err
 		}
 		ratio := float64(res.Counters.TotalTxBytes()) / float64(max(structuralBytes, 1))
 		return []any{n, label,
 			intPair(len(res.Delivered), len(structural)),
-			res.CompletionSeconds,
+			res.CollectSeconds,
 			res.Radio.Collisions,
 			ratio}, nil
 	})
