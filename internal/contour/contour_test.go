@@ -74,6 +74,20 @@ func TestCircleRegionArea(t *testing.T) {
 	}
 }
 
+// TestClassifyFarAndNonFinitePoints: classification of points far outside
+// the field, or with non-finite coordinates, returns a class in range
+// instead of panicking on a missing nearest site.
+func TestClassifyFarAndNonFinitePoints(t *testing.T) {
+	reports := circleReports(geom.Point{X: 25, Y: 25}, 10, 24, 0, 6)
+	m := Reconstruct(reports, levels682(), geom.Rect(0, 0, 50, 50), 5, DefaultOptions())
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []geom.Point{{X: 1e12, Y: 0}, {X: -1e300, Y: 25}, {X: nan, Y: 0}, {X: 0, Y: nan}, {X: inf, Y: -inf}} {
+		if got := m.ClassifyPoint(p); got < 0 || got > levels682().Count() {
+			t.Errorf("ClassifyPoint(%v) = %d, want 0..%d", p, got, levels682().Count())
+		}
+	}
+}
+
 func TestCircleBoundaryNearTrueCircle(t *testing.T) {
 	bounds := geom.Rect(0, 0, 50, 50)
 	center := geom.Point{X: 25, Y: 25}

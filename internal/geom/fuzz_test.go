@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -81,6 +82,42 @@ func FuzzSegmentIntersection(f *testing.F) {
 		if s1.DistToPoint(p) > 1e-6*scale || s2.DistToPoint(p) > 1e-6*scale {
 			t.Fatalf("intersection %v off segments by %v / %v",
 				p, s1.DistToPoint(p), s2.DistToPoint(p))
+		}
+	})
+}
+
+// FuzzNNIndexNearest checks Nearest against a linear scan for seeded site
+// sets and arbitrary probes — far, huge and non-finite ones included. A
+// finite probe must get the brute-force answer (lowest index on exact
+// ties); a non-finite one any valid site index.
+func FuzzNNIndexNearest(f *testing.F) {
+	f.Add(int64(1), uint8(40), 25.0, 25.0)
+	f.Add(int64(2), uint8(200), 1e6, 3.0)
+	f.Add(int64(3), uint8(7), -1e12, 1e8)
+	f.Add(int64(4), uint8(36), 10.0, 20.0)
+	f.Add(int64(5), uint8(1), math.NaN(), 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, x, y float64) {
+		rng := rand.New(rand.NewSource(seed))
+		sites := make([]Point, int(n)+1)
+		for i := range sites {
+			// Half the seeds snap sites to a coarse lattice for exact ties.
+			sx, sy := rng.Float64()*50, rng.Float64()*50
+			if seed%2 == 0 {
+				sx, sy = math.Round(sx/5)*5, math.Round(sy/5)*5
+			}
+			sites[i] = Point{X: sx, Y: sy}
+		}
+		ix := NewNNIndex(sites, Rect(0, 0, 50, 50))
+		p := Point{X: x, Y: y}
+		got := ix.Nearest(p)
+		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+			if got < 0 || got >= len(sites) {
+				t.Fatalf("Nearest(%v) = %d, want a site index", p, got)
+			}
+			return
+		}
+		if want := bruteNearest(sites, p, -1); got != want {
+			t.Fatalf("Nearest(%v) = %d (d2 %v), brute = %d (d2 %v)", p, got, p.Dist2To(sites[got]), want, p.Dist2To(sites[want]))
 		}
 	})
 }

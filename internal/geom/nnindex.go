@@ -102,8 +102,25 @@ func (ix *NNIndex) Site(i int) Point { return ix.sites[i] }
 // queries outside the grid keep their true coordinates so ring lower bounds
 // stay valid.
 func (ix *NNIndex) bucketCoords(p Point) (bx, by int) {
-	return int(math.Floor((p.X - ix.x0) / ix.cell)),
-		int(math.Floor((p.Y - ix.y0) / ix.cell))
+	return bucketCoord((p.X - ix.x0) / ix.cell), bucketCoord((p.Y - ix.y0) / ix.cell)
+}
+
+// maxBucketCoord bounds bucket coordinates far beyond any grid (whose
+// dimensions are int32) yet far below integer overflow in the ring
+// arithmetic.
+const maxBucketCoord = 1 << 40
+
+// bucketCoord floors a float bucket coordinate and clamps it to
+// ±maxBucketCoord before the int conversion; NaN maps to the low bound.
+// Clamping a far probe moves it toward the grid along that axis, so every
+// site stays at least as far from the probe as from the clamped bucket and
+// the ring lower bounds remain valid.
+func bucketCoord(f float64) int {
+	f = math.Floor(f)
+	if !(f > -maxBucketCoord) {
+		return -maxBucketCoord
+	}
+	return int(math.Min(f, maxBucketCoord))
 }
 
 // clampBucket returns the storage bucket of a site, clamped into the grid.
@@ -116,11 +133,14 @@ func (ix *NNIndex) clampBucket(p Point) int {
 	return by*ix.nx + bx
 }
 
-// maxRing returns the largest ring around (qx, qy) that still intersects
-// the grid; scanning rings 0..maxRing visits every bucket.
-func (ix *NNIndex) maxRing(qx, qy int) int {
-	r := max(qx, ix.nx-1-qx)
-	return max(r, max(qy, ix.ny-1-qy))
+// ringSpan returns the first and last rings around (qx, qy) that
+// intersect the grid; scanning rings minR..maxR visits every bucket, and
+// the rings before minR are empty, so a probe far outside the grid skips
+// them instead of walking each one.
+func (ix *NNIndex) ringSpan(qx, qy int) (minR, maxR int) {
+	minR = max(-qx, qx-(ix.nx-1), -qy, qy-(ix.ny-1), 0)
+	maxR = max(qx, ix.nx-1-qx, qy, ix.ny-1-qy)
+	return minR, maxR
 }
 
 // rowSpan returns the site ids of buckets x0..x1 of grid row y, clipped to
@@ -187,8 +207,8 @@ func (ix *NNIndex) nearestFrom(p Point, best, exclude int32) int32 {
 		bestD2 = p.Dist2To(ix.sites[best])
 	}
 	qx, qy := ix.bucketCoords(p)
-	maxR := ix.maxRing(qx, qy)
-	for r := 0; r <= maxR; r++ {
+	minR, maxR := ix.ringSpan(qx, qy)
+	for r := minR; r <= maxR; r++ {
 		if best >= 0 {
 			if lb := float64(r-1) * ix.cell; lb > 0 && lb*lb > bestD2 {
 				break
@@ -254,9 +274,9 @@ func (ix *NNIndex) visitByDistance(p Point, pend *[]nnCand, visit func(i int, d2
 	buf := (*pend)[:0]
 	defer func() { *pend = buf[:0] }()
 	qx, qy := ix.bucketCoords(p)
-	maxR := ix.maxRing(qx, qy)
+	minR, maxR := ix.ringSpan(qx, qy)
 	head := 0
-	for r := 0; r <= maxR; r++ {
+	for r := minR; r <= maxR; r++ {
 		ix.scanRing(qx, qy, r, func(ids []int32) {
 			for _, si := range ids {
 				buf = append(buf, nnCand{d2: p.Dist2To(ix.sites[si]), idx: si})

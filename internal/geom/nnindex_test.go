@@ -1,9 +1,11 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // bruteNearest mirrors the linear scans the index replaces: lowest index
@@ -219,6 +221,45 @@ func TestNNIndexDegenerateGeometry(t *testing.T) {
 			if got, want := ix.Nearest(p), bruteNearest(sites, p, -1); got != want {
 				t.Fatalf("set %d: Nearest(%v) = %d, want %d", si, p, got, want)
 			}
+		}
+	}
+}
+
+// TestNNIndexFarAndNonFiniteProbes: a probe far outside the grid must
+// still find the brute-force nearest site, without walking the empty rings
+// between it and the grid, and a non-finite probe must return a valid site
+// instead of overflowing the ring arithmetic.
+func TestNNIndexFarAndNonFiniteProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	sites := make([]Point, 200)
+	for i := range sites {
+		sites[i] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
+	}
+	ix := NewNNIndex(sites, Rect(0, 0, 50, 50))
+	start := time.Now()
+	for _, p := range []Point{
+		{1e6, 25}, {-1e6, 3}, {25, 1e8}, {1e8, -1e8}, {1e12, 0}, {-3e15, 40},
+		{1e300, 1e300}, {-1e300, 7},
+	} {
+		if got, want := ix.Nearest(p), bruteNearest(sites, p, -1); got != want {
+			t.Errorf("Nearest(%v) = %d, brute = %d", p, got, want)
+		}
+		if got, want := ix.NearestExcluding(p, 5), bruteNearest(sites, p, 5); got != want {
+			t.Errorf("NearestExcluding(%v, 5) = %d, brute = %d", p, got, want)
+		}
+		n := 0
+		ix.VisitByDistance(p, func(int, float64) bool { n++; return true })
+		if n != len(sites) {
+			t.Errorf("VisitByDistance(%v) visited %d of %d sites", p, n, len(sites))
+		}
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("far probes took %v: the search walks the empty rings", d)
+	}
+	inf := math.Inf(1)
+	for _, p := range []Point{{math.NaN(), 1}, {1, math.NaN()}, {inf, 3}, {-inf, -inf}} {
+		if got := ix.Nearest(p); got < 0 || got >= len(sites) {
+			t.Errorf("Nearest(%v) = %d, want a site index", p, got)
 		}
 	}
 }

@@ -267,6 +267,39 @@ func TestServerQueryEndpoints(t *testing.T) {
 	}
 }
 
+// TestServerRejectsHostileQueries: non-finite coordinates and grids whose
+// rows*cols product wraps are 400s, and a finite point far outside the
+// field is answered instead of pinning a core.
+func TestServerRejectsHostileQueries(t *testing.T) {
+	_, ts := bootServer(t, Config{Deployments: 1, Seed: 6})
+	postRound(t, ts, "d0")
+	const huge = "4294967296" // 1<<32: rows*cols wraps to 0 on 64 bits
+	for _, path := range []string{
+		"/classify?x=NaN&y=1",
+		"/classify?x=1&y=NaN",
+		"/classify?x=Inf&y=0",
+		"/classify?x=0&y=-Inf",
+		"/range?x0=NaN&y0=0&x1=10&y1=10",
+		"/range?x0=0&y0=0&x1=Inf&y1=10",
+		"/range?x0=-Inf&y0=-Inf&x1=Inf&y1=Inf",
+		"/range?x0=0&y0=0&x1=10&y1=10&rows=" + huge + "&cols=" + huge,
+		"/raster?rows=" + huge + "&cols=" + huge,
+		"/raster?rows=4194305&cols=1",
+	} {
+		if resp := getJSON(t, ts, "/v1/deployments/d0"+path, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET %s: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+	var cls struct {
+		Class *int `json:"class"`
+	}
+	for _, path := range []string{"/classify?x=1e12&y=0", "/classify?x=-1e300&y=1e300"} {
+		if resp := getJSON(t, ts, "/v1/deployments/d0"+path, &cls); resp.StatusCode != http.StatusOK || cls.Class == nil {
+			t.Errorf("GET %s: status %d, class %v", path, resp.StatusCode, cls.Class)
+		}
+	}
+}
+
 // TestServerPushedReports: POST with a body ingests external reports and
 // the oracle still verifies the incremental build over them.
 func TestServerPushedReports(t *testing.T) {
