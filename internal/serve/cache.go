@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"sync"
 )
 
@@ -117,8 +118,29 @@ func (c *artifactCache) getOrFill(version int, key string, render func() ([]byte
 	c.mu.Unlock()
 	serveVars().Add("cache_misses", 1)
 
+	rendered := false
+	defer func() {
+		if !rendered {
+			// render panicked: retire the fill with an error so parked
+			// waiters and later requests for this key do not block on
+			// it forever, and let the panic carry on up.
+			f.err = errRenderPanicked
+			c.finish(version, vk, f)
+		}
+	}()
 	f.body, f.ct, f.err = render()
+	rendered = true
+	c.finish(version, vk, f)
+	return f.body, f.ct, f.err
+}
 
+// errRenderPanicked is the error waiters coalesced on a fill see when its
+// render panicked.
+var errRenderPanicked = errors.New("render panicked")
+
+// finish retires a fill: it unregisters it, caches a successful body and
+// wakes the callers parked on it.
+func (c *artifactCache) finish(version int, vk string, f *cacheFill) {
 	c.mu.Lock()
 	delete(c.fills, vk)
 	if f.err == nil {
@@ -126,7 +148,6 @@ func (c *artifactCache) getOrFill(version int, key string, render func() ([]byte
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.body, f.ct, f.err
 }
 
 // store inserts one artifact and evicts past the LRU bound; called with

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"isomap/internal/contour"
 )
@@ -380,5 +381,34 @@ func TestParallelIngestWorkersGauge(t *testing.T) {
 	}
 	if got := g.(*expvar.Int).Value(); got != 3 {
 		t.Fatalf("parallel_ingest_workers = %d, want 3", got)
+	}
+}
+
+// TestCacheFillPanicReleasesKey: a render that panics must not leave its
+// fill registered. The panic reaches the caller, and a second getOrFill
+// on the same key and version renders afresh instead of parking forever
+// on the dead fill.
+func TestCacheFillPanicReleasesKey(t *testing.T) {
+	c := newArtifactCache(8)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("render panic did not reach the caller")
+			}
+		}()
+		c.getOrFill(1, "k", func() ([]byte, string, error) { panic("render failed") })
+	}()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		body, _, err := c.getOrFill(1, "k", func() ([]byte, string, error) { return []byte("ok"), "text/plain", nil })
+		if err != nil || string(body) != "ok" {
+			t.Errorf("getOrFill after a panicked fill = %q, %v; want \"ok\", nil", body, err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("getOrFill blocked on the panicked fill")
 	}
 }
