@@ -109,6 +109,13 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 // order: the exact input Reconstruct must be given to reproduce the
 // engine's map byte for byte. It is a permutation of the last Update's
 // (in-range) reports, concatenated level by level.
+//
+// Feeding Arranged() to a fresh engine's first Update (a whole rebuild)
+// reproduces this engine's map and raster exactly, and the fresh engine
+// then continues identically: arrangement buckets reports by level in
+// arrival order, so it adopts the identical slot assignment. The serving
+// layer recovers a quarantined or restarted deployment this way, from
+// the incoming round or a checkpoint's retained arranged order.
 func (inc *Incremental) Arranged() []core.Report {
 	var out []core.Report
 	for _, lvl := range inc.arranged {

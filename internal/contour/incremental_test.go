@@ -263,3 +263,47 @@ func TestIncrementalOutOfRangeLevels(t *testing.T) {
 		t.Fatalf("arranged kept %d reports, want %d in-range", got, want)
 	}
 }
+
+// TestIncrementalArrangedReproducesEngine is the recovery lemma the
+// serving layer leans on: at any point of a churn run, a fresh engine
+// whose first Update is the live engine's Arranged() order has a map and
+// raster byte-identical to the continuous engine's — so a quarantined
+// deployment (or a restart from a checkpoint) resumes exactly where the
+// uncorrupted engine stood.
+func TestIncrementalArrangedReproducesEngine(t *testing.T) {
+	levels := testLevels()
+	bounds := geom.Rect(0, 0, 30, 30)
+	const rows, cols = 40, 40
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		inc := NewIncremental(levels, bounds, DefaultOptions())
+		reports := churnSeedReports(rng, 35+rng.Intn(40), levels, bounds)
+		for round := 0; round < 5; round++ {
+			sink := 1 + rng.Float64()*8
+			inc.Update(reports, sink)
+
+			re := NewIncremental(levels, bounds, DefaultOptions())
+			m := re.Update(inc.Arranged(), sink)
+			if err := Equivalent(inc.Map(), m, rows, cols); err != nil {
+				t.Fatalf("seed %d round %d: rebuilt map diverges: %v", seed, round, err)
+			}
+			if err := EquivalentRaster(inc.Raster(rows, cols), re.Raster(rows, cols)); err != nil {
+				t.Fatalf("seed %d round %d: rebuilt raster diverges: %v", seed, round, err)
+			}
+
+			// The rebuilt engine must also *continue* identically: one
+			// more churn round through both engines stays byte-identical.
+			next := churnReports(rng, reports, levels, bounds)
+			nextSink := 1 + rng.Float64()*8
+			inc.Update(next, nextSink)
+			re.Update(next, nextSink)
+			if err := Equivalent(inc.Map(), re.Map(), rows, cols); err != nil {
+				t.Fatalf("seed %d round %d: post-rebuild churn diverges: %v", seed, round, err)
+			}
+			if err := EquivalentRaster(inc.Raster(rows, cols), re.Raster(rows, cols)); err != nil {
+				t.Fatalf("seed %d round %d: post-rebuild raster diverges: %v", seed, round, err)
+			}
+			reports = churnReports(rng, next, levels, bounds)
+		}
+	}
+}

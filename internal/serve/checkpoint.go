@@ -16,8 +16,8 @@ import (
 // makes it tiny: rounds are memoryless given the deployment's scenario
 // (sim.RoundSource.SeekRound), so the resumable state is the round
 // counter, the published version counter, and the engine's arranged
-// report order — from which contour.Resync rebuilds a byte-identical
-// engine. A restarted server therefore serves snapshots (ETags, raster
+// report order — whose first Update on a fresh contour.Incremental
+// rebuilds a byte-identical engine. A restarted server therefore serves snapshots (ETags, raster
 // bytes, polylines) identical to a never-restarted same-seed run.
 type checkpointDoc struct {
 	// ID, Nodes, Seed and FaultEvery identify the deployment the
@@ -132,7 +132,8 @@ func (s *Server) restore(d *deployment) error {
 	if err := d.src.SeekRound(doc.Round); err != nil {
 		return err
 	}
-	inc, m := contour.Resync(d.levels, d.bounds, d.opts, doc.Arranged, doc.SinkValue)
+	inc := contour.NewIncremental(d.levels, d.bounds, d.opts)
+	m := inc.Update(doc.Arranged, doc.SinkValue)
 	d.inc = inc
 	d.version = doc.Version
 	d.snap.Store(&snapshot{

@@ -34,14 +34,9 @@ type RoundSource struct {
 	// Dt is the time advanced per round; zero selects 0.5.
 	Dt float64
 	// FaultEvery, when positive, runs every FaultEvery-th round (1-based)
-	// under fault injection: lossy channel plus mid-round crashes.
+	// under fault injection: a uniform roundFaultLoss channel plus
+	// mid-round crashes of a roundCrashFrac node fraction.
 	FaultEvery int
-	// FaultLoss is the faulted rounds' uniform loss rate; zero selects
-	// 0.05.
-	FaultLoss float64
-	// FaultCrashFrac is the faulted rounds' crashing node fraction; zero
-	// selects 0.05.
-	FaultCrashFrac float64
 	// Shards, when above 1, runs the packet-engine rounds on a sharded
 	// engine (grid partition, Shards cells) with Workers goroutines per
 	// window. The report stream is byte-identical at any shard count —
@@ -186,6 +181,12 @@ func (rs *RoundSource) Next() (*RoundData, error) {
 	return rd, nil
 }
 
+// The faulted rounds' uniform loss rate and crashing node fraction.
+const (
+	roundFaultLoss = 0.05
+	roundCrashFrac = 0.05
+)
+
 // roundPlan materializes the round's fault plan and radio config: a
 // fresh plan per faulted round (plans are stateful — channel chains,
 // crash schedules — and per-round seeding keeps replays exact) on the
@@ -194,19 +195,11 @@ func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig,
 	if !faulted {
 		return nil, desim.DefaultRadioConfig(), nil
 	}
-	loss := rs.FaultLoss
-	if loss == 0 {
-		loss = 0.05
-	}
-	crash := rs.FaultCrashFrac
-	if crash == 0 {
-		crash = 0.05
-	}
 	plan, err := faults.New(faults.Config{
 		Seed:          rs.Env.Scenario.Seed + int64(rs.round),
 		Channel:       faults.ChannelBernoulli,
-		LossRate:      loss,
-		CrashFraction: crash,
+		LossRate:      roundFaultLoss,
+		CrashFraction: roundCrashFrac,
 		CrashStart:    0.05,
 		CrashEnd:      0.6,
 		Protect:       []network.NodeID{rs.Env.Tree.Root()},
