@@ -8,8 +8,9 @@ import (
 )
 
 // TestEngineScheduleZeroAllocs pins the engine's steady-state contract:
-// once the heap and closure arena have warmed to their working-set size,
-// scheduling and executing typed events performs zero heap allocations.
+// once the queue buckets and the arenas have warmed to their working-set
+// size, scheduling and executing typed events performs zero heap
+// allocations.
 // Any regression here — a re-boxed payload, a closure sneaking back into
 // the hot path — fails this test before it shows up in a benchmark.
 func TestEngineScheduleZeroAllocs(t *testing.T) {
@@ -18,7 +19,7 @@ func TestEngineScheduleZeroAllocs(t *testing.T) {
 	}
 	eng := NewEngine()
 	eng.SetHandler(func(Event) {})
-	// Warm the heap array past the depth the measured loop reaches.
+	// Warm the buckets and arenas past the depth the measured loop reaches.
 	for i := 0; i < 1024; i++ {
 		eng.ScheduleEvent(float64(i)*1e-4, Event{Kind: evMeasure, Seq: int64(i)})
 	}
@@ -83,7 +84,7 @@ func TestRadioSendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: frame slots, heap capacity, dedup maps, RNG state.
+	// Warm: frame slots, queue capacity, dedup maps, RNG state.
 	for i := 0; i < 100; i++ {
 		if err := r.Send(0, 1, 16); err != nil {
 			t.Fatal(err)

@@ -4,9 +4,10 @@ import "container/heap"
 
 var _ EngineAPI = (*EngineNaive)(nil)
 
-// EngineNaive is the original closure-per-event scheduler, retained
-// verbatim as the test-only reference oracle for the allocation-light
-// Engine — mirroring the geom.VoronoiNaive pattern. It deliberately keeps
+// EngineNaive is the original closure-per-event scheduler, retained as
+// the test-only reference oracle for the allocation-light Engine —
+// mirroring the geom.VoronoiNaive pattern — with the NextTime/RunBefore
+// window surface added so windowed schedules can be compared too. It deliberately keeps
 // the pre-change implementation character (a closure per event,
 // container/heap with boxed records) so BenchmarkFullRoundNaive measures
 // the production engine against the code this package shipped with; typed
@@ -156,6 +157,23 @@ func (e *EngineNaive) RunUntil(deadline float64) {
 	if e.now < deadline {
 		e.now = deadline
 	}
+}
+
+// RunBefore executes events with timestamps strictly before deadline and
+// leaves the clock at the last executed event.
+func (e *EngineNaive) RunBefore(deadline float64) {
+	for e.queue.Len() > 0 && e.queue[0].t < deadline {
+		e.step()
+	}
+}
+
+// NextTime reports the timestamp of the earliest queued event, or false
+// when the queue is empty.
+func (e *EngineNaive) NextTime() (float64, bool) {
+	if e.queue.Len() == 0 {
+		return 0, false
+	}
+	return e.queue[0].t, true
 }
 
 func (e *EngineNaive) step() {

@@ -1,6 +1,7 @@
 package desim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -22,7 +23,7 @@ type recordedEvent struct {
 // and requires the dispatch traces to match event for event. This is the
 // oracle property the whole rewrite rests on: the intrinsic event key
 // (time, kind, node, seq, arg; insertion order last — see less) is a
-// total order, so both heaps must pop the exact same sequence.
+// total order, so both queues must pop the exact same sequence.
 func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		run := func(eng EngineAPI) []recordedEvent {
@@ -70,6 +71,103 @@ func TestEngineEquivalenceRandomWorkload(t *testing.T) {
 		}
 		if len(fast) == 0 {
 			t.Fatalf("seed %d: empty trace, workload generator broken", seed)
+		}
+	}
+}
+
+// windowedEngine is the surface the ShardedEngine drives each shard
+// through: peek at the earliest event, run a window strictly before a
+// horizon. Engine and the EngineNaive oracle both provide it.
+type windowedEngine interface {
+	EngineAPI
+	RunBefore(deadline float64)
+	NextTime() (float64, bool)
+}
+
+// engineRun is everything a driven engine exposes: the dispatch trace,
+// the NextTime peeks, and the final counters. Gaps counts the events the
+// driver pushed strictly between now and the earliest queued time.
+type engineRun struct {
+	Trace []recordedEvent
+	Peeks []float64
+	Gaps  int
+	Steps int64
+	Depth int
+	End   float64
+}
+
+func (r *engineRun) finish(eng windowedEngine) {
+	r.End = eng.Run()
+	r.Steps, r.Depth = eng.Steps(), eng.MaxQueueDepth()
+}
+
+// TestEngineEquivalenceWindowed drives both engines the way a
+// ShardedEngine drives a shard: peek with NextTime, run a RunBefore
+// window, then — as the barrier's mailbox drain does — push events at
+// absolute times in [now, NextTime()) before the next peek. A queue
+// whose peek advances internal state (the radix heap's base) would file
+// those gap events wrongly; the traces, Steps and MaxQueueDepth must
+// match the oracle exactly.
+func TestEngineEquivalenceWindowed(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		run := func(eng windowedEngine) engineRun {
+			rng := rand.New(rand.NewSource(seed))
+			randEvent := func() Event {
+				return Event{
+					Kind: EventKind(rng.Intn(12)) + 1,
+					Node: network.NodeID(rng.Intn(48)),
+					Seq:  int64(rng.Intn(6)),
+					Arg:  int32(rng.Intn(6)),
+				}
+			}
+			var r engineRun
+			eng.SetHandler(func(ev Event) {
+				r.Trace = append(r.Trace, recordedEvent{T: eng.Now(), Ev: ev})
+				// Follow-ups, a third of them at zero delay: pushes that
+				// land on the key just popped.
+				if ev.Arg%3 == 0 {
+					ev.Arg++
+					eng.ScheduleEvent(float64(rng.Intn(3))*0.5e-3, ev)
+				}
+			})
+			for i := 0; i < 200; i++ {
+				eng.ScheduleEvent(float64(rng.Intn(50))*1e-3, randEvent())
+			}
+			const window = 2.5e-3
+			for w := 0; ; w++ {
+				t0, ok := eng.NextTime()
+				if !ok {
+					break
+				}
+				r.Peeks = append(r.Peeks, t0)
+				eng.RunBefore(t0 + window)
+				if w >= 300 {
+					continue
+				}
+				now := eng.Now()
+				next, ok := eng.NextTime()
+				for k := rng.Intn(4); k > 0; k-- {
+					at := now
+					if ok && next > now {
+						at = now + (next-now)*float64(rng.Intn(4))/4
+					}
+					if at > now {
+						r.Gaps++
+					}
+					eng.ScheduleEventAt(at, randEvent())
+				}
+			}
+			r.finish(eng)
+			return r
+		}
+		fast := run(NewEngine())
+		naive := run(NewEngineNaive())
+		if !reflect.DeepEqual(fast, naive) {
+			t.Fatalf("seed %d: engines diverged (%d vs %d events, steps %d vs %d, depth %d vs %d)",
+				seed, len(fast.Trace), len(naive.Trace), fast.Steps, naive.Steps, fast.Depth, naive.Depth)
+		}
+		if len(fast.Peeks) < 10 || fast.Gaps == 0 {
+			t.Fatalf("seed %d: %d windows, %d gap pushes: the peek hazard is untested", seed, len(fast.Peeks), fast.Gaps)
 		}
 	}
 }

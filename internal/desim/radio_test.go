@@ -335,7 +335,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 	// Node 0 overhears 1 -> 3: no completion event is queued.
 	eng.Schedule(0, func() { r.arrive(0, Frame{From: 1, To: 3, Bytes: 20, seq: 1}, dur) })
 	eng.RunUntil(0)
-	if n := len(eng.heap); n != 0 {
+	if n := eng.queued(); n != 0 {
 		t.Fatalf("overheard reception queued %d events, want 0", n)
 	}
 
@@ -343,7 +343,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 	// window extends, and still no completion event is armed.
 	eng.Schedule(dur/2, func() { r.arrive(0, Frame{From: 2, To: 0, Bytes: 20, seq: 2}, dur) })
 	eng.RunUntil(dur / 2)
-	if n := len(eng.heap); n != 0 {
+	if n := eng.queued(); n != 0 {
 		t.Fatalf("collision extension queued %d events, want 0", n)
 	}
 	if r.Stats.Collisions != 2 {

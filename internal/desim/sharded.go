@@ -172,7 +172,7 @@ func (se *ShardedEngine) nextTime() float64 {
 	return t0
 }
 
-// Run executes windows until every shard heap and mailbox drains,
+// Run executes windows until every shard queue and mailbox drains,
 // returning the final time.
 func (se *ShardedEngine) Run() float64 {
 	for {

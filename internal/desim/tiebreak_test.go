@@ -49,8 +49,8 @@ func popOrder(eng EngineAPI, times []float64, evs []Event, perm []int) []poppedE
 // documented on less: events scheduled at identical timestamps pop in a
 // deterministic intrinsic order — (t, kind, node, seq, arg) — regardless
 // of the order they were inserted, on both the production Engine and the
-// EngineNaive oracle. Sharded execution depends on this: per-shard heaps
-// must pop the same relative order a single global heap would.
+// EngineNaive oracle. Sharded execution depends on this: per-shard queues
+// must pop the same relative order a single global queue would.
 func TestEngineTieBreakInsertionInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
