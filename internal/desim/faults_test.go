@@ -62,6 +62,99 @@ func TestRadioChannelLostAcksDeduplicated(t *testing.T) {
 	}
 }
 
+// TestRadioChannelLostAcksDeduplicatedSharded is the lost-ack dedup pin
+// across a shard seam: the receiver's delivery reaches the sender's
+// pending frame only through the barrier mark mailbox, and that flag is
+// the receiver's duplicate filter. Every frame must reach the handler
+// once, every give-up must count as delivered, and stats and the
+// delivered sequence must equal the sequential run's.
+func TestRadioChannelLostAcksDeduplicatedSharded(t *testing.T) {
+	const frames = 4
+	nw := cliqueNetwork(t)
+	part := network.NewGridPartition(nw, 4)
+	from := network.NodeID(0)
+	to := network.NodeID(-1)
+	for _, nb := range nw.Neighbors(from) {
+		if part.Shard[nb] != part.Shard[from] {
+			to = nb
+			break
+		}
+	}
+	if to < 0 {
+		t.Fatal("no neighbor of node 0 in another shard")
+	}
+	loseAcks := func(a, b network.NodeID) bool { return a == to && b == from }
+	type delivery struct {
+		t   float64
+		seq int64
+	}
+	run := func(sharded bool) (RadioStats, []delivery) {
+		var (
+			radios []*Radio
+			eng    EngineAPI
+			sender *Radio
+			clock  EngineAPI // the receiver's engine
+		)
+		if sharded {
+			se := NewShardedEngine(part, 2)
+			rs, err := newShardedRadios(se, nw, DefaultRadioConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			radios, eng = rs, se
+			sender, clock = rs[part.Shard[from]], se.Shard(int(part.Shard[to]))
+		} else {
+			e := NewEngine()
+			r, err := NewRadio(e, nw, DefaultRadioConfig(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			radios, eng, sender, clock = []*Radio{r}, e, r, e
+		}
+		for _, r := range radios {
+			r.SetChannel(loseAcks)
+		}
+		var got []delivery
+		sender.OnReceive(to, func(_ network.NodeID, f Frame) { got = append(got, delivery{clock.Now(), f.seq}) })
+		for i := 0; i < frames; i++ {
+			if err := sender.Send(from, to, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Run()
+		var st RadioStats
+		for _, r := range radios {
+			st.add(r.Stats)
+		}
+		return st, got
+	}
+
+	seqStats, seqGot := run(false)
+	shStats, shGot := run(true)
+	if len(shGot) != frames {
+		t.Fatalf("sharded: handler saw %d deliveries, want each of %d frames once", len(shGot), frames)
+	}
+	seen := make(map[int64]bool)
+	for _, d := range shGot {
+		if seen[d.seq] {
+			t.Fatalf("sharded: frame seq %d delivered twice", d.seq)
+		}
+		seen[d.seq] = true
+	}
+	if shStats.Delivered+shStats.Drops != shStats.DataSent {
+		t.Errorf("sharded: Delivered %d + Drops %d != DataSent %d", shStats.Delivered, shStats.Drops, shStats.DataSent)
+	}
+	if shStats.Retries == 0 {
+		t.Error("sharded: lost acks should force retries")
+	}
+	if shStats != seqStats {
+		t.Errorf("sharded stats %+v, sequential %+v", shStats, seqStats)
+	}
+	if !reflect.DeepEqual(shGot, seqGot) {
+		t.Errorf("sharded deliveries %v, sequential %v", shGot, seqGot)
+	}
+}
+
 func TestRadioFrameDeadlineBoundsRetryTail(t *testing.T) {
 	nw := cliqueNetwork(t)
 	eng := NewEngine()

@@ -118,7 +118,11 @@ type Frame struct {
 	// received it (set by the receiver, through the barrier mailbox when
 	// the receiver is remote). With a nonzero propagation delay a frame
 	// can deliver while every ack is lost; the flag keeps such a give-up
-	// out of Stats.Drops so delivery accounting stays exact.
+	// out of Stats.Drops so delivery accounting stays exact. It is also
+	// the receiver's duplicate filter: a retransmission goes on the air
+	// only after its ack timeout, by when the flag of an earlier delivery
+	// is set, so the copy a receiver holds carries delivered == true
+	// exactly when that receiver already delivered the frame.
 	delivered bool
 }
 
@@ -201,9 +205,10 @@ type mailEntry struct {
 // deliveredMark is a cross-shard delivery notification: the receiver
 // shard flags the sender's pending frame (identified by arena slot,
 // validated by seq) as delivered at the next barrier. A sender can only
-// give up on a frame at least one propagation delay after any delivery,
-// so the mark always crosses a barrier before the drop could fire —
-// identical accounting at every shard count.
+// give up on or retransmit a frame after its ack timeout, more than one
+// propagation delay after any delivery, so the mark always crosses a
+// barrier before the drop could fire or a retransmitted copy is taken —
+// identical accounting and duplicate filtering at every shard count.
 type deliveredMark struct {
 	seq  int64
 	slot int32
@@ -217,11 +222,14 @@ type deliveredMark struct {
 // barrier-published view copies (busyView/crashView) instead of the live
 // arrays.
 type radioGroup struct {
-	radios   []*Radio
-	states   []radioState
+	radios []*Radio
+	states []radioState
+	// rxFrames holds each node's current reception in full, written only
+	// for receptions that can deliver (addressed to the node, or a
+	// broadcast); an overheard reception keeps just its header in
+	// radioState.
+	rxFrames []Frame
 	handlers []func(network.NodeID, Frame)
-	// seen holds per-node delivered seqs (dedup), allocated lazily.
-	seen []map[int64]bool
 	// seqs derives per-node frame sequence numbers: node id's frames get
 	// (id+1)<<24 | counter, globally unique and — unlike a shared
 	// counter — independent of how other nodes' sends interleave.
@@ -239,7 +247,6 @@ type radioGroup struct {
 	shardOf []int32   // node -> shard (nil = sequential)
 	border  []bool    // node has cross-shard neighbors
 	remote  [][]int32 // node -> remote shards in radio range
-	failed0 []bool    // nodes already failed when the round started
 	se      *ShardedEngine
 	k       int
 	// busyView/crashView are the barrier-published snapshots remote
@@ -260,17 +267,19 @@ type radioGroup struct {
 	marks [][]deliveredMark
 }
 
-func newRadioGroup(n int) *radioGroup {
+func newRadioGroup(nw *network.Network) *radioGroup {
+	n := nw.Len()
 	g := &radioGroup{
 		states:   make([]radioState, n),
+		rxFrames: make([]Frame, n),
 		handlers: make([]func(network.NodeID, Frame), n),
-		seen:     make([]map[int64]bool, n),
 		seqs:     make([]int64, n),
 		busy:     make([][]txSpan, n),
 		crashT:   make([]float64, n),
 	}
 	for i := range g.crashT {
 		g.crashT[i] = math.Inf(1)
+		g.states[i].alive = nw.Alive(network.NodeID(i))
 	}
 	return g
 }
@@ -331,12 +340,30 @@ type Radio struct {
 	channel func(from, to network.NodeID) bool
 }
 
+// radioState is one node's transceiver state.
 type radioState struct {
-	txUntil     float64
+	txUntil float64
+	rxUntil float64
+	// rx is the header of the current (or last) reception; the full frame
+	// of a deliverable one is in radioGroup.rxFrames.
+	rx          rxHeader
 	rxActive    bool
-	rxUntil     float64
 	rxCorrupted bool
-	rxFrame     Frame
+	// alive is the radio's own view of the node's liveness: filled from
+	// the network when the group is built and cleared by Crash, so a
+	// reception reads it next to the rest of the receiver's state.
+	alive bool
+}
+
+// rxHeader is what a reception keeps of any frame: the fields the
+// collision trace and the completion check read. An overheard frame is
+// never delivered, so it keeps nothing more — in particular no Batch.
+type rxHeader struct {
+	From, To network.NodeID
+	seq      int64
+	Bytes    int
+	Kind     FrameKind
+	isAck    bool
 }
 
 // validateRadioConfig is the shared construction check.
@@ -370,6 +397,10 @@ func (g *radioGroup) newShardRadio(shard int32, eng EngineAPI, nw *network.Netwo
 // energy from the structural model's perfect-link charge. The radio
 // installs itself as the engine's typed-event handler; upper layers
 // register for their own event kinds with OnEvent.
+//
+// The radio snapshots node liveness from the network when it is built: a
+// node that fails mid-run must go through Crash, or receptions at it
+// continue as if it were alive.
 func NewRadio(eng EngineAPI, nw *network.Network, cfg RadioConfig, counters *metrics.Counters) (*Radio, error) {
 	if eng == nil || nw == nil {
 		return nil, fmt.Errorf("desim: nil engine or network")
@@ -377,7 +408,7 @@ func NewRadio(eng EngineAPI, nw *network.Network, cfg RadioConfig, counters *met
 	if err := validateRadioConfig(cfg); err != nil {
 		return nil, err
 	}
-	g := newRadioGroup(nw.Len())
+	g := newRadioGroup(nw)
 	r := g.newShardRadio(0, eng, nw, cfg.normalized(), counters)
 	eng.SetHandler(r.handleEvent)
 	return r, nil
@@ -401,20 +432,21 @@ func newShardedRadios(se *ShardedEngine, nw *network.Network, cfg RadioConfig, c
 	}
 	n := nw.Len()
 	k := part.K
-	g := newRadioGroup(n)
+	g := newRadioGroup(nw)
 	g.shardOf = part.Shard
 	g.border = part.Border
 	g.remote = part.Remote
 	g.se = se
 	g.k = k
-	g.failed0 = make([]bool, n)
-	for i := 0; i < n; i++ {
-		g.failed0[i] = !nw.Alive(network.NodeID(i))
-	}
 	g.busyView = make([][]txSpan, n)
 	g.crashView = make([]float64, n)
 	for i := range g.crashView {
+		// Nodes already failed when the round starts read as crashed
+		// forever ago: dead immediately, they never transmitted.
 		g.crashView[i] = math.Inf(1)
+		if !g.states[i].alive {
+			g.crashView[i] = math.Inf(-1)
+		}
 	}
 	g.dirtyBusy = make([][]int32, k)
 	g.dirtyCrash = make([][]int32, k)
@@ -469,9 +501,10 @@ func (g *radioGroup) barrier() {
 				fr := m.fr
 				if fr.Batch != nil {
 					// The mailed frame aliases the sender's pooled batch;
-					// give the import its own copy (plain allocation: the
-					// receiver's rxFrame may alias it past the import slot's
-					// release, so it must not return to a pool).
+					// give the import its own copy (plain allocation: a
+					// deliverable reception's held frame may alias it past
+					// the import slot's release, so it must not return to a
+					// pool).
 					fr.Batch = append([]core.Report(nil), fr.Batch...)
 				}
 				slot := rd.allocImport()
@@ -504,9 +537,6 @@ func (r *Radio) visibleAlive(id network.NodeID) bool {
 		}
 		tc := g.crashT[id]
 		return !math.IsInf(tc, 1) && r.eng.Now() < tc+r.cfg.PropagationDelay
-	}
-	if g.failed0[id] {
-		return false
 	}
 	return r.eng.Now() < g.crashView[id]+r.cfg.PropagationDelay
 }
@@ -573,10 +603,15 @@ func (r *Radio) SetTrace(rec *trace.Recorder) { r.tr = rec }
 // belongs to: the query flood, the probe/measure exchange, the report
 // convergecast, or pure link machinery (acks).
 func phaseOfFrame(f *Frame) trace.Phase {
-	if f.isAck {
+	return phaseOf(f.Kind, f.isAck)
+}
+
+// phaseOf is phaseOfFrame on a frame's kind and ack flag.
+func phaseOf(kind FrameKind, isAck bool) trace.Phase {
+	if isAck {
 		return trace.PhaseLink
 	}
-	switch f.Kind {
+	switch kind {
 	case FrameQuery:
 		return trace.PhaseQuery
 	case FrameProbe, FrameReply:
@@ -598,14 +633,16 @@ func (r *Radio) SetChannel(ch func(from, to network.NodeID) bool) {
 	r.channel = ch
 }
 
-// Crash kills a node mid-simulation: its Failed mark is set, any ongoing
-// reception is voided, and its on-air spans are truncated at the crash
-// instant. The node stops transmitting, receiving and forwarding
-// immediately — but its neighbors only observe the death one
-// PropagationDelay later (visibleAlive): until then frames toward it are
-// still sent and die by retry exhaustion, which is how upper layers
-// detect the silence. Data frames it still has pending are abandoned
-// silently at their next attempt (a dead node cannot re-queue).
+// Crash kills a node mid-simulation: its Failed mark is set and the
+// radio's own liveness flag cleared, any ongoing reception is voided,
+// and its on-air spans are truncated at the crash instant. It is the one
+// way to fail a node mid-run (see NewRadio). The node stops
+// transmitting, receiving and forwarding immediately — but its neighbors
+// only observe the death one PropagationDelay later (visibleAlive): until
+// then frames toward it are still sent and die by retry exhaustion, which
+// is how upper layers detect the silence. Data frames it still has
+// pending are abandoned silently at their next attempt (a dead node
+// cannot re-queue).
 func (r *Radio) Crash(id network.NodeID) {
 	if !r.nw.Alive(id) {
 		return
@@ -627,6 +664,7 @@ func (r *Radio) Crash(id network.NodeID) {
 	st.rxActive = false
 	st.rxCorrupted = false
 	st.txUntil = 0
+	st.alive = false
 	if g.shardOf != nil && g.border[id] {
 		r.markBusyDirty(id)
 		if g.crashStamp[id] != g.epoch {
@@ -685,7 +723,8 @@ func (r *Radio) allocImport() int32 {
 }
 
 // releaseImport clears an import slot. The frame's batch is deliberately
-// not pooled: an in-progress reception may still alias it.
+// not pooled: a deliverable reception's held frame (radioGroup.rxFrames)
+// may still alias it.
 func (r *Radio) releaseImport(slot int32) {
 	r.imports[slot] = Frame{}
 	r.importFree = append(r.importFree, slot)
@@ -1012,7 +1051,7 @@ func (r *Radio) propagate(ev Event) {
 		if g.shardOf != nil && g.shardOf[nb] != r.shard {
 			continue
 		}
-		if !r.nw.Alive(nb) {
+		if !g.states[nb].alive {
 			continue
 		}
 		if r.channel != nil && r.channel(f.From, nb) {
@@ -1023,7 +1062,7 @@ func (r *Radio) propagate(ev Event) {
 			}
 			continue
 		}
-		r.arrive(nb, *f, dur)
+		r.arrive(nb, f, dur)
 	}
 	if slot >= 0 {
 		if f.isAck || f.To == broadcastAddr {
@@ -1039,14 +1078,15 @@ func (r *Radio) propagate(ev Event) {
 // receive.
 //
 // Only a reception that could deliver — a frame addressed to id, or a
-// broadcast — schedules its completion event. An overheard frame still
-// occupies the receiver until rxUntil, so it corrupts whatever overlaps
-// it, but it would complete into nothing: the occupancy test below reads
-// rxUntil, not rxActive alone, and at equal timestamps a completion sorts
-// before any propagate, so an expired reception reads as finished
-// whether or not an event ever cleared it. The same holds for a window a
-// collision extends: a corrupted reception never delivers.
-func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
+// broadcast — copies the full frame and schedules its completion event.
+// An overheard frame keeps only its header, yet still occupies the
+// receiver until rxUntil, so it corrupts whatever overlaps it, but it
+// would complete into nothing: the occupancy test below reads rxUntil,
+// not rxActive alone, and at equal timestamps a completion sorts before
+// any propagate, so an expired reception reads as finished whether or
+// not an event ever cleared it. The same holds for a window a collision
+// extends: a corrupted reception never delivers.
+func (r *Radio) arrive(id network.NodeID, f *Frame, dur float64) {
 	now := r.eng.Now()
 	st := &r.grp.states[id]
 	if st.txUntil > now {
@@ -1058,13 +1098,14 @@ func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 			st.rxCorrupted = true
 			r.Stats.Collisions++
 			if r.tr != nil {
-				r.tr.Record(trace.Event{T: now, Kind: trace.KindCollision, Phase: phaseOfFrame(&st.rxFrame),
-					Node: int32(id), Peer: int32(st.rxFrame.From), Seq: st.rxFrame.seq, Bytes: int32(st.rxFrame.Bytes), FrameKind: uint8(st.rxFrame.Kind)})
+				h := &st.rx
+				r.tr.Record(trace.Event{T: now, Kind: trace.KindCollision, Phase: phaseOf(h.Kind, h.isAck),
+					Node: int32(id), Peer: int32(h.From), Seq: h.seq, Bytes: int32(h.Bytes), FrameKind: uint8(h.Kind)})
 			}
 		}
 		r.Stats.Collisions++
 		if r.tr != nil {
-			r.tr.Record(trace.Event{T: now, Kind: trace.KindCollision, Phase: phaseOfFrame(&f),
+			r.tr.Record(trace.Event{T: now, Kind: trace.KindCollision, Phase: phaseOfFrame(f),
 				Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
 		}
 		// Extend the busy window to cover the interferer; finishRx at the
@@ -1077,8 +1118,9 @@ func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 	st.rxActive = true
 	st.rxUntil = now + dur
 	st.rxCorrupted = false
-	st.rxFrame = f
+	st.rx = rxHeader{From: f.From, To: f.To, seq: f.seq, Bytes: f.Bytes, Kind: f.Kind, isAck: f.isAck}
 	if f.To == id || f.To == broadcastAddr {
+		r.grp.rxFrames[id] = *f
 		r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id})
 	}
 }
@@ -1086,7 +1128,7 @@ func (r *Radio) arrive(id network.NodeID, f Frame, dur float64) {
 // markDelivered flags the sender's pending copy of a delivered data
 // frame — directly when the sender shares this shard, through the
 // barrier mailbox otherwise. See deliveredMark for why the mark always
-// arrives before the sender could drop the frame.
+// arrives before the sender could drop or retransmit the frame.
 func (r *Radio) markDelivered(f *Frame) {
 	g := r.grp
 	if g.shardOf == nil || g.shardOf[f.From] == r.shard {
@@ -1100,50 +1142,37 @@ func (r *Radio) markDelivered(f *Frame) {
 	g.marks[s*g.k+d] = append(g.marks[s*g.k+d], deliveredMark{seq: f.seq, slot: f.slot})
 }
 
-// seenAt returns id's dedup set, allocating it on first use.
-func (r *Radio) seenAt(id network.NodeID) map[int64]bool {
-	g := r.grp
-	if g.seen[id] == nil {
-		g.seen[id] = make(map[int64]bool)
-	}
-	return g.seen[id]
-}
-
 // finishRx completes a reception at id, delivering intact frames addressed
 // to it and sending the ack.
+//
+// Duplicates need no per-node record. A broadcast is transmitted once and
+// reaches each neighbor through exactly one arrive. A data frame is
+// retransmitted only after its ack timeout, by when an earlier delivery
+// has set the sender's delivered flag (see Frame.delivered), so the held
+// copy of a retransmission already delivered here carries the flag.
 func (r *Radio) finishRx(id network.NodeID) {
-	st := &r.grp.states[id]
+	g := r.grp
+	st := &g.states[id]
 	if !st.rxActive || r.eng.Now() < st.rxUntil {
 		return // superseded by an extended (corrupted) window
 	}
-	f := st.rxFrame
 	corrupted := st.rxCorrupted
 	st.rxActive = false
 	st.rxCorrupted = false
-	if corrupted || (f.To != id && f.To != broadcastAddr) {
+	if corrupted || (st.rx.To != id && st.rx.To != broadcastAddr) {
 		return
 	}
+	f := &g.rxFrames[id]
 	if r.counters != nil {
 		r.counters.ChargeRx(id, f.Bytes)
 	}
 	if r.tr != nil {
-		r.tr.Record(trace.Event{T: r.eng.Now(), Kind: trace.KindRx, Phase: phaseOfFrame(&f),
+		r.tr.Record(trace.Event{T: r.eng.Now(), Kind: trace.KindRx, Phase: phaseOfFrame(f),
 			Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
 	}
 	if f.To == broadcastAddr {
-		// Broadcast: deliver once per node, no ack.
-		seen := r.seenAt(id)
-		if seen[f.seq] {
-			return
-		}
-		seen[f.seq] = true
-		if r.tr != nil {
-			r.tr.Record(trace.Event{T: r.eng.Now(), Kind: trace.KindDeliver, Phase: phaseOfFrame(&f),
-				Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
-		}
-		if h := r.grp.handlers[id]; h != nil {
-			h(id, f)
-		}
+		// Broadcast: deliver, no ack.
+		r.deliver(id, f)
 		return
 	}
 	if f.isAck {
@@ -1161,22 +1190,25 @@ func (r *Radio) finishRx(id network.NodeID) {
 	// ack's ackForSlot echoes the data frame's slot in the sender's
 	// arena, where the ack's own delivery resolves it.
 	ackSlot := r.allocFrame()
-	ack := Frame{From: id, To: f.From, Bytes: r.cfg.AckBytes, seq: r.nextSeq(id), slot: ackSlot, isAck: true, ackFor: f.seq, ackForSlot: f.slot}
-	r.frames[ackSlot] = ack
-	r.eng.ScheduleEvent(r.cfg.SlotTime, Event{Kind: evAckSend, Node: id, Seq: ack.seq, Arg: ackSlot})
-	seen := r.seenAt(id)
-	if seen[f.seq] {
+	ackSeq := r.nextSeq(id)
+	r.frames[ackSlot] = Frame{From: id, To: f.From, Bytes: r.cfg.AckBytes, seq: ackSeq, slot: ackSlot, isAck: true, ackFor: f.seq, ackForSlot: f.slot}
+	r.eng.ScheduleEvent(r.cfg.SlotTime, Event{Kind: evAckSend, Node: id, Seq: ackSeq, Arg: ackSlot})
+	if f.delivered {
 		return // duplicate data frame
 	}
-	seen[f.seq] = true
 	r.Stats.Delivered++
-	r.markDelivered(&f)
+	r.markDelivered(f)
+	r.deliver(id, f)
+}
+
+// deliver hands an intact frame to id's upper-layer handler.
+func (r *Radio) deliver(id network.NodeID, f *Frame) {
 	if r.tr != nil {
-		r.tr.Record(trace.Event{T: r.eng.Now(), Kind: trace.KindDeliver, Phase: phaseOfFrame(&f),
+		r.tr.Record(trace.Event{T: r.eng.Now(), Kind: trace.KindDeliver, Phase: phaseOfFrame(f),
 			Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
 	}
 	if h := r.grp.handlers[id]; h != nil {
-		h(id, f)
+		h(id, *f)
 	}
 }
 

@@ -333,7 +333,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 	dur := r.airtime(20)
 
 	// Node 0 overhears 1 -> 3: no completion event is queued.
-	eng.Schedule(0, func() { r.arrive(0, Frame{From: 1, To: 3, Bytes: 20, seq: 1}, dur) })
+	eng.Schedule(0, func() { r.arrive(0, &Frame{From: 1, To: 3, Bytes: 20, seq: 1}, dur) })
 	eng.RunUntil(0)
 	if n := eng.queued(); n != 0 {
 		t.Fatalf("overheard reception queued %d events, want 0", n)
@@ -341,7 +341,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 
 	// A frame addressed to 0 lands mid-reception: both are corrupted, the
 	// window extends, and still no completion event is armed.
-	eng.Schedule(dur/2, func() { r.arrive(0, Frame{From: 2, To: 0, Bytes: 20, seq: 2}, dur) })
+	eng.Schedule(dur/2, func() { r.arrive(0, &Frame{From: 2, To: 0, Bytes: 20, seq: 2}, dur) })
 	eng.RunUntil(dur / 2)
 	if n := eng.queued(); n != 0 {
 		t.Fatalf("collision extension queued %d events, want 0", n)
@@ -352,7 +352,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 
 	// After the extended window a broadcast is received intact: the
 	// overheard reception never needed an event to end.
-	eng.Schedule(dur, func() { r.arrive(0, Frame{From: 2, To: broadcastAddr, Bytes: 20, seq: 3}, dur) })
+	eng.Schedule(dur, func() { r.arrive(0, &Frame{From: 2, To: broadcastAddr, Bytes: 20, seq: 3}, dur) })
 	eng.Run()
 	if len(got) != 1 || got[0].seq != 3 {
 		t.Fatalf("deliveries = %+v, want only the broadcast (seq 3)", got)

@@ -49,6 +49,9 @@ type artifactCache struct {
 	order *list.List               // front = most recently used
 	byKey map[string]*list.Element // versioned key -> *cacheArtifact element
 	fills map[string]*cacheFill
+	// keep is the version the last invalidate kept: a fill for an older
+	// version that finishes afterwards is served but not stored.
+	keep int
 }
 
 func newArtifactCache(maxEntries int) *artifactCache {
@@ -138,12 +141,13 @@ func (c *artifactCache) getOrFill(version int, key string, render func() ([]byte
 // render panicked.
 var errRenderPanicked = errors.New("render panicked")
 
-// finish retires a fill: it unregisters it, caches a successful body and
-// wakes the callers parked on it.
+// finish retires a fill: it unregisters it, caches a successful body
+// unless a newer version was published while it rendered, and wakes the
+// callers parked on it.
 func (c *artifactCache) finish(version int, vk string, f *cacheFill) {
 	c.mu.Lock()
 	delete(c.fills, vk)
-	if f.err == nil {
+	if f.err == nil && version >= c.keep {
 		c.store(version, vk, f.body, f.ct)
 	}
 	c.mu.Unlock()
@@ -179,6 +183,7 @@ func (c *artifactCache) store(version int, vk string, body []byte, ct string) {
 func (c *artifactCache) invalidate(keep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.keep = keep
 	var next *list.Element
 	for el := c.order.Front(); el != nil; el = next {
 		next = el.Next()

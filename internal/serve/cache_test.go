@@ -412,3 +412,45 @@ func TestCacheFillPanicReleasesKey(t *testing.T) {
 		t.Fatal("getOrFill blocked on the panicked fill")
 	}
 }
+
+// TestCacheFillAcrossInvalidate: a fill for version v that finishes
+// after invalidate(v+1) still answers its caller but is not stored — it
+// would otherwise sit in the cache until the next publish. A fill for
+// v+1 that lands before invalidate(v+1) is kept.
+func TestCacheFillAcrossInvalidate(t *testing.T) {
+	render := func(started, release chan struct{}) func() ([]byte, string, error) {
+		return func() ([]byte, string, error) {
+			close(started)
+			<-release
+			return []byte("body"), "text/plain", nil
+		}
+	}
+
+	c := newArtifactCache(8)
+	c.invalidate(1)
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if body, _, err := c.getOrFill(1, "k", render(started, release)); err != nil || string(body) != "body" {
+			t.Errorf("stale fill returned %q, %v; want \"body\", nil", body, err)
+		}
+	}()
+	<-started
+	c.invalidate(2)
+	close(release)
+	<-done
+	if n := c.len(); n != 0 {
+		t.Fatalf("fill for v1 finishing after invalidate(2) left %d entries, want 0", n)
+	}
+
+	c = newArtifactCache(8)
+	c.invalidate(1)
+	if _, _, err := c.getOrFill(2, "k", func() ([]byte, string, error) { return []byte("v2"), "text/plain", nil }); err != nil {
+		t.Fatal(err)
+	}
+	c.invalidate(2)
+	if n := c.len(); n != 1 {
+		t.Fatalf("fill for v2 landing before invalidate(2) left %d entries, want 1", n)
+	}
+}

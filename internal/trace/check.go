@@ -42,8 +42,9 @@ func (r *Recorder) Check(cfg CheckConfig) []Violation {
 //   - frame-conservation: every unicast data send reaches exactly one
 //     sender-terminal outcome — acked, dropped, or dead with a crashed
 //     sender — by round end (traces without a KindRoundEnd marker may
-//     leave frames in flight); no terminal or delivery precedes its
-//     send, and no frame is delivered twice to the same node;
+//     leave frames in flight); no terminal precedes its send, and no
+//     frame — unicast or broadcast — is delivered twice to the same
+//     node;
 //   - retry-bound: no frame retries more than cfg.MaxRetries times;
 //   - reparent-downhill: every re-parent target sits at a strictly
 //     lower frozen BFS level than the re-parenting node;
@@ -60,7 +61,6 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 		sent      bool
 		terminals int
 		retries   int
-		delivered map[int32]bool
 	}
 	frames := make(map[int64]*frameState)
 	frameAt := func(seq int64) *frameState {
@@ -71,6 +71,13 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 		}
 		return fs
 	}
+	// delivered records (seq, node) deliveries. Broadcasts have no send
+	// event, so they are bound here and not through frames.
+	type delivery struct {
+		seq  int64
+		node int32
+	}
+	delivered := make(map[delivery]bool)
 	crashedAt := make(map[int32]float64)
 	var (
 		lastT        float64
@@ -118,19 +125,12 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 					Msg: fmt.Sprintf("%s is terminal outcome #%d", ev.Kind, fs.terminals)})
 			}
 		case KindDeliver:
-			// Broadcast frames are delivered per node without a send
-			// event; conservation binds deliveries only for unicast
-			// frames (those with a send).
-			if fs := frames[ev.Seq]; fs != nil {
-				if fs.delivered == nil {
-					fs.delivered = make(map[int32]bool)
-				}
-				if fs.delivered[ev.Node] {
-					out = append(out, Violation{Invariant: "frame-conservation", Seq: ev.Seq, Node: ev.Node,
-						Msg: "frame delivered twice to the same node"})
-				}
-				fs.delivered[ev.Node] = true
+			d := delivery{seq: ev.Seq, node: ev.Node}
+			if delivered[d] {
+				out = append(out, Violation{Invariant: "frame-conservation", Seq: ev.Seq, Node: ev.Node,
+					Msg: "frame delivered twice to the same node"})
 			}
+			delivered[d] = true
 		case KindRetry:
 			fs := frameAt(ev.Seq)
 			fs.retries++

@@ -107,6 +107,22 @@ func TestCheckDoubleDelivery(t *testing.T) {
 	expectViolation(t, "frame-conservation", evs, CheckConfig{})
 }
 
+// TestCheckDoubleBroadcastDelivery: a broadcast has no send event, yet
+// delivering it twice to one node is still a conservation breach, while
+// one delivery to each of several nodes is not.
+func TestCheckDoubleBroadcastDelivery(t *testing.T) {
+	evs := []Event{
+		{T: 0.1, Kind: KindTx, Node: 0, Peer: -2, Seq: 7, Bytes: 8, Phase: PhaseQuery},
+		{T: 0.2, Kind: KindDeliver, Node: 1, Peer: 0, Seq: 7, Phase: PhaseQuery},
+		{T: 0.2, Kind: KindDeliver, Node: 2, Peer: 0, Seq: 7, Phase: PhaseQuery},
+	}
+	if v := Check(evs, CheckConfig{}); len(v) > 0 {
+		t.Fatalf("one broadcast delivery per node flagged: %v", v[0])
+	}
+	evs = append(evs, Event{T: 0.3, Kind: KindDeliver, Node: 1, Peer: 0, Seq: 7, Phase: PhaseQuery})
+	expectViolation(t, "frame-conservation", evs, CheckConfig{})
+}
+
 func TestCheckRetryBound(t *testing.T) {
 	evs := []Event{
 		{T: 0.1, Kind: KindSend, Node: 1, Peer: 0, Seq: 5},
