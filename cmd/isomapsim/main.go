@@ -290,8 +290,8 @@ func run() error {
 			len(pr.Delivered), pr.CollectSeconds)
 		fmt.Printf("  round complete:  t=%.3fs (%d collisions, %d retries, %d drops)\n",
 			pr.TotalSeconds, pr.Radio.Collisions, pr.Radio.Retries, pr.Radio.Drops)
-		fmt.Printf("  drops by phase:  %d probe replies, %d report batches (re-queued once)\n",
-			pr.ReplyDrops, pr.ReportDrops)
+		fmt.Printf("  thin and lost:   %d candidates measured on < 3 samples, %d report batches dropped (re-queued once)\n",
+			pr.SparseMeasures, pr.ReportDrops)
 		if !plan.Empty() {
 			fmt.Printf("  faults:          %d channel losses, %d crashed, %d route repairs, %d severed\n",
 				pr.Radio.ChannelLosses, pr.Crashed, pr.Repairs, pr.Severed)

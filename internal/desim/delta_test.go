@@ -382,7 +382,7 @@ func goldenDeltaDigest(rec *trace.Recorder) string {
 // go test -run TestGoldenDeltaTrace1k -v ./internal/desim (the failure
 // message prints the new value). Literal comparison gated to amd64 like
 // goldenTrace1k; the sequential-vs-sharded equality runs everywhere.
-const goldenDeltaTrace1k = "events=39775 sends=1205 delivered=7124 acked=1205 drops=0 queryheard=976 generated=80 sinkreports=63 md5=ee0f5166f7cc61d49027102c9319fd3b crossings=81 suppressed=34"
+const goldenDeltaTrace1k = "events=28416 sends=675 delivered=8942 acked=675 drops=0 queryheard=976 generated=87 sinkreports=66 md5=a85651e3463e6306f575436225b7edd1 crossings=84 suppressed=40"
 
 func TestGoldenDeltaTrace1k(t *testing.T) {
 	if testing.Short() {
@@ -415,9 +415,7 @@ func TestGoldenDeltaTrace1k(t *testing.T) {
 		round(1, nil)
 		rec := traceRecorderFor(1000)
 		round(2, rec)
-		if rec.Dropped() > 0 {
-			t.Fatalf("ring truncated: %d dropped", rec.Dropped())
-		}
+		checkTrace(t, rec, cfg)
 		return goldenDeltaDigest(rec)
 	}
 

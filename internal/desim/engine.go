@@ -61,7 +61,7 @@ const (
 	evRebroadcast // Node: node re-flooding the query
 	evProbeStart  // Node: isoline candidate starting its probe
 	evMeasure     // Node: candidate whose reply window closed
-	evReplySend   // Node: probed neighbor, Seq: asking node
+	evReplySend   // Node: neighbour broadcasting its one probe reply of the round
 	evCrash       // Arg: index into the fault plan's crash schedule
 	evDeltaRetire // Node: delta-mode node withdrawing its tracked reports
 )

@@ -32,10 +32,12 @@ type RoundResult struct {
 	TotalSeconds   float64
 	// Radio exposes the link-layer statistics.
 	Radio RadioStats
-	// ReplyDrops and ReportDrops split Radio.Drops by phase: probe
-	// replies abandoned during measurement vs report batches abandoned
-	// during collection.
-	ReplyDrops  int
+	// SparseMeasures counts candidates whose measurement ran on fewer
+	// than 3 neighbour samples: the cost of unrecovered broadcast
+	// replies.
+	SparseMeasures int
+	// ReportDrops counts report batches abandoned during collection, the
+	// only phase that sends acked frames.
 	ReportDrops int
 	// Crossings, Suppressed and Retired are the delta-report mode's
 	// source-side tally: reports transmitted because a level transit or
@@ -130,7 +132,12 @@ type roundState struct {
 	// (CollectReports); evInject hands them to the convergecast.
 	injects [][]core.Report
 
-	queryHeard  []bool
+	queryHeard []bool
+	// replied marks nodes whose one probe reply is armed; listening marks
+	// border candidates between hearing the query and their evMeasure,
+	// the only span in which a node keeps the replies it hears.
+	replied     []bool
+	listening   []bool
 	samples     [][]core.Sample
 	kept        [][]core.Report
 	seenReports []map[core.Report]bool
@@ -298,10 +305,6 @@ func (sh *roundShard) handleDrop(fr Frame) {
 		// shard-local and would not).
 		slot := sh.parked.park(&sh.radio.pool, fr.Batch)
 		sh.eng.ScheduleEvent(32*sh.rs.cfg.SlotTime, Event{Kind: evRequeue, Node: fr.From, Seq: fr.seq, Arg: slot})
-	case FrameReply:
-		// Probe replies are not recovered: the asker regresses over
-		// whatever samples survive its reply window.
-		sh.res.ReplyDrops++
 	}
 }
 
@@ -309,8 +312,12 @@ func (sh *roundShard) handleDrop(fr Frame) {
 // closes, then injects the reports into the convergecast.
 func (sh *roundShard) measure(id network.NodeID) {
 	rs := sh.rs
+	rs.listening[id] = false
 	if !rs.nw.Alive(id) {
 		return // crashed after probing
+	}
+	if len(rs.samples[id]) < 3 {
+		sh.res.SparseMeasures++
 	}
 	node := rs.nw.Node(id)
 	levels := rs.q.Levels.Values()
@@ -516,11 +523,19 @@ func (sh *roundShard) onFrame(at network.NodeID, fr Frame) {
 			}
 			return
 		}
+		rs.listening[at] = true
 		sh.eng.ScheduleEvent(probeDelay+rs.jitterFor(at+1000, 128), Event{Kind: evProbeStart, Node: at})
 	case FrameProbe:
-		sh.eng.ScheduleEvent(rs.jitterFor(at+2000, 32), Event{Kind: evReplySend, Node: at, Seq: int64(fr.Asker)})
+		// The first probe heard arms the node's one reply, which every
+		// listening candidate in range keeps, not only this prober.
+		if !rs.replied[at] {
+			rs.replied[at] = true
+			sh.eng.ScheduleEvent(rs.jitterFor(at+2000, 64), Event{Kind: evReplySend, Node: at})
+		}
 	case FrameReply:
-		rs.samples[at] = append(rs.samples[at], fr.Sample)
+		if rs.listening[at] {
+			rs.samples[at] = append(rs.samples[at], fr.Sample)
+		}
 	case FrameReports:
 		fresh := sh.accept(at, fr.Batch)
 		if at == rs.root {
@@ -554,14 +569,13 @@ func (sh *roundShard) onEvent(ev Event) {
 	case evRebroadcast:
 		_ = sh.radio.BroadcastQuery(ev.Node, core.QueryBytes)
 	case evProbeStart:
-		_ = sh.radio.BroadcastProbe(ev.Node, core.ProbeBytes, ev.Node)
+		_ = sh.radio.BroadcastProbe(ev.Node, core.ProbeBytes)
 		sh.eng.ScheduleEvent(replyWindow, Event{Kind: evMeasure, Node: ev.Node})
 	case evMeasure:
 		sh.measure(ev.Node)
 	case evReplySend:
 		node := rs.nw.Node(ev.Node)
-		_ = sh.radio.SendReply(ev.Node, network.NodeID(ev.Seq), core.ProbeReplyBytes,
-			core.Sample{Pos: node.Pos, Value: node.Value})
+		_ = sh.radio.BroadcastReply(ev.Node, core.ProbeReplyBytes, core.Sample{Pos: node.Pos, Value: node.Value})
 	case evCrash:
 		c := rs.crashes[ev.Arg]
 		if rs.nw.Alive(c.Node) {
@@ -643,6 +657,7 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 	})
 	// The sink itself may be an isoline node: give it the same probe path.
 	if len(q.CandidateLevels(rs.nw.Node(rs.root).Value)) > 0 {
+		rs.listening[rs.root] = true
 		rootSh.eng.ScheduleEvent(probeDelay, Event{Kind: evProbeStart, Node: rs.root})
 	} else if ds := opt.Delta; ds != nil && ds.trackedAt(rs.root) > 0 {
 		rootSh.eng.ScheduleEvent(probeDelay+replyWindow, Event{Kind: evDeltaRetire, Node: rs.root})
@@ -701,6 +716,8 @@ func newRound(tree *routing.Tree, q core.Query, fc core.FilterConfig, cfg RadioC
 		se:          se,
 		counters:    counters,
 		queryHeard:  make([]bool, n),
+		replied:     make([]bool, n),
+		listening:   make([]bool, n),
 		samples:     make([][]core.Sample, n),
 		kept:        make([][]core.Report, n),
 		seenReports: make([]map[core.Report]bool, n),
@@ -778,7 +795,7 @@ func (rs *roundState) run(rec *trace.Recorder) *RoundResult {
 		res.Crossings += sh.res.Crossings
 		res.Suppressed += sh.res.Suppressed
 		res.Retired += sh.res.Retired
-		res.ReplyDrops += sh.res.ReplyDrops
+		res.SparseMeasures += sh.res.SparseMeasures
 		res.ReportDrops += sh.res.ReportDrops
 		res.Crashed += sh.res.Crashed
 		res.Repairs += sh.res.Repairs

@@ -72,11 +72,12 @@ const (
 	FrameReports
 	// FrameQuery is the flooded contour query.
 	FrameQuery
-	// FrameProbe is an isoline candidate's neighborhood probe; the
-	// probing node is Frame.Asker.
+	// FrameProbe is an isoline candidate's neighborhood probe, broadcast
+	// by the probing node (Frame.From).
 	FrameProbe
-	// FrameReply is a neighbor's <value, position> answer to a probe in
-	// Frame.Sample.
+	// FrameReply is a neighbor's <value, position> in Frame.Sample: one
+	// unacknowledged broadcast per node per round, armed by the first
+	// probe it hears and kept by every listening candidate in range.
 	FrameReply
 )
 
@@ -95,8 +96,6 @@ type Frame struct {
 	Batch []core.Report
 	// Sample is the probe-reply payload of FrameReply frames.
 	Sample core.Sample
-	// Asker is the probing node of FrameProbe frames.
-	Asker network.NodeID
 
 	seq int64
 	// slot is the frame's own arena slot; receivers echo it in the ack so
@@ -767,8 +766,15 @@ func (r *Radio) BroadcastQuery(from network.NodeID, bytes int) error {
 }
 
 // BroadcastProbe broadcasts an isoline candidate's neighborhood probe.
-func (r *Radio) BroadcastProbe(from network.NodeID, bytes int, asker network.NodeID) error {
-	return r.broadcast(Frame{From: from, Bytes: bytes, Kind: FrameProbe, Asker: asker})
+func (r *Radio) BroadcastProbe(from network.NodeID, bytes int) error {
+	return r.broadcast(Frame{From: from, Bytes: bytes, Kind: FrameProbe})
+}
+
+// BroadcastReply broadcasts a node's probe reply: like every broadcast it
+// is sent once after carrier sensing, never acked or retried, and not
+// counted in Stats.DataSent.
+func (r *Radio) BroadcastReply(from network.NodeID, bytes int, s core.Sample) error {
+	return r.broadcast(Frame{From: from, Bytes: bytes, Kind: FrameReply, Sample: s})
 }
 
 func (r *Radio) broadcast(f Frame) error {
@@ -820,11 +826,6 @@ func (r *Radio) Send(from, to network.NodeID, bytes int) error {
 // then recycled into the radio's pool: callers must not retain it.
 func (r *Radio) SendReports(from, to network.NodeID, bytes int, batch []core.Report) error {
 	return r.send(Frame{From: from, To: to, Bytes: bytes, Kind: FrameReports, Batch: batch})
-}
-
-// SendReply queues a probe-reply data frame.
-func (r *Radio) SendReply(from, to network.NodeID, bytes int, s core.Sample) error {
-	return r.send(Frame{From: from, To: to, Bytes: bytes, Kind: FrameReply, Sample: s})
 }
 
 func (r *Radio) send(f Frame) error {

@@ -21,8 +21,8 @@ func roundFingerprint(res *RoundResult) string {
 	fmt.Fprintf(&b, "reached=%d iso=%d gen=%d q=%.12g m=%.12g c=%.12g t=%.12g\n",
 		res.QueryReached, res.IsolineNodes, res.Generated,
 		res.QuerySeconds, res.MeasureSeconds, res.CollectSeconds, res.TotalSeconds)
-	fmt.Fprintf(&b, "radio=%+v replydrops=%d reportdrops=%d crashed=%d repairs=%d severed=%d events=%d\n",
-		res.Radio, res.ReplyDrops, res.ReportDrops, res.Crashed, res.Repairs, res.Severed, res.Events)
+	fmt.Fprintf(&b, "radio=%+v sparse=%d reportdrops=%d crashed=%d repairs=%d severed=%d events=%d\n",
+		res.Radio, res.SparseMeasures, res.ReportDrops, res.Crashed, res.Repairs, res.Severed, res.Events)
 	for _, r := range res.Delivered {
 		fmt.Fprintf(&b, "%d/%d %.12g (%.12g,%.12g) (%.12g,%.12g)\n",
 			r.Source, r.LevelIndex, r.Level, r.Pos.X, r.Pos.Y, r.Grad.X, r.Grad.Y)

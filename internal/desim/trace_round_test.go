@@ -22,6 +22,27 @@ func traceRecorderFor(n int) *trace.Recorder {
 	return trace.NewRecorder(n * 1024)
 }
 
+// checkTrace fails the test on any trace invariant violation, showing
+// the first few.
+func checkTrace(t *testing.T, rec *trace.Recorder, cfg RadioConfig) {
+	t.Helper()
+	if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
+		for _, viol := range v[:min(len(v), 5)] {
+			t.Error(viol)
+		}
+		t.Fatalf("%d trace invariant violations", len(v))
+	}
+}
+
+// TestTraceFrameKinds pins the frame kinds trace.Check's reply
+// invariants recognise to the radio's.
+func TestTraceFrameKinds(t *testing.T) {
+	if uint8(FrameProbe) != trace.FrameProbe || uint8(FrameReply) != trace.FrameReply {
+		t.Fatalf("trace knows probe/reply as %d/%d, the radio sends %d/%d",
+			trace.FrameProbe, trace.FrameReply, FrameProbe, FrameReply)
+	}
+}
+
 // TestTracedRoundMatchesUntraced pins the disabled-path guarantee from
 // the other side: attaching a recorder must not perturb the simulation.
 // Every field of the round result — delivered reports, radio counters,
@@ -69,12 +90,7 @@ func TestFullRoundTraceInvariants(t *testing.T) {
 	if len(res.Delivered) == 0 {
 		t.Fatal("round delivered nothing")
 	}
-	if v := rec.Check(trace.CheckConfig{MaxRetries: cfg.MaxRetries}); len(v) > 0 {
-		for _, viol := range v[:min(len(v), 5)] {
-			t.Error(viol)
-		}
-		t.Fatalf("%d invariant violations on a fault-free round", len(v))
-	}
+	checkTrace(t, rec, cfg)
 	nodes := tree.Network().Len()
 	v := trace.CheckCounters(rec.Events(), nodes,
 		func(n int32) int64 { return res.Counters.TxBytes(network.NodeID(n)) },
@@ -144,7 +160,7 @@ func goldenDigest(rec *trace.Recorder) string {
 // message prints the new value). The float stream depends on strict IEEE
 // evaluation order, so the literal comparison is gated to amd64; the
 // engine-equivalence and determinism assertions below run everywhere.
-const goldenTrace1k = "events=39137 sends=850 delivered=6792 acked=850 drops=0 queryheard=977 generated=74 sinkreports=33 md5=da278296e29d51c6b50ac29a9a8fdfc6"
+const goldenTrace1k = "events=24620 sends=399 delivered=8593 acked=399 drops=0 queryheard=977 generated=81 sinkreports=31 md5=841c89de964be03ef27bf90bb4ae5f39"
 
 func TestGoldenTrace1k(t *testing.T) {
 	if testing.Short() {
@@ -159,9 +175,7 @@ func TestGoldenTrace1k(t *testing.T) {
 		if _, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: eng, Trace: rec}); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Dropped() > 0 {
-			t.Fatalf("ring truncated: %d dropped", rec.Dropped())
-		}
+		checkTrace(t, rec, cfg)
 		return rec
 	}
 
@@ -227,7 +241,7 @@ func TestGoldenTrace1k(t *testing.T) {
 // go test -run TestGoldenFaultTrace1k -v ./internal/desim (the failure
 // message prints the new value). Literal comparison gated to amd64 like
 // goldenTrace1k; the engine equivalences run everywhere.
-const goldenFaultTrace1k = "events=37308 sends=761 delivered=6294 acked=756 drops=5 queryheard=945 generated=69 sinkreports=23 md5=0cbcec0beaf12d40ef06be395fe56694"
+const goldenFaultTrace1k = "events=23209 sends=355 delivered=7843 acked=355 drops=0 queryheard=945 generated=80 sinkreports=25 md5=4ed1e27ca0a0a7e9fbf2eb29efd70c4e"
 
 func TestGoldenFaultTrace1k(t *testing.T) {
 	if testing.Short() {
@@ -253,9 +267,7 @@ func TestGoldenFaultTrace1k(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Dropped() > 0 {
-			t.Fatalf("ring truncated: %d dropped", rec.Dropped())
-		}
+		checkTrace(t, rec, cfg)
 		return goldenDigest(rec), res
 	}
 

@@ -47,12 +47,13 @@ func NewNNIndex(sites []Point, bounds Polygon) *NNIndex {
 		y0, y1 = math.Min(y0, s.Y), math.Max(y1, s.Y)
 	}
 	w, h := x1-x0, y1-y0
-	cell := math.Sqrt(w * h / float64(len(sites)))
-	if !(cell > 0) {
-		// Degenerate box (collinear or coincident sites): fall back to a
-		// 1-D grid along the longer axis.
-		cell = math.Max(w, h) / float64(len(sites))
-	}
+	// The cell never drops below the longer side over the site count: a
+	// box far more elongated than that (one outlying site) would
+	// otherwise get ~1 bucket per site on its area but a one-bucket-thick
+	// strip of millions along its length, and every query would walk it.
+	// This also covers a degenerate box (collinear or coincident sites),
+	// which becomes a 1-D grid along the longer axis.
+	cell := math.Max(math.Sqrt(w*h/float64(len(sites))), math.Max(w, h)/float64(len(sites)))
 	if !(cell > 0) {
 		cell = 1
 	}

@@ -263,3 +263,25 @@ func TestNNIndexFarAndNonFiniteProbes(t *testing.T) {
 		}
 	}
 }
+
+// TestNNIndexFarSiteGridBounded: one finite site far outside the field
+// must not stretch the grid into a strip of millions of empty buckets
+// that every query near the field then walks.
+func TestNNIndexFarSiteGridBounded(t *testing.T) {
+	for _, sites := range [][]Point{
+		{{1.09e16, 2.9}},
+		{{1.09e16, 2.9}, {28, 4}, {34, 3}, {17, 36}},
+		{{3, 4}, {5, -2e15}},
+	} {
+		ix := NewNNIndex(sites, Rect(0, 0, 50, 50))
+		if n := len(sites); ix.nx*ix.ny > 3*n+1 {
+			t.Errorf("%d sites: %dx%d grid, want at most %d buckets", n, ix.nx, ix.ny, 3*n+1)
+		}
+		for _, p := range []Point{{0, 0}, {25, 25}, {50, 49}, {1e16, 0}} {
+			hint := len(sites) - 1
+			if got, want := ix.NearestWarm(p, hint), bruteNearest(sites, p, -1); got != want {
+				t.Errorf("NearestWarm(%v, %d) = %d, brute = %d", p, hint, got, want)
+			}
+		}
+	}
+}

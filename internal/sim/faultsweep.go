@@ -8,6 +8,7 @@ import (
 	"isomap/internal/field"
 	"isomap/internal/geom"
 	"isomap/internal/network"
+	"isomap/internal/stats"
 )
 
 // FaultPoint is one cell of the fault-injection sweep grid: a channel
@@ -71,8 +72,11 @@ type FaultPointResult struct {
 	// fault-free total: the retry/repair overhead in energy terms.
 	EnergyFactor float64 `json:"energyFactor"`
 	// Misclassification is 1 - raster agreement between the faulted map
-	// and the same seed's fault-free map.
-	Misclassification float64 `json:"misclassification"`
+	// and the same seed's fault-free map; MisclassificationHalfWidth is
+	// the half-width of its 95% Student-t interval over the seeds (-1
+	// with a single seed).
+	Misclassification          float64 `json:"misclassification"`
+	MisclassificationHalfWidth float64 `json:"misclassificationHalfWidth95"`
 	// MeanHausdorff averages the per-isolevel Hausdorff distances
 	// between the faulted and fault-free boundary estimates.
 	MeanHausdorff float64 `json:"meanHausdorffVsFaultFree"`
@@ -163,9 +167,7 @@ func (r *Runner) faultBaseline(seed int64) (*faultBaseline, error) {
 
 // faultCell runs one (point, seed) cell under its fault plan and scores
 // it against the seed's fault-free baseline. The metric vector aligns
-// with faultMetricCount and the FaultPointResult fields.
-const faultMetricCount = 9
-
+// with the FaultPointResult fields.
 func (r *Runner) faultCell(p FaultPoint, point int, seed int64, base *faultBaseline) ([]float64, error) {
 	env, err := r.Build(faultSweepScenario(seed))
 	if err != nil {
@@ -239,28 +241,37 @@ func (r *Runner) ExtFaultSweepResults(runs int, points []FaultPoint) ([]FaultPoi
 	if err != nil {
 		return nil, err
 	}
-	avgs, err := sweepAverage(r, len(points), runs, func(point int, seed int64) ([]float64, error) {
+	cells, err := runJobs(r, len(points)*runs, func(i int) ([]float64, error) {
+		point, seed := i/runs, int64(i%runs)+1
 		return r.faultCell(points[point], point, seed, bases[seed-1])
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]FaultPointResult, len(points))
-	for i, v := range avgs {
-		if len(v) != faultMetricCount {
-			continue // point failed in every run; keep zero metrics
+	misclass := make([]float64, runs)
+	for i := range out {
+		seeds := cells[i*runs : (i+1)*runs]
+		v := averageVecs(seeds)
+		for j, c := range seeds {
+			misclass[j] = c[7]
+		}
+		half := -1.0
+		if _, h, ok := stats.MeanCI95(misclass); ok {
+			half = h
 		}
 		out[i] = FaultPointResult{
-			FaultPoint:        points[i],
-			DeliveryRatio:     v[0],
-			RetriesPerFrame:   v[1],
-			ReportDrops:       v[2],
-			Crashed:           v[3],
-			Repairs:           v[4],
-			Severed:           v[5],
-			EnergyFactor:      v[6],
-			Misclassification: v[7],
-			MeanHausdorff:     v[8],
+			FaultPoint:                 points[i],
+			DeliveryRatio:              v[0],
+			RetriesPerFrame:            v[1],
+			ReportDrops:                v[2],
+			Crashed:                    v[3],
+			Repairs:                    v[4],
+			Severed:                    v[5],
+			EnergyFactor:               v[6],
+			Misclassification:          v[7],
+			MisclassificationHalfWidth: half,
+			MeanHausdorff:              v[8],
 		}
 	}
 	return out, nil

@@ -25,6 +25,9 @@ func TestExtFaultSweepSmoke(t *testing.T) {
 	if res.Crashed == 0 {
 		t.Error("no node crashed at fraction 0.05")
 	}
+	if res.MisclassificationHalfWidth != -1 {
+		t.Errorf("one seed gave a misclassification interval of ±%g, want -1 (undefined)", res.MisclassificationHalfWidth)
+	}
 	for _, v := range []float64{
 		res.DeliveryRatio, res.RetriesPerFrame, res.ReportDrops, res.Crashed,
 		res.Repairs, res.Severed, res.EnergyFactor, res.Misclassification,
@@ -78,6 +81,9 @@ func TestExtFaultSweepDeterministicAcrossWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ref == nil {
+			if h := results[0].MisclassificationHalfWidth; !(h >= 0) || math.IsInf(h, 0) {
+				t.Fatalf("two seeds gave misclassification half-width %g, want finite and >= 0", h)
+			}
 			ref = results
 			continue
 		}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness reports with: means, standard deviations and percentiles over
-// float samples.
+// harness reports with: means, standard deviations, percentiles and
+// confidence intervals over float samples.
 package stats
 
 import (
@@ -97,4 +97,51 @@ func Summarize(xs []float64) Summary {
 		P50:    Percentile(xs, 50),
 		P95:    Percentile(xs, 95),
 	}
+}
+
+// t975 holds the two-sided 95% Student-t critical values t(0.975, df)
+// for df = 1..30; t975[0] is unused.
+var t975 = [...]float64{0,
+	12.706204736, 4.302652730, 3.182446305, 2.776445105, 2.570581836,
+	2.446911851, 2.364624252, 2.306004135, 2.262157163, 2.228138852,
+	2.200985160, 2.178812830, 2.160368656, 2.144786688, 2.131449546,
+	2.119905299, 2.109815578, 2.100922040, 2.093024054, 2.085963447,
+	2.079613845, 2.073873068, 2.068657610, 2.063898562, 2.059538553,
+	2.055529439, 2.051830516, 2.048407142, 2.045229642, 2.042272456,
+}
+
+// tCritical95 returns t(0.975, df) for df >= 1: tabulated up to 30, and
+// past it the Cornish-Fisher expansion around the normal quantile, which
+// is within 1e-6 of the exact value there.
+func tCritical95(df int) float64 {
+	if df < len(t975) {
+		return t975[df]
+	}
+	const z = 1.959963984540054
+	z2 := z * z
+	g1 := (z2 + 1) * z / 4
+	g2 := ((5*z2+16)*z2 + 3) * z / 96
+	g3 := (((3*z2+19)*z2+17)*z2 - 15) * z / 384
+	g4 := ((((79*z2+776)*z2+1482)*z2-1920)*z2 - 945) * z / 92160
+	v := float64(df)
+	return z + (g1+(g2+(g3+g4/v)/v)/v)/v
+}
+
+// MeanCI95 returns the sample mean and the half-width of its two-sided
+// 95% Student-t confidence interval, mean ± half, from the unbiased
+// (n-1) standard deviation. The interval needs n >= 2: for fewer samples
+// ok is false and half is NaN.
+func MeanCI95(xs []float64) (mean, half float64, ok bool) {
+	mean = Mean(xs)
+	n := len(xs)
+	if n < 2 {
+		return mean, math.NaN(), false
+	}
+	var ss float64
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	sd := math.Sqrt(ss / float64(n-1))
+	return mean, tCritical95(n-1) * sd / math.Sqrt(float64(n)), true
 }

@@ -108,3 +108,38 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestTCritical95Tabulated(t *testing.T) {
+	// Two-sided 95% Student-t critical values from standard tables.
+	for _, c := range []struct {
+		df   int
+		want float64
+	}{
+		{1, 12.706}, {2, 4.303}, {4, 2.776}, {9, 2.262}, {29, 2.045},
+		{30, 2.042}, {31, 2.040}, {40, 2.021}, {60, 2.000}, {120, 1.980}, {1000, 1.962},
+	} {
+		if got := tCritical95(c.df); !almostEqual(got, c.want, 5e-4) {
+			t.Errorf("t(0.975, %d) = %.4f, want %.3f", c.df, got, c.want)
+		}
+	}
+}
+
+func TestMeanCI95(t *testing.T) {
+	// {1..5}: mean 3, s = sqrt(2.5), t(0.975, 4) = 2.776445.
+	mean, half, ok := MeanCI95([]float64{1, 2, 3, 4, 5})
+	if !ok || mean != 3 || !almostEqual(half, 2.776445105*math.Sqrt(2.5)/math.Sqrt(5), 1e-9) {
+		t.Errorf("MeanCI95({1..5}) = %v ± %v (ok %v), want 3 ± 1.9632", mean, half, ok)
+	}
+	// Two samples: the widest interval, t(0.975, 1) = 12.706.
+	if _, half, ok := MeanCI95([]float64{0, 1}); !ok || !almostEqual(half, 12.706204736*math.Sqrt(0.5)/math.Sqrt(2), 1e-9) {
+		t.Errorf("MeanCI95({0, 1}) half-width = %v (ok %v), want 6.3531", half, ok)
+	}
+	if mean, half, ok := MeanCI95([]float64{0.25, 0.25, 0.25}); !ok || mean != 0.25 || half != 0 {
+		t.Errorf("constant input: %v ± %v (ok %v), want 0.25 ± 0", mean, half, ok)
+	}
+	for _, xs := range [][]float64{{7}, nil} {
+		if mean, half, ok := MeanCI95(xs); ok || !math.IsNaN(half) || mean != Mean(xs) {
+			t.Errorf("MeanCI95(%v) = %v ± %v (ok %v), want undefined interval", xs, mean, half, ok)
+		}
+	}
+}

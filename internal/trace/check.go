@@ -17,6 +17,14 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: seq=%d node=%d: %s", v.Invariant, v.Seq, v.Node, v.Msg)
 }
 
+// FrameProbe and FrameReply are the raw desim.FrameKind values of the
+// measure phase's probe and reply frames, which the reply invariants
+// recognise by Event.FrameKind (a desim test pins the two in step).
+const (
+	FrameProbe uint8 = 3
+	FrameReply uint8 = 4
+)
+
 // CheckConfig tunes the invariant pass.
 type CheckConfig struct {
 	// MaxRetries, when positive, bounds per-frame KindRetry events (set
@@ -51,7 +59,12 @@ func (r *Recorder) Check(cfg CheckConfig) []Violation {
 //   - crash-finality: a crashed node transmits, receives and delivers
 //     nothing afterwards;
 //   - sink-accounting: the fresh-report counts accepted at the sink sum
-//     to the round's delivered total (KindRoundEnd.Seq).
+//     to the round's delivered total (KindRoundEnd.Seq);
+//   - reply-once: no node transmits more than one probe reply;
+//   - reply-after-probe: a reply's sender had a probe delivered to it
+//     earlier in the round;
+//   - reply-broadcast: replies are unacknowledged broadcasts, so none
+//     appears in a send, ack, retry, drop or dead event.
 //
 // Together these turn the trace into a test oracle: properties that
 // previously required printf archaeology become assertions.
@@ -79,6 +92,10 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 	}
 	delivered := make(map[delivery]bool)
 	crashedAt := make(map[int32]float64)
+	// probed marks nodes a probe was delivered to; replies counts each
+	// node's reply transmissions.
+	probed := make(map[int32]bool)
+	replies := make(map[int32]int)
 	var (
 		lastT        float64
 		sawRoundEnd  bool
@@ -105,6 +122,24 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 			}
 		}
 
+		if ev.FrameKind == FrameReply {
+			switch ev.Kind {
+			case KindSend, KindAck, KindRetry, KindDrop, KindDead:
+				out = append(out, Violation{Invariant: "reply-broadcast", Seq: ev.Seq, Node: ev.Node,
+					Msg: fmt.Sprintf("probe reply in a %s event: replies are never acked or retried", ev.Kind)})
+			case KindTx:
+				replies[ev.Node]++
+				if replies[ev.Node] == 2 {
+					out = append(out, Violation{Invariant: "reply-once", Seq: ev.Seq, Node: ev.Node,
+						Msg: "second probe reply from one node in a round"})
+				}
+				if !probed[ev.Node] {
+					out = append(out, Violation{Invariant: "reply-after-probe", Seq: ev.Seq, Node: ev.Node,
+						Msg: fmt.Sprintf("reply at t=%g before any probe reached the node", ev.T)})
+				}
+			}
+		}
+
 		switch ev.Kind {
 		case KindSend:
 			fs := frameAt(ev.Seq)
@@ -125,6 +160,9 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 					Msg: fmt.Sprintf("%s is terminal outcome #%d", ev.Kind, fs.terminals)})
 			}
 		case KindDeliver:
+			if ev.FrameKind == FrameProbe {
+				probed[ev.Node] = true
+			}
 			d := delivery{seq: ev.Seq, node: ev.Node}
 			if delivered[d] {
 				out = append(out, Violation{Invariant: "frame-conservation", Seq: ev.Seq, Node: ev.Node,

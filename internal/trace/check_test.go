@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -185,5 +186,60 @@ func TestCheckCounters(t *testing.T) {
 	v := CheckCounters(evs, 2, get(tx), get(rx))
 	if len(v) != 1 || v[0].Invariant != "energy-accounting" || v[0].Node != 1 {
 		t.Fatalf("got %v, want one energy-accounting violation at node 1", v)
+	}
+}
+
+// measureTrace is a sound measure exchange: node 1 probes, nodes 2 and 3
+// hear the probe, and each broadcasts its one reply, which node 1 keeps.
+func measureTrace() []Event {
+	probe := func(t float64, kind Kind, node, peer int32) Event {
+		return Event{T: t, Kind: kind, Node: node, Peer: peer, Seq: 10, Bytes: 6, Phase: PhaseMeasure, FrameKind: FrameProbe}
+	}
+	reply := func(t float64, kind Kind, node, peer int32, seq int64) Event {
+		return Event{T: t, Kind: kind, Node: node, Peer: peer, Seq: seq, Bytes: 20, Phase: PhaseMeasure, FrameKind: FrameReply}
+	}
+	return []Event{
+		probe(0.1, KindTx, 1, -2),
+		probe(0.2, KindDeliver, 2, 1),
+		probe(0.2, KindDeliver, 3, 1),
+		reply(0.3, KindBackoff, 2, -2, 11),
+		reply(0.4, KindTx, 2, -2, 11),
+		reply(0.4, KindTx, 3, -2, 12),
+		reply(0.5, KindDeliver, 1, 2, 11),
+		reply(0.5, KindDeliver, 1, 3, 12),
+	}
+}
+
+func TestCheckMeasureExchangePasses(t *testing.T) {
+	if v := Check(measureTrace(), CheckConfig{}); len(v) > 0 {
+		t.Fatalf("sound measure exchange reported %d violations, first: %v", len(v), v[0])
+	}
+}
+
+func TestCheckReplyOnce(t *testing.T) {
+	evs := append(measureTrace(),
+		Event{T: 0.6, Kind: KindTx, Node: 2, Peer: -2, Seq: 13, Bytes: 20, Phase: PhaseMeasure, FrameKind: FrameReply})
+	expectViolation(t, "reply-once", evs, CheckConfig{})
+}
+
+func TestCheckReplyAfterProbe(t *testing.T) {
+	// A node no probe reached replies.
+	evs := append(measureTrace(),
+		Event{T: 0.6, Kind: KindTx, Node: 4, Peer: -2, Seq: 14, Bytes: 20, Phase: PhaseMeasure, FrameKind: FrameReply})
+	expectViolation(t, "reply-after-probe", evs, CheckConfig{})
+
+	// A node replies before the probe reaches it.
+	evs = measureTrace()
+	early := evs[5] // node 3's reply, moved ahead of its probe delivery
+	early.T = 0.15
+	evs = slices.Insert(slices.Delete(evs, 5, 6), 1, early)
+	expectViolation(t, "reply-after-probe", evs, CheckConfig{})
+}
+
+func TestCheckReplyBroadcast(t *testing.T) {
+	for _, k := range []Kind{KindSend, KindAck, KindRetry, KindDrop} {
+		evs := append(measureTrace(),
+			Event{T: 0.6, Kind: k, Node: 2, Peer: 1, Seq: 11, Phase: PhaseMeasure, FrameKind: FrameReply})
+		expectViolation(t, "reply-broadcast", evs, CheckConfig{})
 	}
 }
