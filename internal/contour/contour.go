@@ -297,29 +297,31 @@ func moveEndpointToward(s geom.Segment, anchor, q geom.Point) geom.Segment {
 // levelInner reports whether p belongs to the contour region of this level
 // in isolation (before nesting).
 func (lr *levelRecon) levelInner(p geom.Point) bool {
-	return lr.levelInnerHint(p, nil)
-}
-
-// levelInnerHint is levelInner with an optional warm-start cursor: *hint
-// holds the nearest site of the caller's previous (spatially adjacent)
-// probe and is updated in place. The answer is hint-independent — the
-// cursor only seeds the index's search radius — so warm and cold queries
-// agree exactly.
-func (lr *levelRecon) levelInnerHint(p geom.Point, hint *int) bool {
 	if len(lr.sites) == 0 {
 		return lr.fallbackInner
 	}
-	// Nearest site = Voronoi membership.
-	var best int
-	if hint != nil {
-		best = lr.nn.NearestWarm(p, *hint)
-		*hint = best
-	} else {
-		best = lr.nn.Nearest(p)
+	return lr.innerAt(p, lr.nn.Nearest(p), lr.patches)
+}
+
+// levelInnerNear is levelInner for a scan of nearby probes: *hint holds
+// the nearest site of the previous probe, seeds the diagram's certified
+// walk and is updated in place, and patches need only hold every patch
+// whose padded box contains p. The answer is hint-independent, so warm
+// and cold queries agree exactly.
+func (lr *levelRecon) levelInnerNear(p geom.Point, hint *int, patches []patch) bool {
+	if len(lr.sites) == 0 {
+		return lr.fallbackInner
 	}
-	inner := p.Sub(lr.sites[best]).Dot(lr.grads[best]) <= 0
-	for i := range lr.patches {
-		if lr.patches[i].contains(p) {
+	*hint = lr.diagram.NearestFrom(p, *hint)
+	return lr.innerAt(p, *hint, patches)
+}
+
+// innerAt decides membership from p's nearest site: the up-gradient side
+// of its chord, flipped by every regulation patch containing p.
+func (lr *levelRecon) innerAt(p geom.Point, nearest int, patches []patch) bool {
+	inner := p.Sub(lr.sites[nearest]).Dot(lr.grads[nearest]) <= 0
+	for i := range patches {
+		if patches[i].contains(p) {
 			inner = !inner
 		}
 	}
@@ -350,78 +352,114 @@ func (m *Map) Raster(rows, cols int) *field.Raster {
 }
 
 // RasterWorkers is Raster with an explicit worker-pool width (workers < 1
-// selects GOMAXPROCS). Each row is one job on a bounded pool — the same
-// shape as sim.Runner's job fan-out — and scans its columns left to right
-// with warm-started nearest-site cursors, one per isolevel, so adjacent
-// probes reuse each other's search radius. Rows write disjoint slices and
-// every query is cursor-independent, so the output is byte-identical at
-// any width.
+// selects GOMAXPROCS). Each worker scans one contiguous block of rows with
+// its own rowScan, so the pool costs O(workers) goroutines and buffers
+// however tall the raster. Rows write disjoint slices and every query is
+// cursor-independent, so the output is byte-identical at any width.
 //
 // Degenerate dimensions are defined: negative rows/cols clamp to zero and
-// any empty dimension returns an empty raster through the sequential path,
-// byte-identical (trivially) to what a sequential sweep of zero cells
-// produces. Worker counts above the row count clamp to one worker per row.
+// any empty dimension returns an empty raster. Worker counts above the row
+// count clamp to one worker per row.
 func (m *Map) RasterWorkers(rows, cols, workers int) *field.Raster {
 	start := time.Now()
 	defer recordStage(m.tr, trace.StageRaster, -1, start)
-	if rows < 0 {
-		rows = 0
-	}
-	if cols < 0 {
-		cols = 0
-	}
+	rows, cols = max(rows, 0), max(cols, 0)
 	ra := field.NewRaster(rows, cols)
 	if rows == 0 || cols == 0 {
 		return ra
 	}
-	x0, y0, x1, y1 := m.Bounds.BoundingBox()
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		for r := 0; r < rows; r++ {
-			m.rasterRow(ra.Cells[r], r, rows, cols, x0, y0, x1, y1)
+	rowBlocks(rows, workers, func(_, lo, hi int) {
+		s := m.newRowScan(rows, cols)
+		for r := lo; r < hi; r++ {
+			s.startRow(r)
+			s.span(ra.Cells[r], 0, cols-1)
 		}
-		return ra
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for r := 0; r < rows; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			m.rasterRow(ra.Cells[r], r, rows, cols, x0, y0, x1, y1)
-		}(r)
-	}
-	wg.Wait()
+	})
 	return ra
 }
 
-// rasterRow classifies one scanline into row. Cursors start cold at the
-// row boundary and warm up along the columns; a level past the first
-// non-inner one keeps a stale cursor, which is still a valid seed.
-func (m *Map) rasterRow(row []int, r, rows, cols int, x0, y0, x1, y1 float64) {
-	y := y0 + (y1-y0)*(float64(r)+0.5)/float64(rows)
-	hints := make([]int, len(m.levels))
-	for i := range hints {
-		hints[i] = -1
+// rowBlocks calls f(g, lo, hi) for min(workers, rows) contiguous blocks
+// [lo, hi) covering rows 0..rows-1, concurrently when there is more than
+// one block, and returns once every call has.
+func rowBlocks(rows, workers int, f func(g, lo, hi int)) {
+	n := min(workers, rows)
+	if n <= 1 {
+		f(0, 0, rows)
+		return
 	}
-	for c := 0; c < cols; c++ {
-		x := x0 + (x1-x0)*(float64(c)+0.5)/float64(cols)
-		p := geom.Point{X: x, Y: y}
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(g, g*rows/n, (g+1)*rows/n)
+		}()
+	}
+	wg.Wait()
+}
+
+// rowScan classifies raster cells one row at a time for one worker. Per
+// level it carries a nearest-site hint from probe to probe and keeps only
+// the regulation patches whose padded box spans the current row.
+type rowScan struct {
+	m            *Map
+	x0, y0, w, h float64
+	rows, cols   int
+	y            float64
+	hints        []int
+	// rowHints are the hints after the previous row's first probe, the
+	// nearest seeds for the next row's first probe.
+	rowHints []int
+	first    bool
+	patches  [][]patch
+}
+
+func (m *Map) newRowScan(rows, cols int) *rowScan {
+	x0, y0, x1, y1 := m.Bounds.BoundingBox()
+	s := &rowScan{m: m, x0: x0, y0: y0, w: x1 - x0, h: y1 - y0, rows: rows, cols: cols,
+		hints: make([]int, len(m.levels)), rowHints: make([]int, len(m.levels)),
+		patches: make([][]patch, len(m.levels))}
+	for i := range s.rowHints {
+		s.rowHints[i] = -1
+	}
+	return s
+}
+
+// startRow moves the scan to row r.
+func (s *rowScan) startRow(r int) {
+	s.y = s.y0 + s.h*(float64(r)+0.5)/float64(s.rows)
+	copy(s.hints, s.rowHints)
+	s.first = true
+	for li, lr := range s.m.levels {
+		cand := s.patches[li][:0]
+		for _, pa := range lr.patches {
+			if s.y >= pa.y0 && s.y <= pa.y1 {
+				cand = append(cand, pa)
+			}
+		}
+		s.patches[li] = cand
+	}
+}
+
+// span classifies columns c0..c1 of the current row into row[c0..c1].
+func (s *rowScan) span(row []int, c0, c1 int) {
+	for c := c0; c <= c1; c++ {
+		p := geom.Point{X: s.x0 + s.w*(float64(c)+0.5)/float64(s.cols), Y: s.y}
 		idx := 0
-		for li, lr := range m.levels {
-			if !lr.levelInnerHint(p, &hints[li]) {
+		for li, lr := range s.m.levels {
+			if !lr.levelInnerNear(p, &s.hints[li], s.patches[li]) {
 				break
 			}
 			idx++
 		}
 		row[c] = idx
+		if s.first {
+			copy(s.rowHints, s.hints)
+			s.first = false
+		}
 	}
 }
 

@@ -466,12 +466,11 @@ func (inc *Incremental) Raster(rows, cols int) *field.Raster {
 
 // rasterFromPrev refreshes prev into a new raster: rows outside every
 // dirty rectangle are copied; inside, cells are reclassified with the
-// same warm-cursor scan the full sweep uses (answers are
-// cursor-independent, so partial scans agree with full ones exactly).
-// Rows write disjoint slices and carry their own cursor state, so they
-// refresh on a worker pool (Options.Workers) with per-worker stats
-// deltas summed afterwards — byte-identical output and identical stats
-// at any width.
+// full sweep's rowScan (answers are cursor-independent, so partial scans
+// agree with full ones exactly). Rows write disjoint slices, so contiguous
+// row blocks refresh on a worker pool (Options.Workers) with per-block
+// stats deltas summed afterwards — byte-identical output and identical
+// stats at any width.
 func (inc *Incremental) rasterFromPrev(prev *field.Raster, rows, cols int) *field.Raster {
 	m := inc.cur
 	ra := field.NewRaster(rows, cols)
@@ -493,10 +492,11 @@ func (inc *Incremental) rasterFromPrev(prev *field.Raster, rows, cols int) *fiel
 		spans = append(spans, s)
 	}
 
-	// refreshRows handles the row range [lo,hi) with its own cursor and
-	// interval scratch, accumulating work counters into st.
-	refreshRows := func(lo, hi int, st *IncrementalStats) {
-		hints := make([]int, len(m.levels))
+	nb := min(inc.workers(), rows)
+	deltas := make([]IncrementalStats, nb)
+	rowBlocks(rows, nb, func(g, lo, hi int) {
+		st := &deltas[g]
+		sc := m.newRowScan(rows, cols)
 		var ivs [][2]int
 		for r := lo; r < hi; r++ {
 			copy(ra.Cells[r], prev.Cells[r])
@@ -506,54 +506,20 @@ func (inc *Incremental) rasterFromPrev(prev *field.Raster, rows, cols int) *fiel
 					ivs = append(ivs, [2]int{s.c0, s.c1})
 				}
 			}
-			if len(ivs) == 0 {
-				st.RasterCellsCopied += cols
-				continue
-			}
-			merged := mergeIntervals(ivs)
-			y := y0 + h*(float64(r)+0.5)/float64(rows)
-			for i := range hints {
-				hints[i] = -1
-			}
 			redone := 0
-			for _, iv := range merged {
-				for cc := iv[0]; cc <= iv[1]; cc++ {
-					x := x0 + w*(float64(cc)+0.5)/float64(cols)
-					p := geom.Point{X: x, Y: y}
-					idx := 0
-					for li, lr := range m.levels {
-						if !lr.levelInnerHint(p, &hints[li]) {
-							break
-						}
-						idx++
-					}
-					ra.Cells[r][cc] = idx
-					redone++
+			if len(ivs) > 0 {
+				sc.startRow(r)
+				for _, iv := range mergeIntervals(ivs) {
+					sc.span(ra.Cells[r], iv[0], iv[1])
+					redone += iv[1] - iv[0] + 1
 				}
 			}
 			st.RasterCellsReclassified += redone
 			st.RasterCellsCopied += cols - redone
 		}
-	}
-
-	if nw := min(inc.workers(), rows); nw <= 1 {
-		refreshRows(0, rows, &inc.stats)
-	} else {
-		deltas := make([]IncrementalStats, nw)
-		var wg sync.WaitGroup
-		for g := 0; g < nw; g++ {
-			lo := g * rows / nw
-			hi := (g + 1) * rows / nw
-			wg.Add(1)
-			go func(g, lo, hi int) {
-				defer wg.Done()
-				refreshRows(lo, hi, &deltas[g])
-			}(g, lo, hi)
-		}
-		wg.Wait()
-		for g := range deltas {
-			inc.stats.add(deltas[g])
-		}
+	})
+	for g := range deltas {
+		inc.stats.add(deltas[g])
 	}
 	return ra
 }

@@ -18,10 +18,9 @@ func (lr *levelRecon) type2Segments(bounds geom.Polygon) []geom.Segment {
 	if len(lr.sites) == 0 {
 		return nil
 	}
-	diagram := geom.VoronoiWithIndex(lr.sites, bounds, lr.nn)
 	var out []geom.Segment
-	for i := range diagram.Cells {
-		cell := &diagram.Cells[i]
+	for i := range lr.diagram.Cells {
+		cell := &lr.diagram.Cells[i]
 		if cell.Region == nil || !lr.hasChord[i] {
 			continue
 		}

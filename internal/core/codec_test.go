@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,4 +149,93 @@ func TestCodecBatch(t *testing.T) {
 	if _, err := c.Decode(blob[:4]); err == nil {
 		t.Error("want error for short report")
 	}
+}
+
+// FuzzCodecDecode feeds arbitrary bytes to both codec widths: Decode and
+// DecodeAll must never panic, must reject exactly the wrongly sized
+// inputs, and must yield reports inside the codec's ranges whose position
+// codes re-encode to the same bytes. The fuzzed report, encoded and
+// decoded, must come back within the quantization error.
+func FuzzCodecDecode(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, false, 8.0, 10.0, 20.0, 1.0, 0.0)
+	f.Add([]byte{255, 255, 255, 255, 255}, true, 99.0, -10.0, 999.0, 0.0, 0.0)
+	f.Add([]byte{1, 2, 3}, false, math.NaN(), math.Inf(1), 25.0, 1e-12, -3.0)
+	f.Fuzz(func(t *testing.T, data []byte, narrow bool, level, x, y, gx, gy float64) {
+		bpp := 2
+		if narrow {
+			bpp = 1
+		}
+		c := newTestCodec(t, bpp)
+		size := c.ReportSize()
+		values := codecLevels().Values()
+		checkRanges := func(r Report) {
+			t.Helper()
+			if r.LevelIndex < 0 || r.LevelIndex >= len(values) || values[r.LevelIndex] != r.Level {
+				t.Fatalf("level %v index %d not in the scheme %v", r.Level, r.LevelIndex, values)
+			}
+			if !(r.Pos.X >= 0 && r.Pos.X <= 50 && r.Pos.Y >= 0 && r.Pos.Y <= 50) {
+				t.Fatalf("position %v outside the bounds", r.Pos)
+			}
+			if !(math.Abs(r.Grad.X) <= 1 && math.Abs(r.Grad.Y) <= 1) {
+				t.Fatalf("gradient %v outside [-1, 1]", r.Grad)
+			}
+			if r.Source != -1 {
+				t.Fatalf("source %d survived the wire", r.Source)
+			}
+		}
+
+		r, err := c.Decode(data)
+		if (err == nil) != (len(data) == size) {
+			t.Fatalf("Decode of %d bytes: err = %v, want an error iff the size is not %d", len(data), err, size)
+		}
+		if err == nil {
+			checkRanges(r)
+			if got := c.Encode(r); !bytes.Equal(got[bpp:3*bpp], data[bpp:3*bpp]) {
+				t.Fatalf("position codes %v re-encode as %v", data[bpp:3*bpp], got[bpp:3*bpp])
+			}
+		}
+		all, err := c.DecodeAll(data)
+		if (err == nil) != (len(data)%size == 0) {
+			t.Fatalf("DecodeAll of %d bytes: err = %v", len(data), err)
+		}
+		if err == nil {
+			if len(all) != len(data)/size {
+				t.Fatalf("DecodeAll: %d reports from %d bytes", len(all), len(data))
+			}
+			for i, r := range all {
+				checkRanges(r)
+				if one, _ := c.Decode(data[i*size : (i+1)*size]); one != r {
+					t.Fatalf("DecodeAll report %d = %+v, Decode = %+v", i, r, one)
+				}
+			}
+		}
+
+		orig := Report{Level: level, Pos: geom.Point{X: x, Y: y}, Grad: geom.Vec{X: gx, Y: gy}}
+		back, err := c.Decode(c.Encode(orig))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRanges(back)
+		for _, v := range []float64{level, x, y, gx, gy} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return
+			}
+		}
+		quantum := 1 / c.maxQuant
+		clamp := func(v, lo, hi float64) float64 { return math.Min(math.Max(v, lo), hi) }
+		if d := math.Abs(back.Pos.X - clamp(x, 0, 50)); d > 50*quantum {
+			t.Fatalf("x %v decoded as %v", x, back.Pos.X)
+		}
+		if d := math.Abs(back.Pos.Y - clamp(y, 0, 50)); d > 50*quantum {
+			t.Fatalf("y %v decoded as %v", y, back.Pos.Y)
+		}
+		if d := math.Abs(back.Level - clamp(level, 6, 12)); d > 1+6*quantum {
+			t.Fatalf("level %v decoded as %v, beyond the nearest level", level, back.Level)
+		}
+		if u := orig.Grad.Unit(); u.Norm() > 0 {
+			if d := back.Grad.Sub(u).Norm(); d > 2*math.Sqrt2*quantum {
+				t.Fatalf("direction %v decoded as %v", u, back.Grad)
+			}
+		}
+	})
 }

@@ -27,6 +27,11 @@ type VoronoiCell struct {
 	// identical clip sequence — the fact DiffSites uses to prove cells
 	// reusable across rounds.
 	horizonD2 float64
+	// certified marks a cell whose construction meets the premises of
+	// NearestFrom's certificate (see certifiable). It is a function of
+	// the cell's clip sequence, adjacency and bounds, all of which a cell
+	// DiffSites keeps clean keeps.
+	certified bool
 }
 
 // VoronoiDiagram is a bounded Voronoi diagram over a convex boundary.
@@ -39,6 +44,9 @@ type VoronoiDiagram struct {
 	// adjacency without scanning all sites. Diagrams built by Voronoi carry
 	// one; zero-value diagrams fall back to linear scans.
 	index *NNIndex
+	// walk is NearestFrom's neighbour and margin table, built with the
+	// cells.
+	walk voronoiWalk
 }
 
 // Voronoi computes the Voronoi diagram of sites bounded by the convex
@@ -62,11 +70,13 @@ func VoronoiWithIndex(sites []Point, bounds Polygon, index *NNIndex) *VoronoiDia
 		Bounds: bounds,
 		Cells:  make([]VoronoiCell, len(sites)),
 		index:  index,
+		walk:   voronoiWalk{bounds: boundsHalfPlanes(bounds)},
 	}
 	var sc voronoiScratch
 	for i := range sites {
 		d.buildCell(&sc, sites, i)
 	}
+	d.walk.link(d.Cells)
 	return d
 }
 
@@ -92,6 +102,11 @@ type voronoiScratch struct {
 	clipped bool // region lives in clip[0] rather than being the bounds
 	r2      float64
 	horizon float64
+	// nearD2 is the squared distance to the first candidate visited, the
+	// nearest other site; within holds while every clip interpolated its
+	// crossings inside their edges. Both feed certifiable.
+	nearD2 float64
+	within bool
 }
 
 // adjEdge is one shared edge of a cell and the neighbor across it.
@@ -122,6 +137,7 @@ func (d *VoronoiDiagram) buildCell(sc *voronoiScratch, sites []Point, i int) {
 	sc.region, sc.clipped = d.Bounds, false
 	sc.r2 = farthestVertexDist2(d.Bounds, s)
 	sc.horizon = math.Inf(1)
+	sc.nearD2, sc.within = math.Inf(1), true
 	d.index.visitByDistance(s, &sc.pend, sc.visit)
 	region := sc.region
 	if sc.clipped && region != nil {
@@ -129,6 +145,7 @@ func (d *VoronoiDiagram) buildCell(sc *voronoiScratch, sites []Point, i int) {
 	}
 	d.Cells[i] = VoronoiCell{Site: s, Index: i, Region: region, horizonD2: sc.horizon}
 	d.cellAdjacency(sc, sites, i)
+	d.Cells[i].certified = sc.within && sc.nearD2 >= walkMinSep*walkMinSep && d.certifiable(sites, i)
 }
 
 // visit applies candidate j at squared distance d2 to the cell being
@@ -137,6 +154,7 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 	if j == sc.i {
 		return true
 	}
+	sc.nearD2 = min(sc.nearD2, d2)
 	if len(sc.region) < 3 {
 		// Degenerate bounds: the naive path nils such a region on its
 		// first clip (dedupe drops sub-triangle output).
@@ -157,7 +175,8 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 		}
 		return true
 	}
-	out := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t))
+	out, within := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t))
+	sc.within = sc.within && within
 	if out == nil {
 		sc.region, sc.horizon = nil, d2
 		return false

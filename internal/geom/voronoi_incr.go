@@ -181,6 +181,7 @@ func VoronoiIncremental(prev *VoronoiDiagram, sites []Point, index *NNIndex, dif
 		Bounds: prev.Bounds,
 		Cells:  make([]VoronoiCell, len(sites)),
 		index:  index,
+		walk:   voronoiWalk{bounds: prev.walk.bounds},
 	}
 	var sc voronoiScratch
 	for i := range sites {
@@ -192,5 +193,6 @@ func VoronoiIncremental(prev *VoronoiDiagram, sites []Point, index *NNIndex, dif
 		}
 		d.buildCell(&sc, sites, i)
 	}
+	d.walk.link(d.Cells)
 	return d
 }
