@@ -176,10 +176,11 @@ func (ix *NNIndex) scanRing(qx, qy, r int, f func(ids []int32)) {
 func (ix *NNIndex) Nearest(p Point) int { return int(ix.nearestFrom(p, -1, -1)) }
 
 // NearestWarm is Nearest warm-started from a hint — typically the answer of
-// the previous, spatially adjacent query. The hint seeds the search radius,
-// so a coherent probe sequence (e.g. a raster scanline) touches O(1)
-// buckets per query; the returned index is identical to Nearest for every
-// hint value, valid or not.
+// a nearby query. The hint seeds the search radius, so the rings stop once
+// they pass the hint's distance; with sites along curves that can still be
+// many empty rings, which is why a raster scan first tries
+// VoronoiDiagram.NearestFrom's certified walk. The returned index is
+// identical to Nearest for every hint value, valid or not.
 func (ix *NNIndex) NearestWarm(p Point, hint int) int {
 	h := int32(-1)
 	if hint >= 0 && hint < len(ix.sites) {
