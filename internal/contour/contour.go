@@ -42,13 +42,13 @@ type Options struct {
 	// untraced run.
 	Trace *trace.Recorder
 	// Workers bounds the Incremental engine's worker pools: independent
-	// isolevels of an Update, the per-slot cell-reuse horizon checks, and
-	// the dirty-row raster refresh all fan out over at most Workers
-	// goroutines. Values below 1 select GOMAXPROCS. Output is
-	// byte-identical at any width (the parallel property tests pin it);
-	// a non-nil Trace forces sequential execution so stage events keep
-	// their deterministic order. Reconstruct ignores Workers — its raster
-	// parallelism is RasterWorkers' explicit argument.
+	// isolevels of an Update and the per-slot cell-reuse horizon checks
+	// fan out over at most Workers goroutines, and Incremental.Raster
+	// passes it to RasterWorkers. Values below 1 select GOMAXPROCS.
+	// Output is byte-identical at any width (the parallel property tests
+	// pin it); a non-nil Trace forces sequential Updates so stage events
+	// keep their deterministic order. Reconstruct ignores Workers — its
+	// raster parallelism is RasterWorkers' explicit argument.
 	Workers int
 }
 
@@ -371,23 +371,22 @@ func (m *Map) RasterWorkers(rows, cols, workers int) *field.Raster {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rowBlocks(rows, workers, func(_, lo, hi int) {
+	rowBlocks(rows, workers, func(lo, hi int) {
 		s := m.newRowScan(rows, cols)
 		for r := lo; r < hi; r++ {
-			s.startRow(r)
-			s.span(ra.Cells[r], 0, cols-1)
+			s.row(r, ra.Cells[r])
 		}
 	})
 	return ra
 }
 
-// rowBlocks calls f(g, lo, hi) for min(workers, rows) contiguous blocks
+// rowBlocks calls f(lo, hi) for min(workers, rows) contiguous blocks
 // [lo, hi) covering rows 0..rows-1, concurrently when there is more than
 // one block, and returns once every call has.
-func rowBlocks(rows, workers int, f func(g, lo, hi int)) {
+func rowBlocks(rows, workers int, f func(lo, hi int)) {
 	n := min(workers, rows)
 	if n <= 1 {
-		f(0, 0, rows)
+		f(0, rows)
 		return
 	}
 	var wg sync.WaitGroup
@@ -395,7 +394,7 @@ func rowBlocks(rows, workers int, f func(g, lo, hi int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f(g, g*rows/n, (g+1)*rows/n)
+			f(g*rows/n, (g+1)*rows/n)
 		}()
 	}
 	wg.Wait()
@@ -408,12 +407,10 @@ type rowScan struct {
 	m            *Map
 	x0, y0, w, h float64
 	rows, cols   int
-	y            float64
 	hints        []int
 	// rowHints are the hints after the previous row's first probe, the
 	// nearest seeds for the next row's first probe.
 	rowHints []int
-	first    bool
 	patches  [][]patch
 }
 
@@ -428,26 +425,21 @@ func (m *Map) newRowScan(rows, cols int) *rowScan {
 	return s
 }
 
-// startRow moves the scan to row r.
-func (s *rowScan) startRow(r int) {
-	s.y = s.y0 + s.h*(float64(r)+0.5)/float64(s.rows)
+// row classifies every cell center of raster row r into out.
+func (s *rowScan) row(r int, out []int) {
+	y := s.y0 + s.h*(float64(r)+0.5)/float64(s.rows)
 	copy(s.hints, s.rowHints)
-	s.first = true
 	for li, lr := range s.m.levels {
 		cand := s.patches[li][:0]
 		for _, pa := range lr.patches {
-			if s.y >= pa.y0 && s.y <= pa.y1 {
+			if y >= pa.y0 && y <= pa.y1 {
 				cand = append(cand, pa)
 			}
 		}
 		s.patches[li] = cand
 	}
-}
-
-// span classifies columns c0..c1 of the current row into row[c0..c1].
-func (s *rowScan) span(row []int, c0, c1 int) {
-	for c := c0; c <= c1; c++ {
-		p := geom.Point{X: s.x0 + s.w*(float64(c)+0.5)/float64(s.cols), Y: s.y}
+	for c := range out {
+		p := geom.Point{X: s.x0 + s.w*(float64(c)+0.5)/float64(s.cols), Y: y}
 		idx := 0
 		for li, lr := range s.m.levels {
 			if !lr.levelInnerNear(p, &s.hints[li], s.patches[li]) {
@@ -455,10 +447,9 @@ func (s *rowScan) span(row []int, c0, c1 int) {
 			}
 			idx++
 		}
-		row[c] = idx
-		if s.first {
+		out[c] = idx
+		if c == 0 {
 			copy(s.rowHints, s.hints)
-			s.first = false
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// Incremental reconstruction (PR 6): the sink of a continuously monitored
+// Incremental reconstruction: the sink of a continuously monitored
 // deployment receives a report round every few seconds, but successive
 // rounds share most of their reports — isopositions are node positions,
 // and only nodes near a moving isoline change their mind. Incremental
 // keeps the previous round's per-level state (Voronoi diagram, base
-// chords, raster) and recomputes only what a changed report can have
+// chords) and recomputes only the cells a changed report can have
 // touched, with the full Reconstruct as its byte-identical oracle.
 //
 // The contract: Update(reports, sinkValue) returns a Map equal (bit for
@@ -11,8 +11,9 @@
 // Reconstruct(Arranged(), levels, bounds, sinkValue, opts), where
 // Arranged is the deterministic per-level permutation of the input
 // reports the engine maintains to keep report slots stable across rounds.
-// Raster output is likewise byte-identical to the full raster of that
-// map. The incremental_test.go property tests pin both.
+// Rasters are always the map's full certified sweep (Map.RasterWorkers),
+// so equal maps give equal rasters. The incremental_test.go property
+// tests pin both.
 package contour
 
 import (
@@ -42,43 +43,26 @@ type IncrementalStats struct {
 	// incrementally rebuilt levels.
 	CellsReused     int
 	CellsRecomputed int
-	// RasterCellsCopied / RasterCellsReclassified split the raster cells
-	// of incremental raster refreshes; RasterFullRebuilds counts rasters
-	// recomputed from scratch.
+	// Deprecated: the raster counters are no longer written; every
+	// raster is a full Map.RasterWorkers sweep. They remain only for
+	// the benchmark harness, which still reads them.
 	RasterCellsCopied       int
 	RasterCellsReclassified int
 	RasterFullRebuilds      int
 }
 
-// dirtyRect is an axis-aligned region (bounds coordinates) inside which
-// raster membership may have changed since the previous round.
-type dirtyRect struct{ x0, y0, x1, y1 float64 }
-
-type cachedRaster struct {
-	version int
-	ra      *field.Raster
-}
-
 // Incremental is the multi-round reconstruction engine. It is not safe
 // for concurrent use; serialize Update/Raster calls (the serving daemon
-// takes a per-deployment lock) — Maps and Rasters it has returned remain
-// valid and read-only forever.
+// takes a per-deployment lock) — Maps it has returned remain valid and
+// read-only forever.
 type Incremental struct {
 	levels field.Levels
 	bounds geom.Polygon
 	opts   Options
 	values []float64
 
-	version  int
 	cur      *Map
 	arranged [][]core.Report
-
-	// lastDirty bounds the membership changes of the latest Update;
-	// lastFull marks rounds where no bound was provable (first round,
-	// duplicate ambiguity, empty transitions).
-	lastDirty []dirtyRect
-	lastFull  bool
-	rasters   map[[2]int]cachedRaster
 
 	stats IncrementalStats
 }
@@ -88,19 +72,15 @@ type Incremental struct {
 // comparison).
 func NewIncremental(levels field.Levels, bounds geom.Polygon, opts Options) *Incremental {
 	return &Incremental{
-		levels:  levels,
-		bounds:  bounds.EnsureCCW(),
-		opts:    opts,
-		values:  levels.Values(),
-		rasters: make(map[[2]int]cachedRaster),
+		levels: levels,
+		bounds: bounds.EnsureCCW(),
+		opts:   opts,
+		values: levels.Values(),
 	}
 }
 
 // Map returns the current map (nil before the first Update).
 func (inc *Incremental) Map() *Map { return inc.cur }
-
-// Version returns the number of completed Updates.
-func (inc *Incremental) Version() int { return inc.version }
 
 // Stats returns the cumulative work counters.
 func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
@@ -142,22 +122,21 @@ func (inc *Incremental) workers() int {
 // Update ingests one round of reports and returns the new current map.
 // Isolevels are independent — each reads only its own slice of the
 // previous map and writes its own slot — so they build on a worker pool
-// (Options.Workers wide); per-level stats and dirty rectangles are merged
-// in level order afterwards, keeping the map, the stats and the dirty
-// bounds byte-identical to a sequential build.
+// (Options.Workers wide); per-level stats are merged in level order
+// afterwards, keeping the map and the stats identical to a sequential
+// build.
 func (inc *Incremental) Update(reports []core.Report, sinkValue float64) *Map {
 	arranged := inc.arrange(reports)
 	m := &Map{Levels: inc.levels, Bounds: inc.bounds, tr: inc.opts.Trace}
 	prev := inc.cur
 	m.levels = make([]*levelRecon, len(inc.values))
-	dirties := make([]levelDirty, len(inc.values))
 	statsDeltas := make([]IncrementalStats, len(inc.values))
 	buildOne := func(i int) {
 		var old *levelRecon
 		if prev != nil {
 			old = prev.levels[i]
 		}
-		m.levels[i], dirties[i] = inc.buildLevel(old, inc.values[i], i, arranged[i], sinkValue, &statsDeltas[i])
+		m.levels[i] = inc.buildLevel(old, inc.values[i], i, arranged[i], sinkValue, &statsDeltas[i])
 	}
 	if w := min(inc.workers(), len(inc.values)); w <= 1 {
 		for i := range inc.values {
@@ -181,33 +160,21 @@ func (inc *Incremental) Update(reports []core.Report, sinkValue float64) *Map {
 		close(idx)
 		wg.Wait()
 	}
-	var dirty []dirtyRect
-	wholeDirty := prev == nil
 	for i := range inc.values {
-		if dirties[i].whole {
-			wholeDirty = true
-		}
-		dirty = append(dirty, dirties[i].rects...)
 		inc.stats.add(statsDeltas[i])
 	}
-	inc.version++
 	inc.cur = m
-	inc.lastDirty = dirty
-	inc.lastFull = wholeDirty
 	inc.stats.Updates++
 	return m
 }
 
-// add accumulates a per-level (or per-row) stats delta.
+// add accumulates a per-level stats delta.
 func (st *IncrementalStats) add(d IncrementalStats) {
 	st.Updates += d.Updates
 	st.LevelsReused += d.LevelsReused
 	st.LevelsRebuilt += d.LevelsRebuilt
 	st.CellsReused += d.CellsReused
 	st.CellsRecomputed += d.CellsRecomputed
-	st.RasterCellsCopied += d.RasterCellsCopied
-	st.RasterCellsReclassified += d.RasterCellsReclassified
-	st.RasterFullRebuilds += d.RasterFullRebuilds
 }
 
 // arrange buckets reports by level (dropping out-of-range level indices,
@@ -269,17 +236,11 @@ func arrangeLevel(prev, incoming []core.Report) []core.Report {
 	return arranged
 }
 
-// levelDirty bounds where one level's membership function changed.
-type levelDirty struct {
-	whole bool
-	rects []dirtyRect
-}
-
 // buildLevel produces the new levelRecon for one isolevel, reusing as
 // much of old as the site diff can prove unchanged. Work counters go to
 // st, the caller's per-level accumulator (never inc.stats directly:
 // buildLevel runs concurrently across levels).
-func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports []core.Report, sinkValue float64, st *IncrementalStats) (*levelRecon, levelDirty) {
+func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports []core.Report, sinkValue float64, st *IncrementalStats) *levelRecon {
 	lr := &levelRecon{level: lv, index: idx, fallbackInner: sinkValue >= lv}
 	for _, r := range reports {
 		lr.sites = append(lr.sites, r.Pos)
@@ -289,10 +250,7 @@ func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports
 	if old == nil || len(old.sites) == 0 || len(lr.sites) == 0 {
 		lr.build(inc.bounds, inc.opts)
 		st.LevelsRebuilt++
-		if old != nil && len(old.sites) == 0 && len(lr.sites) == 0 && old.fallbackInner == lr.fallbackInner {
-			return lr, levelDirty{}
-		}
-		return lr, levelDirty{whole: true}
+		return lr
 	}
 
 	diff := old.diagram.DiffSitesWorkers(lr.sites, inc.workers())
@@ -304,7 +262,7 @@ func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports
 		reuse.level, reuse.index = lv, idx
 		reuse.fallbackInner = lr.fallbackInner
 		st.LevelsReused++
-		return &reuse, levelDirty{}
+		return &reuse
 	}
 
 	start := time.Now()
@@ -351,73 +309,7 @@ func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports
 		recordStage(inc.opts.Trace, trace.StageRegulate, idx, start)
 	}
 
-	return lr, inc.levelDirtyArea(old, lr, diff)
-}
-
-// levelDirtyArea bounds where the level's membership changed: the old
-// regions of vanished/moved slots, the new regions of unstable and
-// gradient-changed slots, and the symmetric difference of regulation
-// patches. Nearest-site membership outside those regions is unchanged —
-// a probe can only switch its nearest site to or from a changed site, and
-// then it lies inside that site's (old or new) region. Duplicate
-// ambiguity (NearDupe) and nil regions void the region covering, falling
-// back to the whole level.
-func (inc *Incremental) levelDirtyArea(old, lr *levelRecon, diff geom.VoronoiDiff) levelDirty {
-	if diff.NearDupe {
-		return levelDirty{whole: true}
-	}
-	ld := levelDirty{}
-	addRegion := func(region geom.Polygon) bool {
-		if region == nil {
-			return false
-		}
-		x0, y0, x1, y1 := region.BoundingBox()
-		ld.rects = append(ld.rects, dirtyRect{x0 - geom.Eps, y0 - geom.Eps, x1 + geom.Eps, y1 + geom.Eps})
-		return true
-	}
-	for _, oi := range diff.StaleOld {
-		if !addRegion(old.diagram.Cells[oi].Region) {
-			return levelDirty{whole: true}
-		}
-	}
-	for i := range lr.sites {
-		changed := !diff.Stable[i] ||
-			(i < len(old.grads) && old.grads[i] != lr.grads[i])
-		if !changed {
-			continue
-		}
-		if !addRegion(lr.diagram.Cells[i].Region) {
-			return levelDirty{whole: true}
-		}
-	}
-	// Patches flip membership parity inside their triangles; a patch
-	// present in both rounds (same vertices) cancels out.
-	if len(old.patches) > 0 || len(lr.patches) > 0 {
-		type triKey [6]float64
-		keyOf := func(pa *patch) triKey {
-			return triKey{pa.tri[0].X, pa.tri[0].Y, pa.tri[1].X, pa.tri[1].Y, pa.tri[2].X, pa.tri[2].Y}
-		}
-		count := make(map[triKey]int, len(old.patches)+len(lr.patches))
-		rect := make(map[triKey]dirtyRect, len(old.patches)+len(lr.patches))
-		for i := range old.patches {
-			pa := &old.patches[i]
-			k := keyOf(pa)
-			count[k]++
-			rect[k] = dirtyRect{pa.x0, pa.y0, pa.x1, pa.y1}
-		}
-		for i := range lr.patches {
-			pa := &lr.patches[i]
-			k := keyOf(pa)
-			count[k]--
-			rect[k] = dirtyRect{pa.x0, pa.y0, pa.x1, pa.y1}
-		}
-		for k, c := range count {
-			if c != 0 {
-				ld.rects = append(ld.rects, rect[k])
-			}
-		}
-	}
-	return ld
+	return lr
 }
 
 func vecsEqual(a, b []geom.Vec) bool {
@@ -433,126 +325,13 @@ func vecsEqual(a, b []geom.Vec) bool {
 }
 
 // Raster returns the rows x cols classification raster of the current
-// map, byte-identical to Map().RasterWorkers(rows, cols, 1). When the
-// same resolution was rastered for the previous round and the latest
-// Update bounded its membership changes, only cells whose centers fall in
-// the dirty rectangles are reclassified; the rest are copied. Returned
-// rasters are cached per resolution and must be treated as read-only.
+// map: its full sweep, Map().RasterWorkers(rows, cols, Options.Workers),
+// or an empty raster before the first Update.
 func (inc *Incremental) Raster(rows, cols int) *field.Raster {
-	if rows < 0 {
-		rows = 0
-	}
-	if cols < 0 {
-		cols = 0
-	}
 	if inc.cur == nil {
-		return field.NewRaster(rows, cols)
+		return field.NewRaster(max(rows, 0), max(cols, 0))
 	}
-	key := [2]int{rows, cols}
-	c, ok := inc.rasters[key]
-	if ok && c.version == inc.version {
-		return c.ra
-	}
-	var ra *field.Raster
-	if ok && c.version == inc.version-1 && !inc.lastFull && rows > 0 && cols > 0 {
-		ra = inc.rasterFromPrev(c.ra, rows, cols)
-	} else {
-		ra = inc.cur.RasterWorkers(rows, cols, inc.opts.Workers)
-		inc.stats.RasterFullRebuilds++
-	}
-	inc.rasters[key] = cachedRaster{version: inc.version, ra: ra}
-	return ra
-}
-
-// rasterFromPrev refreshes prev into a new raster: rows outside every
-// dirty rectangle are copied; inside, cells are reclassified with the
-// full sweep's rowScan (answers are cursor-independent, so partial scans
-// agree with full ones exactly). Rows write disjoint slices, so contiguous
-// row blocks refresh on a worker pool (Options.Workers) with per-block
-// stats deltas summed afterwards — byte-identical output and identical
-// stats at any width.
-func (inc *Incremental) rasterFromPrev(prev *field.Raster, rows, cols int) *field.Raster {
-	m := inc.cur
-	ra := field.NewRaster(rows, cols)
-	x0, y0, x1, y1 := m.Bounds.BoundingBox()
-	w, h := x1-x0, y1-y0
-
-	type span struct{ r0, r1, c0, c1 int }
-	spans := make([]span, 0, len(inc.lastDirty))
-	for _, d := range inc.lastDirty {
-		s := span{
-			r0: clampIdx(floorIdx((d.y0-y0)/h, rows), rows),
-			r1: clampIdx(ceilIdx((d.y1-y0)/h, rows), rows),
-			c0: clampIdx(floorIdx((d.x0-x0)/w, cols), cols),
-			c1: clampIdx(ceilIdx((d.x1-x0)/w, cols), cols),
-		}
-		if s.r0 > s.r1 || s.c0 > s.c1 {
-			continue
-		}
-		spans = append(spans, s)
-	}
-
-	nb := min(inc.workers(), rows)
-	deltas := make([]IncrementalStats, nb)
-	rowBlocks(rows, nb, func(g, lo, hi int) {
-		st := &deltas[g]
-		sc := m.newRowScan(rows, cols)
-		var ivs [][2]int
-		for r := lo; r < hi; r++ {
-			copy(ra.Cells[r], prev.Cells[r])
-			ivs = ivs[:0]
-			for _, s := range spans {
-				if r >= s.r0 && r <= s.r1 {
-					ivs = append(ivs, [2]int{s.c0, s.c1})
-				}
-			}
-			redone := 0
-			if len(ivs) > 0 {
-				sc.startRow(r)
-				for _, iv := range mergeIntervals(ivs) {
-					sc.span(ra.Cells[r], iv[0], iv[1])
-					redone += iv[1] - iv[0] + 1
-				}
-			}
-			st.RasterCellsReclassified += redone
-			st.RasterCellsCopied += cols - redone
-		}
-	})
-	for g := range deltas {
-		inc.stats.add(deltas[g])
-	}
-	return ra
-}
-
-// floorIdx / ceilIdx convert a fractional bounds coordinate into the
-// first/last raster index whose cell center can lie inside it; the extra
-// half-cell slack errs toward reclassifying a boundary cell.
-func floorIdx(frac float64, n int) int {
-	v := frac*float64(n) - 0.5
-	i := int(v)
-	if float64(i) > v {
-		i--
-	}
-	return i
-}
-
-func ceilIdx(frac float64, n int) int {
-	v := frac*float64(n) - 0.5
-	i := int(v)
-	if float64(i) < v {
-		i++
-	}
-	return i
-}
-
-func clampIdx(i, n int) int {
-	if i < 0 {
-		return 0
-	}
-	if i >= n {
-		return n - 1
-	}
-	return i
+	return inc.cur.RasterWorkers(rows, cols, inc.opts.Workers)
 }
 
 // Equivalent reports whether two maps are byte-identical: every exported
@@ -604,29 +383,4 @@ func EquivalentRaster(ra, rb *field.Raster) error {
 		}
 	}
 	return nil
-}
-
-// mergeIntervals merges overlapping [a,b] column intervals in place-ish.
-func mergeIntervals(ivs [][2]int) [][2]int {
-	if len(ivs) <= 1 {
-		return ivs
-	}
-	// Insertion sort by start: span counts are small.
-	for i := 1; i < len(ivs); i++ {
-		for j := i; j > 0 && ivs[j][0] < ivs[j-1][0]; j-- {
-			ivs[j], ivs[j-1] = ivs[j-1], ivs[j]
-		}
-	}
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv[0] <= last[1]+1 {
-			if iv[1] > last[1] {
-				last[1] = iv[1]
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
 }

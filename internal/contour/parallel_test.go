@@ -10,10 +10,10 @@ import (
 
 // TestIncrementalWorkersByteIdentical is the parallel-ingest oracle: the
 // same churn stream driven through engines at worker widths {1, 2, 8}
-// must produce byte-identical maps, rasters (full and dirty-rect
-// refreshed), arranged orders and work stats at every round. Width 1 is
-// the sequential reference; the others exercise the level pool, the
-// parallel horizon checks and the parallel raster refresh.
+// must produce byte-identical maps, rasters, arranged orders and work
+// stats at every round. Width 1 is the sequential reference; the others
+// exercise the level pool, the parallel horizon checks and the parallel
+// raster sweep.
 func TestIncrementalWorkersByteIdentical(t *testing.T) {
 	levels := testLevels()
 	bounds := geom.Rect(0, 0, 30, 30)

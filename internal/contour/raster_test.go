@@ -225,8 +225,8 @@ func benchChurn(rng *rand.Rand, reports []core.Report) {
 
 // BenchmarkIncrementalUpdate times one 3%-churn round of the sink engine
 // at k reports (benchReports' k + k/4), from new reports to a 100x100
-// raster. incremental is Incremental.Update plus its raster refresh, at
-// each worker width; full is the from-scratch alternative, Reconstruct
+// raster. incremental is Incremental.Update plus Incremental.Raster (a
+// full sweep), at each worker width; full is the from-scratch alternative, Reconstruct
 // plus a sequential RasterWorkers. Both replay the same seeded churn
 // stream, drawn outside the timer. After the timer stops, the final
 // round is checked against the other path with Equivalent, so a speedup
@@ -256,7 +256,6 @@ func benchIncrementalUpdate(b *testing.B, k, workers int) {
 	opts.Workers = workers
 	inc := NewIncremental(levels, bounds, opts)
 	inc.Update(reports, sink)
-	inc.Raster(res, res)
 	before := inc.Stats()
 
 	var full *Map
@@ -288,9 +287,6 @@ func benchIncrementalUpdate(b *testing.B, k, workers int) {
 	}
 	if err := Equivalent(m, full, res, res); err != nil {
 		b.Fatalf("k=%d workers=%d after %d rounds: %v", k, workers, b.N, err)
-	}
-	if err := EquivalentRaster(inc.Raster(res, res), full.RasterWorkers(res, res, 1)); err != nil {
-		b.Fatalf("k=%d workers=%d after %d rounds: raster: %v", k, workers, b.N, err)
 	}
 }
 

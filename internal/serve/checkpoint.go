@@ -144,6 +144,7 @@ func (s *Server) restore(d *deployment) error {
 		sinkValue: doc.SinkValue,
 		reports:   doc.Reports,
 		faulted:   doc.Faulted,
+		stats:     inc.Stats(),
 	})
 	// The artifact cache is in-process memory, so a restart can never
 	// resurrect pre-restart bytes — but restore is still a publish, so it

@@ -110,10 +110,10 @@ type Config struct {
 	// stream is byte-identical at any shard count; sharding is purely an
 	// execution strategy for large served deployments.
 	Shards int
-	// Workers bounds the ingest path's worker pools: the sharded round
-	// engine (sim.RoundSource.Workers) and the parallel incremental
-	// reconstruction (contour.Options.Workers — level builds, horizon
-	// checks, dirty-row raster refresh). Zero selects GOMAXPROCS.
+	// Workers bounds the server's worker pools: the sharded round engine
+	// (sim.RoundSource.Workers), the parallel incremental reconstruction
+	// (contour.Options.Workers — level builds, horizon checks) and each
+	// raster render's row sweep. Zero selects GOMAXPROCS.
 	Workers int
 
 	// MaxBodyBytes caps POST /rounds request bodies; zero selects 8 MiB.
@@ -168,6 +168,9 @@ type snapshot struct {
 	sinkValue float64
 	reports   int
 	faulted   bool
+	// stats are the engine's cumulative work counters as of this
+	// publish, so meta reads them without the deployment lock.
+	stats contour.IncrementalStats
 }
 
 // depHealth is a deployment's observable failure state; stored behind an
@@ -212,9 +215,9 @@ type deployment struct {
 	// panic or divergence), until the next successful round resyncs it.
 	inc *contour.Incremental
 	// version counts published snapshots. It is deliberately decoupled
-	// from inc.Version(): quarantine/resync discards engines, and a
-	// checkpoint restore rebuilds one, without ever rewinding the ETag
-	// sequence.
+	// from the engine's update count: quarantine/resync discards engines,
+	// and a checkpoint restore rebuilds one, without ever rewinding the
+	// ETag sequence.
 	version int
 	// attempts counts ingest attempts (including failed ones) — the
 	// deterministic key of the chaos schedule.
@@ -379,17 +382,6 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "deployments": len(s.ids)})
 }
 
-// AdvanceAll runs one churn round on every deployment (startup warming
-// and the serve benchmark; continuous driving belongs to the Supervisor).
-func (s *Server) AdvanceAll() error {
-	for _, id := range s.ids {
-		if _, err := s.advance(s.deps[id]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (s *Server) withDep(h func(http.ResponseWriter, *http.Request, *deployment)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		d, ok := s.deps[r.PathValue("id")]
@@ -426,13 +418,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, d *deploymen
 	if !ok {
 		return
 	}
-	var st *contour.IncrementalStats
-	d.mu.Lock()
-	if d.inc != nil {
-		v := d.inc.Stats()
-		st = &v
-	}
-	d.mu.Unlock()
 	h := d.health.Load()
 	doc := map[string]any{
 		"id":          d.id,
@@ -446,15 +431,13 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, d *deploymen
 		"state":       h.state(),
 		"staleRounds": h.StaleRounds,
 		"consecFails": h.ConsecFails,
+		"stats":       sn.stats,
 	}
 	if h.CrashLooping {
 		doc["crashLooping"] = true
 	}
 	if h.LastErr != "" {
 		doc["lastError"] = h.LastErr
-	}
-	if st != nil {
-		doc["stats"] = *st
 	}
 	writeJSON(w, http.StatusOK, doc)
 }
@@ -592,6 +575,7 @@ func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64,
 		sinkValue: sinkValue,
 		reports:   len(reports),
 		faulted:   faulted,
+		stats:     d.inc.Stats(),
 	}
 	d.snap.Store(sn)
 	// Publish-time invalidation: drop cached bodies of every superseded
@@ -648,12 +632,7 @@ func (s *Server) rebuild(d *deployment, reports []core.Report, sinkValue float64
 		derr = errors.New("chaos: synthetic oracle divergence")
 	} else if s.cfg.Oracle {
 		full := contour.Reconstruct(d.inc.Arranged(), d.levels, d.bounds, sinkValue, d.opts)
-		if e := contour.Equivalent(m, full, s.cfg.OracleRes, s.cfg.OracleRes); e != nil {
-			derr = e
-		} else if e := contour.EquivalentRaster(d.inc.Raster(s.cfg.OracleRes, s.cfg.OracleRes),
-			full.RasterWorkers(s.cfg.OracleRes, s.cfg.OracleRes, 1)); e != nil {
-			derr = e
-		}
+		derr = contour.Equivalent(m, full, s.cfg.OracleRes, s.cfg.OracleRes)
 	}
 	if derr != nil {
 		d.inc = nil
@@ -897,21 +876,10 @@ func (s *Server) handleRaster(w http.ResponseWriter, r *http.Request, d *deploym
 		default:
 			return nil, "", errRasterSaturated
 		}
-		// The engine's dirty-rect raster path makes repeat resolutions
-		// cheap, but it is only consulted when the engine provably backs
-		// this snapshot — quarantined or superseded engines never leak
-		// into a response. Otherwise (degraded, or the snapshot was
-		// superseded mid-request) render from the immutable snapshot map
-		// itself: always consistent with the version that keys the bytes.
-		d.mu.Lock()
-		var ra *field.Raster
-		if d.inc != nil && d.inc.Map() == sn.m {
-			ra = d.inc.Raster(rows, cols)
-		}
-		d.mu.Unlock()
-		if ra == nil {
-			ra = sn.m.RasterWorkers(rows, cols, s.cfg.Workers)
-		}
+		// Render from the immutable snapshot map itself: always
+		// consistent with the version that keys the bytes, and never
+		// waiting behind an ingest.
+		ra := sn.m.RasterWorkers(rows, cols, s.cfg.Workers)
 		if format == "pgm" {
 			return renderPGM(ra, d.levels.Count()), "image/x-portable-graymap", nil
 		}

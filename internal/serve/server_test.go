@@ -7,6 +7,7 @@ import (
 	_ "net/http/pprof"
 	"strings"
 	"testing"
+	"time"
 )
 
 func bootServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -169,6 +170,44 @@ func testServerLifecycle(t *testing.T, cfg Config) {
 	postRound(t, ts, "d1")
 	if resp := getJSON(t, ts, "/readyz", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz after every first round: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestQueriesDoNotWaitForIngest: query handlers answer from the published
+// snapshot alone, so neither the meta document nor a cold raster render
+// waits behind an ingest holding the deployment lock.
+func TestQueriesDoNotWaitForIngest(t *testing.T) {
+	s, ts := bootServer(t, Config{Deployments: 1, Seed: 6})
+	postRound(t, ts, "d0")
+	d := s.deps["d0"]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	client := &http.Client{Timeout: 5 * time.Second}
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s with the deployment lock held: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	var meta struct {
+		Stats struct{ Updates int } `json:"stats"`
+	}
+	get("/v1/deployments/d0", &meta)
+	if meta.Stats.Updates != 1 {
+		t.Fatalf("meta stats report %d updates, want 1", meta.Stats.Updates)
+	}
+	var ras struct{ Rows, Cols int }
+	get("/v1/deployments/d0/raster?rows=37&cols=23", &ras)
+	if ras.Rows != 37 || ras.Cols != 23 {
+		t.Fatalf("raster is %dx%d, want 37x23", ras.Rows, ras.Cols)
 	}
 }
 

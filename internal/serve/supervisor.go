@@ -46,13 +46,13 @@ type supervisor struct {
 	wg     sync.WaitGroup
 }
 
-// Start launches one supervised ingest loop per deployment, replacing
-// ad-hoc AdvanceAll driving: each loop advances its deployment every
-// Interval, converts failures into bounded exponential backoff with
-// jitter (so a flapping deployment cannot hot-loop the round source),
-// and trips a crash-loop breaker — visible in /readyz and the meta
-// document — after BreakerAfter consecutive failures. A success resets
-// backoff and breaker. Start is idempotent; Stop halts the loops.
+// Start launches one supervised ingest loop per deployment: each loop
+// advances its deployment every Interval, converts failures into bounded
+// exponential backoff with jitter (so a flapping deployment cannot
+// hot-loop the round source), and trips a crash-loop breaker — visible
+// in /readyz and the meta document — after BreakerAfter consecutive
+// failures. A success resets backoff and breaker. Start is idempotent;
+// Stop halts the loops.
 func (s *Server) Start(cfg SupervisorConfig) {
 	if s.sup != nil {
 		return
