@@ -184,3 +184,31 @@ func BenchmarkMapRaster(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPushQueryUpdate times Incremental.Update on the push-query
+// workload's shape: after a warm-up on round 0, each iteration pushes the
+// next of pushQueryRounds' three rounds in turn, so every update diffs
+// isoline sites along curves against the previous round and rebuilds the
+// cells that moved.
+func BenchmarkPushQueryUpdate(b *testing.B) {
+	in, err := pushQueryRounds()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			opts := contour.DefaultOptions()
+			opts.Workers = workers
+			inc := contour.NewIncremental(in.levels, in.bounds, opts)
+			inc.Update(in.rounds[0].reports, in.rounds[0].sink)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := in.rounds[(i+1)%len(in.rounds)]
+				if m := inc.Update(r.reports, r.sink); m == nil {
+					b.Fatal("no map")
+				}
+			}
+		})
+	}
+}

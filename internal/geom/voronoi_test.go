@@ -361,18 +361,27 @@ func benchSites(k int) []Point {
 	return sites
 }
 
+// BenchmarkVoronoi times one diagram build. The k cases are uniformly
+// random sites; the isoline cases are isolineSites, where each cell is a
+// long strip along its curve and its security radius covers most of the
+// level, the shape of a contour level's isoposition reports.
 func BenchmarkVoronoi(b *testing.B) {
 	bounds := Rect(0, 0, 50, 50)
-	for _, k := range []int{32, 128, 512, 2048} {
-		sites := benchSites(k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+	run := func(name string, sites []Point) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if d := Voronoi(sites, bounds); len(d.Cells) != k {
+				if d := Voronoi(sites, bounds); len(d.Cells) != len(sites) {
 					b.Fatal("bad diagram")
 				}
 			}
 		})
+	}
+	for _, k := range []int{32, 128, 512, 2048} {
+		run(fmt.Sprintf("k=%d", k), benchSites(k))
+	}
+	for _, k := range []int{256, 1000} {
+		run(fmt.Sprintf("isoline/k=%d", k), isolineSites(k))
 	}
 }
 
