@@ -358,14 +358,7 @@ func Equivalent(a, b *Map, rows, cols int) error {
 		return fmt.Errorf("contour: map levels/bounds diverge")
 	}
 	if rows > 0 && cols > 0 {
-		ra, rb := a.RasterWorkers(rows, cols, 1), b.RasterWorkers(rows, cols, 1)
-		for r := range ra.Cells {
-			for c := range ra.Cells[r] {
-				if ra.Cells[r][c] != rb.Cells[r][c] {
-					return fmt.Errorf("contour: raster cell (%d,%d) = %d vs %d", r, c, ra.Cells[r][c], rb.Cells[r][c])
-				}
-			}
-		}
+		return EquivalentRaster(a.RasterWorkers(rows, cols, 1), b.RasterWorkers(rows, cols, 1))
 	}
 	return nil
 }

@@ -262,14 +262,35 @@ func (ix *NNIndex) VisitByDistance(p Point, visit func(i int, d2 float64) bool) 
 
 // visitByDistance is VisitByDistance keeping its pending candidates in
 // *pend, a buffer the caller reuses across queries; it is left empty with
-// whatever capacity the query grew it to.
-//
-// Only the candidates a ring makes final are sorted: after each ring the
-// pending pool is partitioned at the ring's horizon and the part below it
-// is sorted and emitted, while the rest waits unsorted for a later ring.
-// Every candidate below a horizon is emitted before any at or beyond it,
-// so the sequence is the one a full sort of the pool would give.
+// whatever capacity the query grew it to. It is the oracle consumer of
+// ringBatches: every batch is sorted and visited in full.
 func (ix *NNIndex) visitByDistance(p Point, pend *[]nnCand, visit func(i int, d2 float64) bool) {
+	ix.ringBatches(p, pend, func(batch []nnCand) bool { return visitSorted(batch, visit) })
+}
+
+// visitSorted sorts batch into the enumeration order and calls visit for
+// each candidate, returning false as soon as visit does.
+func visitSorted(batch []nnCand, visit func(i int, d2 float64) bool) bool {
+	slices.SortFunc(batch, cmpCand)
+	for _, c := range batch {
+		if !visit(int(c.idx), c.d2) {
+			return false
+		}
+	}
+	return true
+}
+
+// ringBatches enumerates the sites around p ring by ring and hands batch
+// each ring's final candidates, unsorted: after ring r the pending pool is
+// partitioned at the ring's horizon r*cell, and the part strictly below it
+// is final because every unscanned site lies at or beyond it. The rest
+// waits unsorted for a later ring; whatever remains after the last ring is
+// the last batch. Every candidate of a batch precedes every candidate of a
+// later batch in (d2, index) order, so sorting each batch and visiting the
+// batches in turn is a full sort of the sites. batch may reorder its slice
+// in place; returning false stops the enumeration. Empty batches are not
+// handed over. *pend is the pending buffer, as for visitByDistance.
+func (ix *NNIndex) ringBatches(p Point, pend *[]nnCand, batch func([]nnCand) bool) {
 	if len(ix.sites) == 0 {
 		return
 	}
@@ -293,20 +314,15 @@ func (ix *NNIndex) visitByDistance(p Point, pend *[]nnCand, visit func(i int, d2
 				final++
 			}
 		}
-		slices.SortFunc(buf[head:final], cmpCand)
-		for ; head < final; head++ {
-			if !visit(int(buf[head].idx), buf[head].d2) {
-				return
-			}
+		if final > head && !batch(buf[head:final]) {
+			return
 		}
+		head = final
 		if head == len(buf) {
 			buf, head = buf[:0], 0
 		}
 	}
-	slices.SortFunc(buf[head:], cmpCand)
-	for ; head < len(buf); head++ {
-		if !visit(int(buf[head].idx), buf[head].d2) {
-			return
-		}
+	if head < len(buf) {
+		batch(buf[head:])
 	}
 }

@@ -122,22 +122,17 @@ func TestDiffSitesBasics(t *testing.T) {
 	if diff.Identical || !diff.Dirty[1] || diff.Stable[1] {
 		t.Fatalf("moved slot not dirty: %+v", diff)
 	}
-	if len(diff.StaleOld) != 1 || diff.StaleOld[0] != 1 {
-		t.Fatalf("stale old slots = %v, want [1]", diff.StaleOld)
-	}
 	if len(diff.Deltas) != 2 {
 		t.Fatalf("deltas = %v, want old+new position", diff.Deltas)
 	}
 
 	grown := append(append([]Point(nil), sites...), Point{X: 2 + Eps/2, Y: 2})
-	gd := d.DiffSites(grown)
-	if !gd.NearDupe {
-		t.Fatalf("near-duplicate append not flagged: %+v", gd)
+	if gd := d.DiffSites(grown); len(gd.Deltas) != 1 || gd.Deltas[0] != grown[3] || !gd.Dirty[3] {
+		t.Fatalf("appended slot: %+v, want its site as the one delta and dirty", gd)
 	}
 
-	shrunk := d.DiffSites(sites[:2])
-	if len(shrunk.StaleOld) != 1 || shrunk.StaleOld[0] != 2 {
-		t.Fatalf("shrink stale slots = %v, want [2]", shrunk.StaleOld)
+	if shrunk := d.DiffSites(sites[:2]); len(shrunk.Deltas) != 1 || shrunk.Deltas[0] != sites[2] {
+		t.Fatalf("shrink deltas = %v, want the removed site", shrunk.Deltas)
 	}
 }
 
@@ -158,8 +153,8 @@ func TestDiffSitesNaiveAlwaysDirty(t *testing.T) {
 }
 
 // TestDiffSitesWorkersEquivalence: the fanned-out horizon checks return
-// the exact diff the sequential scan does — Dirty slots, DirtyCount,
-// NearDupe and StaleOld alike — at any worker width.
+// the exact diff the sequential scan does — Dirty slots and DirtyCount
+// alike — at any worker width.
 func TestDiffSitesWorkersEquivalence(t *testing.T) {
 	bounds := Rect(0, 0, 40, 40)
 	rng := rand.New(rand.NewSource(91))
