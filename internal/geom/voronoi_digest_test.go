@@ -10,8 +10,7 @@ import (
 )
 
 // voronoiDigest hashes every float bit and integer a diagram exposes: per
-// cell the site, index, region vertices, scan horizon, neighbors and shared
-// edges. Two diagrams digest equal only when they are bitwise identical, so
+// cell the site, index, region vertices, neighbors and shared edges. Two diagrams digest equal only when they are bitwise identical, so
 // a reordered clip or a changed float operation shows as a new digest even
 // where the 1e-6 naive-oracle comparison would still pass.
 func voronoiDigest(d *VoronoiDiagram) string {
@@ -31,7 +30,6 @@ func voronoiDigest(d *VoronoiDiagram) string {
 		for _, v := range c.Region {
 			pt(v)
 		}
-		f(c.horizonD2)
 		u(uint64(len(c.Neighbors)))
 		for _, j := range c.Neighbors {
 			u(uint64(j))
@@ -68,42 +66,31 @@ func isolineSites(k int) []Point {
 }
 
 // TestVoronoiDigest pins the pruned construction bit for bit: every digest
-// below was recorded before the clip and candidate buffers became reusable
-// scratch, and must never move while the construction keeps its clips,
-// their order and their arithmetic.
+// below covers the cells' regions and adjacency, and must never move while
+// the construction keeps its clips, their order and their arithmetic.
 func TestVoronoiDigest(t *testing.T) {
 	bounds := Rect(0, 0, 50, 50)
+	// churned is benchSites(1000) with 3% of the sites moved to fresh
+	// uniform positions: one round of a slowly changing report set.
 	churned := func() *VoronoiDiagram {
-		prev := Voronoi(benchSites(1000), bounds)
+		sites := benchSites(1000)
 		rng := rand.New(rand.NewSource(3))
-		sites := make([]Point, len(prev.Cells))
-		for i, c := range prev.Cells {
-			sites[i] = c.Site
-		}
 		for n := 0; n < len(sites)*3/100; n++ {
 			i := rng.Intn(len(sites))
 			sites[i] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
 		}
-		diff := prev.DiffSites(sites)
-		if diff.DirtyCount == 0 || diff.DirtyCount == len(sites) {
-			t.Fatalf("churn dirtied %d of %d cells; want a partial rebuild", diff.DirtyCount, len(sites))
-		}
-		d := VoronoiIncremental(prev, sites, NewNNIndex(sites, bounds), diff)
-		if got, full := voronoiDigest(d), voronoiDigest(Voronoi(sites, bounds)); got != full {
-			t.Fatalf("incremental digest %s differs from full rebuild %s", got, full)
-		}
-		return d
+		return Voronoi(sites, bounds)
 	}
 	cases := []struct {
 		name  string
 		build func() *VoronoiDiagram
 		want  string
 	}{
-		{"uniform/k=32", func() *VoronoiDiagram { return Voronoi(benchSites(32), bounds) }, "db30bf1a51cc1576c61c6c7d2485a2bc055eae9db3e61ce02f0fcf0fd547a6c5"},
-		{"uniform/k=512", func() *VoronoiDiagram { return Voronoi(benchSites(512), bounds) }, "8c801b6f18457a16d1859de69ac579c9af0ee1067151ac6ee739788923de8177"},
-		{"uniform/k=2048", func() *VoronoiDiagram { return Voronoi(benchSites(2048), bounds) }, "5b856efb50ee2ad574e8f3624d1d51569b88c3b3c37c83d3e99ec01ac99759eb"},
-		{"isoline/k=1000", func() *VoronoiDiagram { return Voronoi(isolineSites(1000), bounds) }, "ff2a2e03fea125b5acea76d986e257245b68450f27b52585482c82f6ef1a2da3"},
-		{"incremental/churn=3%", churned, "d7977dc681bb1295628e3ba042eb69b3869c5c0016e82bd9848ce6347c38b310"},
+		{"uniform/k=32", func() *VoronoiDiagram { return Voronoi(benchSites(32), bounds) }, "0d118608ae28dc7793106e3af154237fd428c822bea07784f18d735c122564fa"},
+		{"uniform/k=512", func() *VoronoiDiagram { return Voronoi(benchSites(512), bounds) }, "88ea70494c3a0628c9bf0118772c657bd8c9e06ead857ac96d0a60d948e365a1"},
+		{"uniform/k=2048", func() *VoronoiDiagram { return Voronoi(benchSites(2048), bounds) }, "51d13dd0c5c5b8d5ab4135e922147de0809d471c948b2fc9e57a7c080ac7837f"},
+		{"isoline/k=1000", func() *VoronoiDiagram { return Voronoi(isolineSites(1000), bounds) }, "02ad67630a138c9c3167073c23eff1c173ce5948eec4b313b8b7b6dd6e3fc371"},
+		{"uniform/churn=3%", churned, "83abdeb469ca87565f717ce119d17dd2aad9cbefb39d544116c12cca2385a5d1"},
 	}
 	for _, tc := range cases {
 		if got := voronoiDigest(tc.build()); got != tc.want {

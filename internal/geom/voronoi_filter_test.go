@@ -37,8 +37,8 @@ func checkFilteredMatches(t *testing.T, name string, sites []Point, bounds Polyg
 		for i := range got.Cells {
 			a, b := got.Cells[i], want.Cells[i]
 			if voronoiDigest(&VoronoiDiagram{Cells: []VoronoiCell{a}}) != voronoiDigest(&VoronoiDiagram{Cells: []VoronoiCell{b}}) {
-				t.Fatalf("%s: cell %d differs: filtered region %v horizon %v, unfiltered region %v horizon %v",
-					name, i, a.Region, a.horizonD2, b.Region, b.horizonD2)
+				t.Fatalf("%s: cell %d differs: filtered region %v, unfiltered region %v",
+					name, i, a.Region, b.Region)
 			}
 		}
 		t.Fatalf("%s: digest %s, unfiltered %s", name, g, w)
