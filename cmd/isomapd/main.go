@@ -2,9 +2,10 @@
 // concurrent simulated deployments, advances each through churn rounds
 // (silting field, optional periodic fault injection) and serves contour
 // queries — level-set polylines, point and range classification, raster
-// tiles — from versioned snapshots with strong ETags. Reconstruction is
-// incremental (internal/contour.Incremental); -oracle cross-checks every
-// update against a from-scratch rebuild before publishing it.
+// tiles — from versioned snapshots with strong ETags. Each round's map is
+// rebuilt from that round's reports by internal/contour.Incremental, its
+// isolevels in parallel; -oracle cross-checks every update against a
+// sequential rebuild before publishing it.
 //
 // Usage:
 //
@@ -22,7 +23,7 @@
 // per-deployment checkpoints; a restarted isomapd resumes from them
 // byte-identical to a never-restarted run. -shards partitions each
 // deployment's round simulation into independently clocked shards and
-// -workers bounds both the shard executor and the incremental engine's
+// -workers bounds both the shard executor and the reconstruction engine's
 // worker pools (0 picks GOMAXPROCS); output is byte-identical at any
 // width. -cache-entries bounds the per-deployment response artifact
 // cache. -pprof ADDR serves net/http/pprof on a separate listener (off

@@ -41,14 +41,14 @@ type Options struct {
 	// raster stages. Nil keeps the reconstruction byte-identical to an
 	// untraced run.
 	Trace *trace.Recorder
-	// Workers bounds the Incremental engine's worker pools: independent
-	// isolevels of an Update and the per-slot cell-reuse horizon checks
-	// fan out over at most Workers goroutines, and Incremental.Raster
-	// passes it to RasterWorkers. Values below 1 select GOMAXPROCS.
-	// Output is byte-identical at any width (the parallel property tests
-	// pin it); a non-nil Trace forces sequential Updates so stage events
-	// keep their deterministic order. Reconstruct ignores Workers — its
-	// raster parallelism is RasterWorkers' explicit argument.
+	// Workers bounds the Incremental engine's worker pools: the
+	// independent isolevels of an Update build on at most Workers
+	// goroutines, and Incremental.Raster passes it to RasterWorkers.
+	// Values below 1 select GOMAXPROCS. Output is byte-identical at any
+	// width (the parallel property tests pin it); a non-nil Trace forces
+	// sequential Updates so stage events keep their deterministic order.
+	// Reconstruct ignores Workers — its raster parallelism is
+	// RasterWorkers' explicit argument.
 	Workers int
 }
 
@@ -93,17 +93,12 @@ type levelRecon struct {
 	sites []geom.Point
 	grads []geom.Vec
 	// chords[i] is the (possibly regulated) type-1 boundary in cell i;
-	// hasChord[i] marks cells where the chord degenerated.
+	// hasChord[i] is false where the chord degenerated.
 	chords   []geom.Segment
 	hasChord []bool
-	// baseChords[i] is the pre-regulation chord of cell i. regulate edits
-	// chords in place in an order-dependent sweep, so the incremental
-	// engine re-runs it from these retained bases instead of trying to
-	// patch regulated chords.
-	baseChords []geom.Segment
-	patches    []patch
-	// diagram is the level's bounded Voronoi diagram, retained so the
-	// incremental engine can diff site sets and reuse unchanged cells.
+	patches  []patch
+	// diagram is the level's bounded Voronoi diagram: regulation walks
+	// its shared edges and the raster sweep its certified walk.
 	diagram *geom.VoronoiDiagram
 	// nn answers nearest-site queries for this level; it is shared by
 	// the Voronoi construction, membership tests and the raster sweep.
@@ -138,25 +133,66 @@ func recordStage(tr *trace.Recorder, stage trace.Stage, level int, start time.Ti
 // sinkValue — the attribute value sensed at the sink itself — settles the
 // levels for which no isoline node reported: such a level either covers the
 // whole field or none of it, and the sink's own reading discriminates.
+//
+// Reconstruct builds its levels one after another and ignores
+// opts.Workers, so callers that already run many reconstructions in
+// parallel start no goroutines of their own through it.
 func Reconstruct(reports []core.Report, levels field.Levels, bounds geom.Polygon, sinkValue float64, opts Options) *Map {
-	bounds = bounds.EnsureCCW()
-	m := &Map{Levels: levels, Bounds: bounds, tr: opts.Trace}
-	values := levels.Values()
-	byLevel := make([][]core.Report, len(values))
+	byLevel := groupByLevel(reports, levels.Count())
+	return buildMap(byLevel, levels, bounds.EnsureCCW(), sinkValue, opts, 1)
+}
+
+// groupByLevel buckets reports by level index in arrival order, dropping
+// indices outside [0, n).
+func groupByLevel(reports []core.Report, n int) [][]core.Report {
+	byLevel := make([][]core.Report, n)
 	for _, r := range reports {
-		if r.LevelIndex >= 0 && r.LevelIndex < len(values) {
+		if r.LevelIndex >= 0 && r.LevelIndex < n {
 			byLevel[r.LevelIndex] = append(byLevel[r.LevelIndex], r)
 		}
 	}
-	for i, lv := range values {
-		lr := &levelRecon{level: lv, index: i, fallbackInner: sinkValue >= lv}
+	return byLevel
+}
+
+// buildMap builds level i of the map from byLevel[i] over the CCW bounds.
+// The levels are independent, so they build on min(workers, levels)
+// goroutines; each writes only its own slot, and the map is identical at
+// any width.
+func buildMap(byLevel [][]core.Report, levels field.Levels, bounds geom.Polygon, sinkValue float64, opts Options, workers int) *Map {
+	values := levels.Values()
+	m := &Map{Levels: levels, Bounds: bounds, tr: opts.Trace, levels: make([]*levelRecon, len(values))}
+	buildOne := func(i int) {
+		lr := &levelRecon{level: values[i], index: i, fallbackInner: sinkValue >= values[i]}
 		for _, r := range byLevel[i] {
 			lr.sites = append(lr.sites, r.Pos)
 			lr.grads = append(lr.grads, r.Grad)
 		}
 		lr.build(bounds, opts)
-		m.levels = append(m.levels, lr)
+		m.levels[i] = lr
 	}
+	w := min(workers, len(values))
+	if w <= 1 {
+		for i := range values {
+			buildOne(i)
+		}
+		return m
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for g := 0; g < w; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				buildOne(i)
+			}
+		}()
+	}
+	for i := range values {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	return m
 }
 
@@ -170,18 +206,15 @@ func (lr *levelRecon) build(bounds geom.Polygon, opts Options) {
 	lr.diagram = geom.VoronoiWithIndex(lr.sites, bounds, lr.nn)
 	recordStage(opts.Trace, trace.StageVoronoi, lr.index, start)
 	start = time.Now()
-	lr.baseChords = make([]geom.Segment, len(lr.sites))
+	lr.chords = make([]geom.Segment, len(lr.sites))
 	lr.hasChord = make([]bool, len(lr.sites))
 	for i := range lr.diagram.Cells {
 		cell := &lr.diagram.Cells[i]
 		if cell.Region == nil {
 			continue
 		}
-		chord, ok := chordInCell(cell.Region, lr.sites[i], lr.grads[i])
-		lr.baseChords[i] = chord
-		lr.hasChord[i] = ok
+		lr.chords[i], lr.hasChord[i] = chordInCell(cell.Region, lr.sites[i], lr.grads[i])
 	}
-	lr.chords = append([]geom.Segment(nil), lr.baseChords...)
 	recordStage(opts.Trace, trace.StageChords, lr.index, start)
 	if opts.Regulate {
 		start = time.Now()

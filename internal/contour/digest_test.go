@@ -187,9 +187,8 @@ func BenchmarkMapRaster(b *testing.B) {
 
 // BenchmarkPushQueryUpdate times Incremental.Update on the push-query
 // workload's shape: after a warm-up on round 0, each iteration pushes the
-// next of pushQueryRounds' three rounds in turn, so every update diffs
-// isoline sites along curves against the previous round and rebuilds the
-// cells that moved.
+// next of pushQueryRounds' three rounds in turn, each a full build of
+// isoline sites along curves.
 func BenchmarkPushQueryUpdate(b *testing.B) {
 	in, err := pushQueryRounds()
 	if err != nil {

@@ -1,16 +1,14 @@
-// Incremental reconstruction: the sink of a continuously monitored
-// deployment receives a report round every few seconds, but successive
-// rounds share most of their reports — isopositions are node positions,
-// and only nodes near a moving isoline change their mind. Incremental
-// keeps the previous round's per-level state (Voronoi diagram, base
-// chords) and recomputes only the cells a changed report can have
-// touched, with the full Reconstruct as its byte-identical oracle.
+// Incremental is the sink's multi-round engine: the serving layer feeds
+// it one report round at a time and reads back the current map. Every
+// Update rebuilds each isolevel from that round's reports alone, as the
+// paper's sink does (Sec. 3.4), with the independent levels built on a
+// worker pool.
 //
 // The contract: Update(reports, sinkValue) returns a Map equal (bit for
 // bit — DeepEqual, including every region float) to
-// Reconstruct(Arranged(), levels, bounds, sinkValue, opts), where
-// Arranged is the deterministic per-level permutation of the input
-// reports the engine maintains to keep report slots stable across rounds.
+// Reconstruct(reports, levels, bounds, sinkValue, opts), whatever rounds
+// came before. Arranged returns the last round's in-range reports grouped
+// by level in arrival order, the exact order Reconstruct builds from.
 // Rasters are always the map's full certified sweep (Map.RasterWorkers),
 // so equal maps give equal rasters. The incremental_test.go property
 // tests pin both.
@@ -20,28 +18,29 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
-	"time"
 
 	"isomap/internal/core"
 	"isomap/internal/field"
 	"isomap/internal/geom"
-	"isomap/internal/trace"
 )
 
-// IncrementalStats counts the work the engine did and saved; all fields
-// are cumulative across Updates.
+// IncrementalStats counts the work the engine did; all fields are
+// cumulative across Updates.
 type IncrementalStats struct {
 	// Updates is the number of rounds ingested.
 	Updates int
-	// LevelsReused counts isolevels reused wholesale (empty diff).
+	// Deprecated: LevelsReused is no longer written; every Update builds
+	// each level from its reports alone. It remains only for the
+	// benchmark harness, which still reads it.
 	LevelsReused int
-	// LevelsRebuilt counts full per-level builds (first round, empty
-	// transitions).
+	// LevelsRebuilt counts per-level builds: every isolevel of every
+	// Update.
 	LevelsRebuilt int
-	// CellsReused / CellsRecomputed split the Voronoi cells of
-	// incrementally rebuilt levels.
-	CellsReused     int
+	// Deprecated: CellsReused is no longer written, for the same reason
+	// as LevelsReused.
+	CellsReused int
+	// CellsRecomputed counts the Voronoi cells built: every report of
+	// every level of every Update.
 	CellsRecomputed int
 	// Deprecated: the raster counters are no longer written; every
 	// raster is a full Map.RasterWorkers sweep. They remain only for
@@ -61,8 +60,10 @@ type Incremental struct {
 	opts   Options
 	values []float64
 
-	cur      *Map
-	arranged [][]core.Report
+	cur *Map
+	// byLevel holds the last Update's in-range reports, bucketed by
+	// level in arrival order.
+	byLevel [][]core.Report
 
 	stats IncrementalStats
 }
@@ -85,20 +86,15 @@ func (inc *Incremental) Map() *Map { return inc.cur }
 // Stats returns the cumulative work counters.
 func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 
-// Arranged returns the current round's reports in the engine's slot
-// order: the exact input Reconstruct must be given to reproduce the
-// engine's map byte for byte. It is a permutation of the last Update's
-// (in-range) reports, concatenated level by level.
-//
-// Feeding Arranged() to a fresh engine's first Update (a whole rebuild)
-// reproduces this engine's map and raster exactly, and the fresh engine
-// then continues identically: arrangement buckets reports by level in
-// arrival order, so it adopts the identical slot assignment. The serving
-// layer recovers a quarantined or restarted deployment this way, from
-// the incoming round or a checkpoint's retained arranged order.
+// Arranged returns the last Update's in-range reports grouped by level in
+// arrival order, concatenated level by level: the input Reconstruct
+// builds the current map from. Feeding it to any engine's Update
+// reproduces this engine's map and raster exactly; the serving layer
+// recovers a quarantined or restarted deployment this way, from the
+// incoming round or a checkpoint's retained order.
 func (inc *Incremental) Arranged() []core.Report {
 	var out []core.Report
-	for _, lvl := range inc.arranged {
+	for _, lvl := range inc.byLevel {
 		out = append(out, lvl...)
 	}
 	return out
@@ -119,209 +115,19 @@ func (inc *Incremental) workers() int {
 	return w
 }
 
-// Update ingests one round of reports and returns the new current map.
-// Isolevels are independent — each reads only its own slice of the
-// previous map and writes its own slot — so they build on a worker pool
-// (Options.Workers wide); per-level stats are merged in level order
-// afterwards, keeping the map and the stats identical to a sequential
-// build.
+// Update ingests one round of reports and returns the new current map:
+// Reconstruct's map of the same reports, its isolevels built on the
+// engine's worker pool (see workers).
 func (inc *Incremental) Update(reports []core.Report, sinkValue float64) *Map {
-	arranged := inc.arrange(reports)
-	m := &Map{Levels: inc.levels, Bounds: inc.bounds, tr: inc.opts.Trace}
-	prev := inc.cur
-	m.levels = make([]*levelRecon, len(inc.values))
-	statsDeltas := make([]IncrementalStats, len(inc.values))
-	buildOne := func(i int) {
-		var old *levelRecon
-		if prev != nil {
-			old = prev.levels[i]
-		}
-		m.levels[i] = inc.buildLevel(old, inc.values[i], i, arranged[i], sinkValue, &statsDeltas[i])
+	inc.byLevel = groupByLevel(reports, len(inc.values))
+	m := buildMap(inc.byLevel, inc.levels, inc.bounds, sinkValue, inc.opts, inc.workers())
+	for _, lvl := range inc.byLevel {
+		inc.stats.CellsRecomputed += len(lvl)
 	}
-	if w := min(inc.workers(), len(inc.values)); w <= 1 {
-		for i := range inc.values {
-			buildOne(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					buildOne(i)
-				}
-			}()
-		}
-		for i := range inc.values {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for i := range inc.values {
-		inc.stats.add(statsDeltas[i])
-	}
-	inc.cur = m
+	inc.stats.LevelsRebuilt += len(inc.values)
 	inc.stats.Updates++
+	inc.cur = m
 	return m
-}
-
-// add accumulates a per-level stats delta.
-func (st *IncrementalStats) add(d IncrementalStats) {
-	st.Updates += d.Updates
-	st.LevelsReused += d.LevelsReused
-	st.LevelsRebuilt += d.LevelsRebuilt
-	st.CellsReused += d.CellsReused
-	st.CellsRecomputed += d.CellsRecomputed
-}
-
-// arrange buckets reports by level (dropping out-of-range level indices,
-// as Reconstruct does) and assigns each level's reports to stable slots:
-// a report identical to one of the previous round keeps that round's slot
-// whenever it still fits, and changed reports fill the freed slots in
-// arrival order. Slot stability is what turns report churn into a small
-// positional diff.
-func (inc *Incremental) arrange(reports []core.Report) [][]core.Report {
-	byLevel := make([][]core.Report, len(inc.values))
-	for _, r := range reports {
-		if r.LevelIndex >= 0 && r.LevelIndex < len(inc.values) {
-			byLevel[r.LevelIndex] = append(byLevel[r.LevelIndex], r)
-		}
-	}
-	out := make([][]core.Report, len(inc.values))
-	for li := range byLevel {
-		var prev []core.Report
-		if inc.arranged != nil {
-			prev = inc.arranged[li]
-		}
-		out[li] = arrangeLevel(prev, byLevel[li])
-	}
-	inc.arranged = out
-	return out
-}
-
-func arrangeLevel(prev, incoming []core.Report) []core.Report {
-	n := len(incoming)
-	if n == 0 || len(prev) == 0 {
-		return incoming
-	}
-	// Free slots of the previous round, keyed by exact report value;
-	// slots at or past the new length cannot be kept.
-	slotsOf := make(map[core.Report][]int, len(prev))
-	for i := 0; i < len(prev) && i < n; i++ {
-		slotsOf[prev[i]] = append(slotsOf[prev[i]], i)
-	}
-	arranged := make([]core.Report, n)
-	occupied := make([]bool, n)
-	var pending []core.Report
-	for _, r := range incoming {
-		if ss := slotsOf[r]; len(ss) > 0 {
-			slot := ss[0]
-			slotsOf[r] = ss[1:]
-			arranged[slot] = r
-			occupied[slot] = true
-			continue
-		}
-		pending = append(pending, r)
-	}
-	pi := 0
-	for i := 0; i < n; i++ {
-		if !occupied[i] {
-			arranged[i] = pending[pi]
-			pi++
-		}
-	}
-	return arranged
-}
-
-// buildLevel produces the new levelRecon for one isolevel, reusing as
-// much of old as the site diff can prove unchanged. Work counters go to
-// st, the caller's per-level accumulator (never inc.stats directly:
-// buildLevel runs concurrently across levels).
-func (inc *Incremental) buildLevel(old *levelRecon, lv float64, idx int, reports []core.Report, sinkValue float64, st *IncrementalStats) *levelRecon {
-	lr := &levelRecon{level: lv, index: idx, fallbackInner: sinkValue >= lv}
-	for _, r := range reports {
-		lr.sites = append(lr.sites, r.Pos)
-		lr.grads = append(lr.grads, r.Grad)
-	}
-	// Empty transitions (and the first round) rebuild the level outright.
-	if old == nil || len(old.sites) == 0 || len(lr.sites) == 0 {
-		lr.build(inc.bounds, inc.opts)
-		st.LevelsRebuilt++
-		return lr
-	}
-
-	diff := old.diagram.DiffSitesWorkers(lr.sites, inc.workers())
-	if diff.Identical && vecsEqual(old.grads, lr.grads) {
-		// Nothing changed: reuse the whole level. The copy re-derives
-		// fallbackInner (only consulted on empty levels, but kept exact
-		// so the oracle DeepEqual holds field by field).
-		reuse := *old
-		reuse.level, reuse.index = lv, idx
-		reuse.fallbackInner = lr.fallbackInner
-		st.LevelsReused++
-		return &reuse
-	}
-
-	start := time.Now()
-	if diff.Identical {
-		// Sites unchanged, some gradient changed: geometry is reusable
-		// as a whole; only chords/patches need work.
-		lr.nn = old.nn
-		lr.diagram = old.diagram
-	} else {
-		lr.nn = geom.NewNNIndex(lr.sites, inc.bounds)
-		lr.diagram = geom.VoronoiIncremental(old.diagram, lr.sites, lr.nn, diff)
-	}
-	recordStage(inc.opts.Trace, trace.StageVoronoi, idx, start)
-	st.CellsReused += len(lr.sites) - diff.DirtyCount
-	st.CellsRecomputed += diff.DirtyCount
-
-	start = time.Now()
-	n := len(lr.sites)
-	lr.baseChords = make([]geom.Segment, n)
-	lr.hasChord = make([]bool, n)
-	for i := 0; i < n; i++ {
-		cell := &lr.diagram.Cells[i]
-		if cell.Region == nil {
-			continue
-		}
-		if !diff.Dirty[i] && old.grads[i] == lr.grads[i] {
-			lr.baseChords[i] = old.baseChords[i]
-			lr.hasChord[i] = old.hasChord[i]
-			continue
-		}
-		chord, ok := chordInCell(cell.Region, lr.sites[i], lr.grads[i])
-		lr.baseChords[i] = chord
-		lr.hasChord[i] = ok
-	}
-	lr.chords = append([]geom.Segment(nil), lr.baseChords...)
-	recordStage(inc.opts.Trace, trace.StageChords, idx, start)
-	if inc.opts.Regulate {
-		// Regulation mutates chords sequentially across shared edges, so
-		// a partial re-run cannot reproduce the full sweep's floats;
-		// re-running it whole from the retained bases can, and it is
-		// cheap (linear in adjacent chord pairs).
-		start = time.Now()
-		lr.regulate(lr.diagram)
-		recordStage(inc.opts.Trace, trace.StageRegulate, idx, start)
-	}
-
-	return lr
-}
-
-func vecsEqual(a, b []geom.Vec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Raster returns the rows x cols classification raster of the current

@@ -3,6 +3,7 @@ package contour
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"isomap/internal/core"
@@ -60,14 +61,13 @@ func churnReports(rng *rand.Rand, reports []core.Report, levels field.Levels, bo
 		add[i].Source = network.NodeID(10000 + rng.Intn(1<<20))
 	}
 	out = append(out, add...)
-	// Reorder arrivals: routing delivers in no particular order, and the
-	// engine's slot arrangement must absorb that.
+	// Reorder arrivals: routing delivers in no particular order.
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
 // checkOracle verifies the engine's map and raster against a from-scratch
-// Reconstruct over the engine's own arranged report order.
+// Reconstruct over the engine's Arranged reports.
 func checkOracle(t *testing.T, inc *Incremental, sink float64, rows, cols int) {
 	t.Helper()
 	full := Reconstruct(inc.Arranged(), inc.levels, inc.bounds, sink, inc.opts)
@@ -79,10 +79,9 @@ func checkOracle(t *testing.T, inc *Incremental, sink float64, rows, cols int) {
 	}
 }
 
-// TestIncrementalOracleChurn is the tentpole property test: across seeded
-// multi-round churn, the incremental engine stays byte-identical to the
-// full rebuild — map state, classification raster, boundary polylines and
-// point classification alike.
+// TestIncrementalOracleChurn: across seeded multi-round churn, the engine
+// stays byte-identical to Reconstruct — map state, classification raster,
+// boundary polylines and point classification alike.
 func TestIncrementalOracleChurn(t *testing.T) {
 	levels := testLevels()
 	bounds := geom.Rect(0, 0, 30, 30)
@@ -115,15 +114,11 @@ func TestIncrementalOracleChurn(t *testing.T) {
 			}
 			reports = churnReports(rng, reports, levels, bounds)
 		}
-		st := inc.Stats()
-		if st.CellsReused == 0 {
-			t.Fatalf("seed %d: churn rounds reused no cells: %+v", seed, st)
-		}
 	}
 }
 
-// TestIncrementalEmptyDiff: re-sending the identical round must reuse every
-// level wholesale, recompute nothing, and raster identically.
+// TestIncrementalEmptyDiff: re-sending the identical round, reordered,
+// must match the oracle and raster identically.
 func TestIncrementalEmptyDiff(t *testing.T) {
 	levels := testLevels()
 	bounds := geom.Rect(0, 0, 20, 20)
@@ -132,19 +127,11 @@ func TestIncrementalEmptyDiff(t *testing.T) {
 	reports := churnSeedReports(rng, 50, levels, bounds)
 	inc.Update(reports, 5)
 	ra1 := inc.Raster(32, 32)
-	before := inc.Stats()
 
 	shuffled := append([]core.Report(nil), reports...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	inc.Update(shuffled, 5)
 	checkOracle(t, inc, 5, 32, 32)
-	after := inc.Stats()
-	if got := after.LevelsReused - before.LevelsReused; got != levels.Count() {
-		t.Fatalf("identical round reused %d levels, want all %d", got, levels.Count())
-	}
-	if after.CellsRecomputed != before.CellsRecomputed {
-		t.Fatalf("identical round recomputed %d cells", after.CellsRecomputed-before.CellsRecomputed)
-	}
 	ra2 := inc.Raster(32, 32)
 	if err := EquivalentRaster(ra1, ra2); err != nil {
 		t.Fatalf("identical round raster changed: %v", err)
@@ -180,44 +167,6 @@ func TestIncrementalShrinkAndEmpty(t *testing.T) {
 		sink := rng.Float64() * 9
 		inc.Update(reports[:n], sink)
 		checkOracle(t, inc, sink, 36, 36)
-	}
-}
-
-// TestArrangeLevelSlots pins the slot-assignment rules: unchanged reports
-// keep their slots, changed ones fill freed slots in arrival order, and
-// the result is always a permutation of the input.
-func TestArrangeLevelSlots(t *testing.T) {
-	r := func(x float64) core.Report {
-		return core.Report{Level: 2, Pos: geom.Point{X: x, Y: 1}}
-	}
-	prev := []core.Report{r(1), r(2), r(3), r(4)}
-
-	kept := arrangeLevel(prev, []core.Report{r(4), r(2), r(1), r(3)})
-	for i, want := range []float64{1, 2, 3, 4} {
-		if kept[i].Pos.X != want {
-			t.Fatalf("slot %d = %v, want x=%v", i, kept[i].Pos, want)
-		}
-	}
-
-	// r(2) vanished, r(9) arrived: r(9) takes the freed slot 1.
-	swapped := arrangeLevel(prev, []core.Report{r(3), r(9), r(1), r(4)})
-	for i, want := range []float64{1, 9, 3, 4} {
-		if swapped[i].Pos.X != want {
-			t.Fatalf("swap slot %d = %v, want x=%v", i, swapped[i].Pos, want)
-		}
-	}
-
-	// Shrink: surviving reports keep in-range slots; r(4)'s slot 3 is gone.
-	shrunk := arrangeLevel(prev, []core.Report{r(4), r(1)})
-	if shrunk[0].Pos.X != 1 || shrunk[1].Pos.X != 4 {
-		t.Fatalf("shrink = %v", shrunk)
-	}
-
-	// Duplicates claim distinct previous slots FIFO.
-	dupPrev := []core.Report{r(5), r(5), r(6)}
-	dup := arrangeLevel(dupPrev, []core.Report{r(6), r(5), r(5)})
-	if dup[0].Pos.X != 5 || dup[1].Pos.X != 5 || dup[2].Pos.X != 6 {
-		t.Fatalf("dup = %v", dup)
 	}
 }
 
@@ -280,6 +229,36 @@ func TestIncrementalArrangedReproducesEngine(t *testing.T) {
 				t.Fatalf("seed %d round %d: post-rebuild raster diverges: %v", seed, round, err)
 			}
 			reports = churnReports(rng, next, levels, bounds)
+		}
+	}
+}
+
+// TestUpdateIgnoresHistory: Update is a pure function of its input. An
+// engine that has seen earlier churn rounds, whose reports the final
+// round shares and permutes, returns the map a fresh engine returns for
+// that round alone: DeepEqual, with equal rasters.
+func TestUpdateIgnoresHistory(t *testing.T) {
+	levels := testLevels()
+	bounds := geom.Rect(0, 0, 30, 30)
+	const rows, cols = 40, 40
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		seen := NewIncremental(levels, bounds, DefaultOptions())
+		reports := churnSeedReports(rng, 35+rng.Intn(40), levels, bounds)
+		for round := 0; round < 4; round++ {
+			seen.Update(reports, 1+rng.Float64()*8)
+			reports = churnReports(rng, reports, levels, bounds)
+		}
+		sink := 1 + rng.Float64()*8
+		got := seen.Update(reports, sink)
+
+		fresh := NewIncremental(levels, bounds, DefaultOptions())
+		want := fresh.Update(reports, sink)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: map after earlier rounds differs from a fresh engine's", seed)
+		}
+		if err := EquivalentRaster(seen.Raster(rows, cols), fresh.Raster(rows, cols)); err != nil {
+			t.Fatalf("seed %d: raster after earlier rounds: %v", seed, err)
 		}
 	}
 }

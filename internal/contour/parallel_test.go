@@ -12,8 +12,7 @@ import (
 // same churn stream driven through engines at worker widths {1, 2, 8}
 // must produce byte-identical maps, rasters, arranged orders and work
 // stats at every round. Width 1 is the sequential reference; the others
-// exercise the level pool, the parallel horizon checks and the parallel
-// raster sweep.
+// exercise the level pool and the parallel raster sweep.
 func TestIncrementalWorkersByteIdentical(t *testing.T) {
 	levels := testLevels()
 	bounds := geom.Rect(0, 0, 30, 30)
@@ -27,7 +26,6 @@ func TestIncrementalWorkersByteIdentical(t *testing.T) {
 			opts.Workers = w
 			engines[i] = NewIncremental(levels, bounds, opts)
 		}
-		// k large enough that the horizon-check span threshold engages.
 		reports := churnSeedReports(rng, 300+rng.Intn(100), levels, bounds)
 		for round := 0; round < 6; round++ {
 			sink := 1 + rng.Float64()*8

@@ -225,28 +225,20 @@ func benchChurn(rng *rand.Rand, reports []core.Report) {
 
 // BenchmarkIncrementalUpdate times one 3%-churn round of the sink engine
 // at k reports (benchReports' k + k/4), from new reports to a 100x100
-// raster. incremental is Incremental.Update plus Incremental.Raster (a
-// full sweep), at each worker width; full is the from-scratch alternative, Reconstruct
-// plus a sequential RasterWorkers. Both replay the same seeded churn
-// stream, drawn outside the timer. After the timer stops, the final
-// round is checked against the other path with Equivalent, so a speedup
-// only counts for byte-identical output. incremental also reports the
-// share of Voronoi cells the timed rounds reused (cells_reused_pct).
+// raster: Incremental.Update plus Incremental.Raster (a full sweep) at
+// each worker width. The seeded churn stream is drawn outside the timer.
+// After the timer stops, the final round is checked against Reconstruct
+// with Equivalent, so a width only counts for byte-identical output.
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	for _, k := range []int{128, 512, 1000} {
 		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("k=%d/incremental/workers=%d", k, workers), func(b *testing.B) {
+			b.Run(fmt.Sprintf("k=%d/workers=%d", k, workers), func(b *testing.B) {
 				benchIncrementalUpdate(b, k, workers)
 			})
 		}
-		b.Run(fmt.Sprintf("k=%d/full", k), func(b *testing.B) {
-			benchIncrementalUpdate(b, k, 0)
-		})
 	}
 }
 
-// benchIncrementalUpdate runs the incremental path at the given worker
-// width, or the full rebuild when workers is 0.
 func benchIncrementalUpdate(b *testing.B, k, workers int) {
 	const res, sink = 100, 9
 	bounds := geom.Rect(0, 0, 50, 50)
@@ -256,36 +248,20 @@ func benchIncrementalUpdate(b *testing.B, k, workers int) {
 	opts.Workers = workers
 	inc := NewIncremental(levels, bounds, opts)
 	inc.Update(reports, sink)
-	before := inc.Stats()
 
-	var full *Map
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		benchChurn(rng, reports)
 		b.StartTimer()
-		if workers > 0 {
-			inc.Update(reports, sink)
-			inc.Raster(res, res)
-		} else {
-			full = Reconstruct(reports, levels, bounds, sink, DefaultOptions())
-			full.RasterWorkers(res, res, 1)
-		}
+		inc.Update(reports, sink)
+		inc.Raster(res, res)
 	}
 	b.StopTimer()
 
-	// The full path's final round is checked against one incremental
-	// update spanning every churn round since the warm-up.
-	m := inc.Update(reports, sink)
-	if workers > 0 {
-		full = Reconstruct(inc.Arranged(), levels, bounds, sink, DefaultOptions())
-		st := inc.Stats()
-		if cells := st.CellsReused + st.CellsRecomputed - before.CellsReused - before.CellsRecomputed; cells > 0 {
-			b.ReportMetric(100*float64(st.CellsReused-before.CellsReused)/float64(cells), "cells_reused_pct")
-		}
-	}
-	if err := Equivalent(m, full, res, res); err != nil {
+	full := Reconstruct(reports, levels, bounds, sink, DefaultOptions())
+	if err := Equivalent(inc.Map(), full, res, res); err != nil {
 		b.Fatalf("k=%d workers=%d after %d rounds: %v", k, workers, b.N, err)
 	}
 }

@@ -21,19 +21,9 @@ type VoronoiCell struct {
 	// SharedEdges[i] is the (clipped) bisector edge shared with
 	// Neighbors[i].
 	SharedEdges []Segment
-	// horizonD2 is the squared site distance at which the pruned
-	// construction stopped scanning candidates for this cell (+Inf when
-	// the scan exhausted every site, as the naive oracle's cells always
-	// do).
-	// Every site the clip loop applied lies strictly below it, so a site
-	// set that only changes beyond the horizon provably replays the
-	// identical clip sequence — the fact DiffSites uses to prove cells
-	// reusable across rounds.
-	horizonD2 float64
 	// certified marks a cell whose construction meets the premises of
 	// NearestFrom's certificate (see certifiable). It is a function of
-	// the cell's clip sequence, adjacency and bounds, all of which a cell
-	// DiffSites keeps clean keeps.
+	// the cell's clip sequence, adjacency and bounds.
 	certified bool
 }
 
@@ -84,10 +74,10 @@ func VoronoiWithIndex(sites []Point, bounds Polygon, index *NNIndex) *VoronoiDia
 }
 
 // voronoiScratch is the working memory of one diagram build. Each
-// VoronoiWithIndex or VoronoiIncremental call makes its own and uses it on
-// its own goroutine only; no diagram or index keeps a reference, so it is
-// garbage once the build returns. Every kept cell copies its region and
-// adjacency out of it, so only those three slices are allocated per cell.
+// VoronoiWithIndex call makes its own and uses it on its own goroutine
+// only; no diagram or index keeps a reference, so it is garbage once the
+// build returns. Every kept cell copies its region and adjacency out of
+// it, so only those three slices are allocated per cell.
 type voronoiScratch struct {
 	// clip holds the two buffers the clip loop alternates between: once a
 	// cell has been clipped, its region lives in clip[0] and the next clip
@@ -104,7 +94,6 @@ type voronoiScratch struct {
 	region  Polygon
 	clipped bool // region lives in clip[0] rather than being the bounds
 	r2      float64
-	horizon float64
 	// nearD2 is the squared distance to the first candidate visited, the
 	// nearest other site; within holds while every clip interpolated its
 	// crossings inside their edges. Both feed certifiable.
@@ -121,19 +110,14 @@ type adjEdge struct {
 	e Segment
 }
 
-// buildCell computes cell i of d — region, horizon and adjacency — with
-// the diagram's index, which must be set. The region clips the bounds
+// buildCell computes cell i of d — region and adjacency — with the
+// diagram's index, which must be set. The region clips the bounds
 // against bisectors in increasing distance from the site. The early exit
 // is the security-radius argument: once the candidate distance d(s, t)
 // reaches twice the distance R from s to its farthest current region
 // vertex, every region point q satisfies
 // d(q, t) >= d(s, t) - d(s, q) >= 2R - R >= d(q, s), so neither t nor any
 // farther site can cut the region.
-//
-// The cell's horizon is the squared distance of the candidate that
-// stopped the scan, or +Inf when every site was visited. Sites at or
-// beyond the horizon were never applied, so the region (and its exact
-// float vertices) depends only on the sites strictly inside it.
 //
 // Candidates arrive in ring batches (ringBatches); clipBatch skips the
 // clips that provably leave the region unchanged, so the cell is bit for
@@ -150,7 +134,6 @@ func (sc *voronoiScratch) begin(bounds Polygon, sites []Point, i int) {
 	sc.sites, sc.i = sites, i
 	sc.region, sc.clipped = bounds, false
 	sc.r2 = farthestVertexDist2(bounds, sites[i])
-	sc.horizon = math.Inf(1)
 	sc.nearD2, sc.within = math.Inf(1), true
 	sc.coordMax = 0
 	for _, v := range bounds {
@@ -166,7 +149,7 @@ func (d *VoronoiDiagram) keepCell(sc *voronoiScratch, sites []Point, i int) {
 	if sc.clipped && region != nil {
 		region = append(make(Polygon, 0, len(region)), region...)
 	}
-	d.Cells[i] = VoronoiCell{Site: sites[i], Index: i, Region: region, horizonD2: sc.horizon}
+	d.Cells[i] = VoronoiCell{Site: sites[i], Index: i, Region: region}
 	d.cellAdjacency(sc, sites, i)
 	d.Cells[i].certified = sc.within && sc.nearD2 >= walkMinSep*walkMinSep && d.certifiable(sites, i)
 }
@@ -181,11 +164,10 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 	if len(sc.region) < 3 {
 		// Degenerate bounds: the naive path nils such a region on its
 		// first clip (dedupe drops sub-triangle output).
-		sc.region, sc.horizon = nil, d2
+		sc.region = nil
 		return false
 	}
 	if d2 >= 4*sc.r2 {
-		sc.horizon = d2
 		return false
 	}
 	s, t := sc.sites[sc.i], sc.sites[j]
@@ -193,7 +175,7 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 		// Duplicate sites split the plane ambiguously; assign the
 		// region to the lower-indexed site.
 		if j < sc.i {
-			sc.region, sc.horizon = nil, d2
+			sc.region = nil
 			return false
 		}
 		return true
@@ -201,7 +183,7 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 	out, within := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t))
 	sc.within = sc.within && within
 	if out == nil {
-		sc.region, sc.horizon = nil, d2
+		sc.region = nil
 		return false
 	}
 	sc.clip[0], sc.clip[1] = out, sc.clip[0]
@@ -224,7 +206,8 @@ const missMargin = 1e-10
 // start (misses), sorts only the survivors and visits them in order. A
 // dropped candidate's clip would have kept every vertex and returned the
 // region unchanged, so skipping it changes nothing but where the scan
-// stops, which stopD2 restores.
+// stops: the batch ends it when any of its candidates lies at or past the
+// security radius (pastRadius).
 //
 // Three cases keep the oracle's order, visiting every candidate: a batch
 // over maxFilteredBatch; the candidates up to the region's first clip
@@ -257,17 +240,10 @@ func (sc *voronoiScratch) clipBatch(batch []nnCand) bool {
 		}
 	}
 	slices.SortFunc(batch[:n], cmpCand)
-	last := nnCand{d2: math.Inf(-1)}
 	for k, c := range batch[:n] {
 		if !sc.visit(int(c.idx), c.d2) {
-			if sc.region != nil {
-				// c reached the security radius; a dropped candidate
-				// between last and c may have reached it first.
-				sc.horizon, _ = sc.stopD2(batch, last)
-			}
 			return false
 		}
-		last = c
 		if !sc.within {
 			// c's clip extrapolated a crossing. Move the dropped
 			// candidates after c next to the survivors after c and visit
@@ -282,11 +258,7 @@ func (sc *voronoiScratch) clipBatch(batch []nnCand) bool {
 			return visitSorted(batch[k+1:end], sc.visit)
 		}
 	}
-	if h, ok := sc.stopD2(batch, last); ok {
-		sc.horizon = h
-		return false
-	}
-	return true
+	return !sc.pastRadius(batch)
 }
 
 // misses reports whether the bisector of the cell's site and t misses the
@@ -314,20 +286,18 @@ func (sc *voronoiScratch) misses(t Point) bool {
 	return true
 }
 
-// stopD2 returns the least squared distance at or past the security
-// radius (4*r2) among batch's candidates after last in (d2, index) order,
-// the cell's own site excepted, and whether there is one: the candidate at
-// which a loop visiting every candidate would have stopped, since r2 does
-// not change between the clips clipBatch applies.
-func (sc *voronoiScratch) stopD2(batch []nnCand, last nnCand) (float64, bool) {
-	h, ok := math.Inf(1), false
+// pastRadius reports whether batch holds a candidate other than the
+// cell's own site at or past the security radius (4*r2) of the region as
+// clipBatch leaves it. Every later batch lies farther still, so no
+// candidate left can cut the region and the scan may stop.
+func (sc *voronoiScratch) pastRadius(batch []nnCand) bool {
 	lim := 4 * sc.r2
 	for _, c := range batch {
-		if c.d2 >= lim && (!ok || c.d2 < h) && int(c.idx) != sc.i && cmpCand(c, last) > 0 {
-			h, ok = c.d2, true
+		if c.d2 >= lim && int(c.idx) != sc.i {
+			return true
 		}
 	}
-	return h, ok
+	return false
 }
 
 // farthestVertexDist2 returns the squared distance from s to the farthest
@@ -376,9 +346,9 @@ func (d *VoronoiDiagram) cellAdjacency(sc *voronoiScratch, sites []Point, i int)
 	}
 }
 
-// adjacencyTol is edgeNeighbor's equidistance band. DiffSites widens its
-// dirtiness horizon by the same amount so a site change that could flip
-// an adjacency verdict without clipping the region still dirties the cell.
+// adjacencyTol is edgeNeighbor's equidistance band: an edge belongs to
+// the nearest other site of its midpoint when the two sites' distances
+// from that midpoint agree within it.
 const adjacencyTol = 1e-6
 
 // edgeNeighbor identifies which other site (if any) generates edge e of cell

@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // VoronoiNaive is the reference O(k^2) construction: every cell is clipped
 // against the bisector of every other site in input order. It is the
 // test-only oracle for the indexed construction's equivalence property
@@ -14,7 +12,7 @@ func VoronoiNaive(sites []Point, bounds Polygon) *VoronoiDiagram {
 		Cells:  make([]VoronoiCell, len(sites)),
 	}
 	for i, s := range sites {
-		cell := VoronoiCell{Site: s, Index: i, horizonD2: math.Inf(1)}
+		cell := VoronoiCell{Site: s, Index: i}
 		region := bounds
 		for j, t := range sites {
 			if j == i || region == nil {

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"unsafe"
@@ -53,16 +52,11 @@ func backing[T any](s []T) (span, bool) {
 	return span{lo, lo + uintptr(cap(s))*unsafe.Sizeof(elem)}, true
 }
 
-// overlapping returns a pair of distinct spans that share an address, or
-// false when every span is disjoint from the others. Identical spans are
-// one array listed twice (a cell a rebuild shares with its predecessor)
-// and are skipped.
+// overlapping returns a pair of spans that share an address, or false
+// when every span is disjoint from the others.
 func overlapping(spans []span) (a, b span, ok bool) {
 	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
 	for i := 1; i < len(spans); i++ {
-		if spans[i] == spans[i-1] {
-			continue
-		}
 		if spans[i].lo < spans[i-1].hi {
 			return spans[i-1], spans[i], true
 		}
@@ -70,36 +64,23 @@ func overlapping(spans []span) (a, b span, ok bool) {
 	return span{}, span{}, false
 }
 
-// TestVoronoiCellsOwnTheirSlices builds a diagram, then two more builds
-// that reuse the construction's scratch paths: a diagram over other sites
-// and an incremental rebuild sharing clean cells with the first. A region
-// or adjacency list left pointing into a scratch buffer would be
-// overwritten by those later builds, so the first diagram must be
-// unchanged bit for bit and no two cells may share backing memory.
+// TestVoronoiCellsOwnTheirSlices builds a diagram, then a second one over
+// other sites through the same construction paths. A region or adjacency
+// list left pointing into a scratch buffer would be overwritten by the
+// later build, so the first diagram must be unchanged bit for bit and no
+// two cells may share backing memory.
 func TestVoronoiCellsOwnTheirSlices(t *testing.T) {
 	bounds := Rect(0, 0, 50, 50)
 	a := Voronoi(benchSites(600), bounds)
 	want := voronoiDigest(snapshotDiagram(a))
 
 	b := Voronoi(isolineSites(700), bounds)
-	rng := rand.New(rand.NewSource(9))
-	sites := make([]Point, len(a.Cells))
-	for i, c := range a.Cells {
-		sites[i] = c.Site
-	}
-	for n := 0; n < 40; n++ {
-		sites[rng.Intn(len(sites))] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
-	}
-	c := VoronoiIncremental(a, sites, NewNNIndex(sites, bounds), a.DiffSites(sites))
 
 	if got := voronoiDigest(a); got != want {
-		t.Fatalf("diagram changed after later builds: digest %s, want %s", got, want)
-	}
-	if got, full := voronoiDigest(c), voronoiDigest(Voronoi(sites, bounds)); got != full {
-		t.Fatalf("incremental rebuild digest %s, full rebuild %s", got, full)
+		t.Fatalf("diagram changed after a later build: digest %s, want %s", got, want)
 	}
 	var regions, neighbors, edges []span
-	for _, d := range []*VoronoiDiagram{a, b, c} {
+	for _, d := range []*VoronoiDiagram{a, b} {
 		for _, cell := range d.Cells {
 			// An unclipped cell shares the bounds polygon by design.
 			if sp, ok := backing(cell.Region); ok && unsafe.SliceData(cell.Region) != unsafe.SliceData(d.Bounds) {

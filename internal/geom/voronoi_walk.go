@@ -67,8 +67,7 @@ const (
 
 // voronoiWalk is NearestFrom's table, built eagerly with the cells and
 // read-only afterwards, so concurrent queries share it. It is a function
-// of the cells and bounds alone: an incremental rebuild that reuses cells
-// derives the same table as a full build.
+// of the cells and bounds alone.
 type voronoiWalk struct {
 	// bounds holds one half-plane per bounds edge, unit outward normal;
 	// nil for degenerate bounds, which certify nothing.
@@ -205,8 +204,8 @@ func (w *voronoiWalk) step(sites []Point, p Point, h int32) int32 {
 // exact ties — the answer of the diagram's NNIndex.Nearest, for every hint
 // — or -1 for an empty diagram. hint, typically the answer for a nearby
 // probe, starts the certified walk described above; any value, valid or
-// not, is accepted. d must have been built by Voronoi, VoronoiWithIndex
-// or VoronoiIncremental.
+// not, is accepted. d must have been built by Voronoi or
+// VoronoiWithIndex.
 func (d *VoronoiDiagram) NearestFrom(p Point, hint int) int {
 	if hint >= 0 && hint < len(d.Cells) && d.walk.inBounds(p) {
 		h := int32(hint)

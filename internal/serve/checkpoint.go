@@ -14,11 +14,15 @@ import (
 
 // checkpointDoc is the on-disk per-deployment checkpoint. Determinism
 // makes it tiny: rounds are memoryless given the deployment's scenario
-// (sim.RoundSource.SeekRound), so the resumable state is the round
-// counter, the published version counter, and the engine's arranged
-// report order — whose first Update on a fresh contour.Incremental
-// rebuilds a byte-identical engine. A restarted server therefore serves snapshots (ETags, raster
-// bytes, polylines) identical to a never-restarted same-seed run.
+// (sim.RoundSource.SeekRound), and an engine's map depends only on the
+// reports of its last Update, so the resumable state is the round
+// counter, the published version counter, and the engine's Arranged
+// reports, which a fresh contour.Incremental rebuilds the published map
+// from byte for byte. A restarted server therefore serves snapshots
+// (ETags, raster bytes, polylines) identical to a never-restarted
+// same-seed run. Checkpoints written while the engine kept reports in
+// slots from earlier rounds hold that slot order under the same field;
+// it restores the same way (TestRestoreSlotOrderCheckpoint).
 type checkpointDoc struct {
 	// ID, Nodes, Seed and FaultEvery identify the deployment the
 	// checkpoint belongs to; restore refuses a checkpoint whose identity
@@ -39,7 +43,7 @@ type checkpointDoc struct {
 	Round     int `json:"round"`
 	SnapRound int `json:"snapRound"`
 
-	// Arranged is the engine's arranged report order at Version, and
+	// Arranged is the engine's Arranged reports at Version, and
 	// SinkValue/Reports/Faulted the snapshot metadata to republish.
 	Arranged  []core.Report `json:"arranged"`
 	SinkValue float64       `json:"sinkValue"`

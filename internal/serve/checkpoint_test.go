@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"isomap/internal/contour"
 )
 
 // fetch returns status, ETag and body bytes of one GET.
@@ -30,7 +34,7 @@ func fetch(t *testing.T, ts *httptest.Server, path string) (int, string, []byte)
 func compareServing(t *testing.T, a, b *httptest.Server, when string) {
 	t.Helper()
 	// Meta compares field-by-field: the stats block is engine-local
-	// diagnostics (cumulative reuse counters), legitimately different
+	// diagnostics (cumulative work counters), legitimately different
 	// after a restore; everything served to clients must match.
 	ma, ra := getMeta(t, a, "d0")
 	mb, rb := getMeta(t, b, "d0")
@@ -154,5 +158,47 @@ func TestRestoreCorruptCheckpoint(t *testing.T) {
 	}
 	if s.deps["d0"].snap.Load() != nil || s.deps["d0"].version != 0 {
 		t.Fatal("corrupt checkpoint still produced a snapshot")
+	}
+}
+
+// TestRestoreSlotOrderCheckpoint restores testdata/slotorder/d0.json, a
+// checkpoint written by an engine that kept each report in a slot earlier
+// rounds had assigned it, so its arranged order differs from the arrival
+// order of the round it holds (a pushed, shuffled round at version 2).
+// Restoring must republish that version and its ETag, keep the order as
+// the engine's Arranged reports, and serve the map Reconstruct builds
+// over it.
+func TestRestoreSlotOrderCheckpoint(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "slotorder", "d0.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc checkpointDoc
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "d0.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := bootServer(t, Config{Deployments: 1, Nodes: doc.Nodes, Seed: doc.Seed, CheckpointDir: dir})
+	d := s.deps["d0"]
+	sn := d.snap.Load()
+	if sn == nil || sn.version != 2 || d.version != 2 {
+		t.Fatalf("restored version: snapshot %v, deployment %d; want 2", sn, d.version)
+	}
+	const etag = `"d0-v2"`
+	if sn.etag != etag {
+		t.Fatalf("restored ETag %s, want %s", sn.etag, etag)
+	}
+	if _, resp := getMeta(t, ts, "d0"); resp.Header.Get("ETag") != etag {
+		t.Fatalf("meta served ETag %q, want %s", resp.Header.Get("ETag"), etag)
+	}
+	if !reflect.DeepEqual(d.inc.Arranged(), doc.Arranged) {
+		t.Fatal("restored engine's Arranged reports differ from the checkpoint's order")
+	}
+	full := contour.Reconstruct(doc.Arranged, d.levels, d.bounds, doc.SinkValue, d.opts)
+	if err := contour.Equivalent(sn.m, full, 64, 64); err != nil {
+		t.Fatalf("restored map: %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package serve implements the long-lived contour-map server behind
 // cmd/isomapd: N concurrent deployments, each fed rounds by a
-// sim.RoundSource (or by pushed report batches) and reconstructed
-// incrementally by contour.Incremental, serving level-set polylines,
+// sim.RoundSource (or by pushed report batches) and reconstructed by
+// contour.Incremental, serving level-set polylines,
 // point/range classification and raster tiles over HTTP from versioned
 // snapshots.
 //
@@ -11,17 +11,19 @@
 // full entity-tag list) with 304s, so pollers pay nothing while a
 // deployment is quiet. Snapshots swap atomically; in-flight queries keep
 // serving the map they started with. In oracle mode the server verifies
-// each incremental update byte-for-byte against a from-scratch rebuild
-// before publishing it — the serving twin of the engine's property tests.
+// each engine update byte-for-byte against a sequential Reconstruct of the
+// engine's Arranged reports before publishing it — the serving twin of the
+// engine's property tests.
 //
 // Failure model: every failure mode of the ingest path is a recoverable,
 // observable state, never silent corruption. A panic or oracle divergence
-// quarantines the deployment's incremental engine (the published snapshot
+// quarantines the deployment's engine (the published snapshot
 // is untouched — nothing unverified is ever served) and the deployment
 // enters degraded mode: queries keep answering from the last good
 // snapshot with staleness metadata (Warning header, X-Stale-Rounds,
-// state in the meta document) until the next round resyncs a fresh engine
-// via a full rebuild (the first Update of a fresh contour.Incremental). A
+// state in the meta document) until the next round resyncs: a fresh
+// contour.Incremental builds that round, and since every Update depends on
+// its own reports alone, it serves what an unbroken engine would have. A
 // Supervisor (supervisor.go) drives rounds in the background with bounded
 // exponential backoff and a crash-loop breaker surfaced through /readyz;
 // checkpoints (checkpoint.go) make the whole state survive a process
@@ -87,8 +89,8 @@ type Config struct {
 	// staleness in rounds (0 disables aging).
 	Delta       bool
 	DeltaExpiry int
-	// Oracle verifies every incremental update against a full rebuild
-	// before publishing (expensive; for tests and CI).
+	// Oracle verifies every engine update against a sequential
+	// Reconstruct before publishing (expensive; for tests and CI).
 	Oracle bool
 	// OracleRes is the raster resolution of oracle comparisons; zero
 	// selects 64.
@@ -111,9 +113,8 @@ type Config struct {
 	// execution strategy for large served deployments.
 	Shards int
 	// Workers bounds the server's worker pools: the sharded round engine
-	// (sim.RoundSource.Workers), the parallel incremental reconstruction
-	// (contour.Options.Workers — level builds, horizon checks) and each
-	// raster render's row sweep. Zero selects GOMAXPROCS.
+	// (sim.RoundSource.Workers), the engine's parallel level builds
+	// (contour.Options.Workers) and each raster render's row sweep. Zero selects GOMAXPROCS.
 	Workers int
 
 	// MaxBodyBytes caps POST /rounds request bodies; zero selects 8 MiB.
@@ -200,8 +201,8 @@ func (h depHealth) state() string {
 	return "healthy"
 }
 
-// deployment is one monitored network: a round source feeding an
-// incremental engine. mu serializes ingest and engine access (the engine
+// deployment is one monitored network: a round source feeding a
+// reconstruction engine. mu serializes ingest and engine access (the engine
 // is single-writer); published snapshots and health are read lock-free.
 type deployment struct {
 	id     string
@@ -211,7 +212,7 @@ type deployment struct {
 	src    *sim.RoundSource
 
 	mu sync.Mutex
-	// inc is the incremental engine; nil while quarantined (after a
+	// inc is the reconstruction engine; nil while quarantined (after a
 	// panic or divergence), until the next successful round resyncs it.
 	inc *contour.Incremental
 	// version counts published snapshots. It is deliberately decoupled
@@ -547,12 +548,12 @@ func (s *Server) nextRound(d *deployment) (rd *sim.RoundData, err error) {
 	return d.src.Next()
 }
 
-// ingest feeds one round of reports into the incremental engine and
+// ingest feeds one round of reports into the reconstruction engine and
 // publishes the resulting snapshot — strictly in that order: the oracle
 // check (and any panic) happens before the publish, and a failed check
 // quarantines the engine rather than leaving it silently ahead of the
-// snapshot. A quarantined deployment resyncs here on its next round via
-// a full rebuild.
+// snapshot. A quarantined deployment resyncs here on its next round with
+// a fresh engine.
 func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64, round int, faulted bool) (*snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -604,8 +605,8 @@ func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64,
 // rebuild runs the engine update under panic recovery and the oracle
 // check, quarantining the engine on any failure (its state can be ahead
 // of the published snapshot, so it cannot be trusted). On a quarantined
-// deployment it performs the resync instead: a fresh engine whose first
-// Update is a full rebuild.
+// deployment it performs the resync instead: a fresh engine builds the
+// round.
 func (s *Server) rebuild(d *deployment, reports []core.Report, sinkValue float64, attempt int) (m *contour.Map, resynced bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -186,7 +186,7 @@ func TestConcurrentClonesSameSeedDeterminism(t *testing.T) {
 // TestRoundSourceFeedsIncremental: the serving pipeline end to end at the
 // engine level — churn rounds (including a crash-faulted one) streamed
 // into contour.Incremental must stay byte-identical to the full-rebuild
-// oracle over the engine's arranged report order.
+// oracle over the engine's Arranged reports.
 func TestRoundSourceFeedsIncremental(t *testing.T) {
 	r := NewRunner(1)
 	src := newRoundSource(t, r, 7, 3)
@@ -210,8 +210,5 @@ func TestRoundSourceFeedsIncremental(t *testing.T) {
 	}
 	if !sawFault {
 		t.Fatal("no faulted round reached the engine")
-	}
-	if inc.Stats().CellsReused == 0 {
-		t.Error("protocol churn reused no Voronoi cells")
 	}
 }
