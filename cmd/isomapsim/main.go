@@ -308,6 +308,7 @@ func run() error {
 				return err
 			}
 		}
+		publishSummary(pr.Radio.Ledger, rec)
 	}
 	if *expvarOut != "" {
 		if err := writeExpvar(*expvarOut); err != nil {
@@ -330,8 +331,8 @@ func traceCapacity(nodes int) int {
 	return c
 }
 
-// emitRoundTrace writes the canonical JSONL trace, runs the invariant
-// checker, and publishes the per-phase summary as expvar variables.
+// emitRoundTrace writes the canonical JSONL trace and runs the invariant
+// checker.
 func emitRoundTrace(rec *rtrace.Recorder, path string, maxRetries int) error {
 	w := os.Stdout
 	if path != "-" {
@@ -355,30 +356,35 @@ func emitRoundTrace(rec *rtrace.Recorder, path string, maxRetries int) error {
 	if len(violations) == 0 {
 		fmt.Println("trace invariants:  all passed")
 	}
-	publishSummary(rec.Summarize())
 	return nil
 }
 
-// publishSummary exposes the traced round's totals through expvar so a
-// -expvar dump (or an embedding process serving /debug/vars) sees them.
-func publishSummary(s rtrace.Summary) {
+// publishSummary exposes the packet round through expvar so a -expvar
+// dump (or an embedding process serving /debug/vars) sees it: the
+// round's per-phase radio ledger always, and the traced round's totals
+// when rec (the -roundtrace recorder) is non-nil.
+func publishSummary(ledger rtrace.Ledger, rec *rtrace.Recorder) {
 	m := new(expvar.Map)
 	put := func(k string, v int64) { i := new(expvar.Int); i.Set(v); m.Set(k, i) }
-	put("events", s.Events)
-	put("sends", s.Sends)
-	put("delivered", s.Delivered)
-	put("acked", s.Acked)
-	put("drops", s.Drops)
-	put("crashes", s.Crashes)
-	put("reparents", s.Reparents)
-	put("sinkReports", s.SinkReports)
-	rs := new(expvar.Float)
-	rs.Set(s.RoundSeconds)
-	m.Set("roundSeconds", rs)
-	for _, pb := range s.Phases {
-		txb := new(expvar.Int)
-		txb.Set(pb.TxBytes)
-		m.Set("txBytes_"+pb.Phase, txb)
+	for p, t := range ledger {
+		if t.Frames > 0 {
+			put("txBytes_"+rtrace.Phase(p).String(), t.Bytes)
+			put("txFrames_"+rtrace.Phase(p).String(), t.Frames)
+		}
+	}
+	if rec != nil {
+		s := rec.Summarize()
+		put("events", s.Events)
+		put("sends", s.Sends)
+		put("delivered", s.Delivered)
+		put("acked", s.Acked)
+		put("drops", s.Drops)
+		put("crashes", s.Crashes)
+		put("reparents", s.Reparents)
+		put("sinkReports", s.SinkReports)
+		rs := new(expvar.Float)
+		rs.Set(s.RoundSeconds)
+		m.Set("roundSeconds", rs)
 	}
 	expvar.Publish("isomap_round", m)
 }

@@ -1,8 +1,10 @@
 package desim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"isomap/internal/core"
 	"isomap/internal/network"
@@ -19,10 +21,27 @@ import (
 // stale report). Unchanged repeats are suppressed at the source and
 // never touch the radio. Full-report rounds (a nil DeltaState) remain
 // the oracle: the delta path leaves them byte-identical.
+//
+// The query itself is standing: a node keeps the query it last heard
+// flooded, and the time it first heard that flood, across rounds. A
+// round floods only when no query is held yet, when the query changed,
+// or RefloodRounds rounds after the last flood; every other round starts
+// each node that holds the query on a local epoch timer at its recorded
+// flood arrival time, so nodes keep their flood-round schedule without
+// the flood on the air.
 
 // DefaultGradAngle is the gradient rotation above which a repeat is
 // re-transmitted: 10 degrees.
 const DefaultGradAngle = 10 * math.Pi / 180
+
+// RefloodRounds is K, the standing query's refresh period: a delta round
+// re-floods the held query once RefloodRounds rounds have run since the
+// last flood, so floods fall on rounds 1, K+1, 2K+1, ... of an unchanged
+// query. It bounds how long a node that missed a flood (radio loss, a
+// node that was down) stays silent, and it matches the sink belief's
+// staleness horizon in the monitoring deployments (DESIGN.md,
+// "Persistent query").
+const RefloodRounds = 8
 
 // DeltaConfig tunes the delta-report mode.
 type DeltaConfig struct {
@@ -33,15 +52,30 @@ type DeltaConfig struct {
 }
 
 // DeltaState is the protocol's cross-round memory: each node's last
-// transmitted report per isolevel. It belongs to one deployment and must
-// be passed to every successive delta round; sharded execution touches
-// each node's entry only from the shard owning that node, so one state
-// serves any shard width. Reset (or a fresh state) restarts the protocol
-// from an empty map — round 1 of a delta sequence is byte-identical to a
-// full-report round.
+// transmitted report per isolevel, and the standing query with each
+// node's epoch offset. It belongs to one deployment and must be passed to
+// every successive delta round; sharded execution touches each node's
+// entries only from the shard owning that node, so one state serves any
+// shard width. Reset (or a fresh state) restarts the protocol from an
+// empty map and no held query — round 1 of a delta sequence is
+// byte-identical to a full-report round.
 type DeltaState struct {
 	gradAngle float64
 	lastSent  []map[int]core.Report
+
+	// query is the query last flooded, compared by value. sinceFlood
+	// counts the rounds run since that flood, the flood round included;
+	// zero means no query is held (a fresh or Reset state).
+	query      core.Query
+	sinceFlood int
+	// offset is each node's epoch offset: the simulated time it first
+	// heard the most recent flood of the held query that reached it, -1
+	// when none did.
+	offset []float64
+	// wakeOrder lists the nodes holding an offset by (offset, id), the
+	// order their timers fire in; offsets change only in flood rounds,
+	// after which it is rebuilt.
+	wakeOrder []network.NodeID
 }
 
 // NewDeltaState validates cfg and returns an empty state for a
@@ -57,10 +91,13 @@ func NewDeltaState(nodes int, cfg DeltaConfig) (*DeltaState, error) {
 	if math.IsNaN(ga) || math.IsInf(ga, 0) || ga < 0 || ga > math.Pi {
 		return nil, fmt.Errorf("desim: delta gradient threshold %g outside [0, pi]", cfg.GradAngle)
 	}
-	return &DeltaState{
+	ds := &DeltaState{
 		gradAngle: ga,
 		lastSent:  make([]map[int]core.Report, nodes),
-	}, nil
+		offset:    make([]float64, nodes),
+	}
+	ds.Reset()
+	return ds, nil
 }
 
 // GradAngle returns the resolved gradient-rotation threshold.
@@ -79,12 +116,51 @@ func (ds *DeltaState) Tracked() int {
 	return n
 }
 
-// Reset empties the state: the next round reports everything, like a
-// session start.
+// Reset empties the state: the next round floods the query and reports
+// everything, like a session start.
 func (ds *DeltaState) Reset() {
 	for i := range ds.lastSent {
 		ds.lastSent[i] = nil
 	}
+	ds.query, ds.sinceFlood, ds.wakeOrder = core.Query{}, 0, nil
+	ds.clearOffsets()
+}
+
+func (ds *DeltaState) clearOffsets() {
+	for i := range ds.offset {
+		ds.offset[i] = -1
+	}
+}
+
+// beginRound decides whether the round about to run with query q floods
+// it, and advances the flood clock. A changed query forgets every epoch
+// offset; a re-flood of the held query keeps the offsets of the nodes
+// that miss it, which the flood's arrivals overwrite for those that hear
+// it.
+func (ds *DeltaState) beginRound(q core.Query) (flood bool) {
+	held := ds.sinceFlood > 0
+	flood = !held || ds.query != q || ds.sinceFlood >= RefloodRounds
+	if flood {
+		if held && ds.query != q {
+			ds.clearOffsets()
+		}
+		ds.query, ds.sinceFlood = q, 0
+	}
+	ds.sinceFlood++
+	return flood
+}
+
+// sortWakes rebuilds the wake order from the offsets a flood round left.
+func (ds *DeltaState) sortWakes() {
+	ds.wakeOrder = ds.wakeOrder[:0]
+	for i, off := range ds.offset {
+		if off >= 0 {
+			ds.wakeOrder = append(ds.wakeOrder, network.NodeID(i))
+		}
+	}
+	slices.SortFunc(ds.wakeOrder, func(a, b network.NodeID) int {
+		return cmp.Or(cmp.Compare(ds.offset[a], ds.offset[b]), cmp.Compare(a, b))
+	})
 }
 
 // tracked returns the node's tracked-report count.

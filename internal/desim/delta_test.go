@@ -150,10 +150,29 @@ func TestDeltaStaticFieldEquivalence(t *testing.T) {
 	}
 }
 
+// changedQuery is q with a wider border tolerance: a different standing
+// query, which the next delta round must flood.
+func changedQuery(q core.Query) core.Query {
+	q.Epsilon *= 1.5
+	return q
+}
+
+// queryAt is the query of round n in the equivalence sequences: the base
+// query through the standing query's first re-flood (round K+1), then a
+// changed one from round K+3, so the sequence crosses both flood
+// triggers.
+func queryAt(q core.Query, n int) core.Query {
+	if n >= RefloodRounds+3 {
+		return changedQuery(q)
+	}
+	return q
+}
+
 // TestDeltaShardedEquivalenceDrifting pins sequential ≡ sharded on the
 // interesting case: a drifting field where rounds mix crossings,
-// suppressions and retirements. Both executions must produce identical
-// delivered batches, tallies and radio stats every round.
+// suppressions and retirements, across a standing-query re-flood and a
+// query change. Both executions must produce identical delivered
+// batches, tallies, radio stats and delta state every round.
 func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 300)
 	fc := core.DefaultFilterConfig()
@@ -171,13 +190,13 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 		t.Fatal(err)
 	}
 	retired := 0
-	for round := 1; round <= 4; round++ {
-		snap := dyn.At(float64(round) * 0.5)
-		seq, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Delta: dsSeq})
+	for round := 1; round <= RefloodRounds+3; round++ {
+		snap, qr := dyn.At(float64(round)*0.5), queryAt(q, round)
+		seq, err := RunRound(tree, snap, qr, fc, cfg, RoundOptions{Delta: dsSeq})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shard, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 4, 0), Delta: dsShard})
+		shard, err := RunRound(tree, snap, qr, fc, cfg, RoundOptions{Engine: gridEngine(tree, 4, 0), Delta: dsShard})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,19 +211,23 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 		if seq.Radio != shard.Radio {
 			t.Fatalf("round %d: radio stats diverged: %+v vs %+v", round, seq.Radio, shard.Radio)
 		}
+		if !reflect.DeepEqual(dsSeq, dsShard) {
+			t.Fatalf("round %d: delta state diverged", round)
+		}
 		retired += seq.Retired
 	}
 	if retired == 0 {
-		t.Error("four drifting rounds retired nothing; field evolution too slow to exercise crossings-out")
+		t.Error("drifting rounds retired nothing; field evolution too slow to exercise crossings-out")
 	}
 }
 
 // TestDeltaRoundOptionsEquivalence covers the RoundOptions cells no other
 // test reaches: delta rounds on the EngineNaive oracle, and delta rounds
 // under seeded lossy-channel and crash plans on a grid-sharded engine.
-// Over a drifting field every round must match the sequential Engine
-// run in result, delta tallies and canonical trace, and leave an equal
-// DeltaState behind.
+// Over a drifting field, across a standing-query re-flood and a query
+// change, every round must match the sequential Engine run in result,
+// delta tallies and canonical trace, and leave an equal DeltaState
+// behind.
 func TestDeltaRoundOptionsEquivalence(t *testing.T) {
 	tree, f, q := fullRoundSetup(t, 300)
 	fc := core.DefaultFilterConfig()
@@ -248,14 +271,14 @@ func TestDeltaRoundOptionsEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var crashed, retired int
-			for round := 1; round <= 5; round++ {
-				snap := dyn.At(float64(round) * 0.5)
+			for round := 1; round <= RefloodRounds+3; round++ {
+				snap, qr := dyn.At(float64(round)*0.5), queryAt(q, round)
 				wantRec, gotRec := traceRecorderFor(300), traceRecorderFor(300)
-				want, err := RunRound(tree, snap, q, fc, tc.cfg, RoundOptions{Faults: tc.plan(round), Delta: dsWant, Trace: wantRec})
+				want, err := RunRound(tree, snap, qr, fc, tc.cfg, RoundOptions{Faults: tc.plan(round), Delta: dsWant, Trace: wantRec})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := RunRound(tree, snap, q, fc, tc.cfg, RoundOptions{Engine: tc.engine(), Faults: tc.plan(round), Delta: dsGot, Trace: gotRec})
+				got, err := RunRound(tree, snap, qr, fc, tc.cfg, RoundOptions{Engine: tc.engine(), Faults: tc.plan(round), Delta: dsGot, Trace: gotRec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -280,7 +303,7 @@ func TestDeltaRoundOptionsEquivalence(t *testing.T) {
 				retired += want.Retired
 			}
 			if retired == 0 {
-				t.Error("five drifting rounds retired nothing; crossings-out unexercised")
+				t.Error("drifting rounds retired nothing; crossings-out unexercised")
 			}
 			if tc.plan(1) != nil && crashed == 0 {
 				t.Error("fault plans crashed nobody; test exercises nothing")
@@ -377,12 +400,13 @@ func goldenDeltaDigest(rec *trace.Recorder) string {
 
 // goldenDeltaTrace1k is the committed digest of the n=1000 seed-scenario
 // *second* delta round over the drifting field (the first round seeds the
-// source state untraced, so the traced round mixes crossings,
-// suppressions and retirements). Regenerate with:
+// source state and the standing query untraced, so the traced round is a
+// timer round — wakes, no flood — that mixes crossings, suppressions and
+// retirements). Regenerate with:
 // go test -run TestGoldenDeltaTrace1k -v ./internal/desim (the failure
 // message prints the new value). Literal comparison gated to amd64 like
 // goldenTrace1k; the sequential-vs-sharded equality runs everywhere.
-const goldenDeltaTrace1k = "events=28416 sends=675 delivered=8942 acked=675 drops=0 queryheard=976 generated=87 sinkreports=66 md5=a85651e3463e6306f575436225b7edd1 crossings=84 suppressed=40"
+const goldenDeltaTrace1k = "events=15100 sends=678 delivered=3540 acked=678 drops=0 queryheard=0 generated=92 sinkreports=66 md5=3bc693c7e44f99add2e03c625a3667ef crossings=88 suppressed=40"
 
 func TestGoldenDeltaTrace1k(t *testing.T) {
 	if testing.Short() {
@@ -401,21 +425,26 @@ func TestGoldenDeltaTrace1k(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		round := func(n int, rec *trace.Recorder) {
+		round := func(n int, rec *trace.Recorder) *RoundResult {
 			snap := dyn.At(float64(n) * 0.5)
+			opt := RoundOptions{Delta: ds, Trace: rec}
 			if sharded {
-				_, err = RunRound(tree, snap, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 8, 0), Delta: ds, Trace: rec})
-			} else {
-				_, err = RunRound(tree, snap, q, fc, cfg, RoundOptions{Delta: ds, Trace: rec})
+				opt.Engine = gridEngine(tree, 8, 0)
 			}
+			res, err := RunRound(tree, snap, q, fc, cfg, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return res
 		}
 		round(1, nil)
 		rec := traceRecorderFor(1000)
-		round(2, rec)
+		res := round(2, rec)
 		checkTrace(t, rec, cfg)
+		checkLedger(t, res, rec)
+		if tx := res.Radio.Ledger[trace.PhaseQuery]; tx != (trace.PhaseTx{}) {
+			t.Errorf("timer round put query frames on the air: %+v", tx)
+		}
 		return goldenDeltaDigest(rec)
 	}
 

@@ -64,6 +64,7 @@ const (
 	evReplySend   // Node: neighbour broadcasting its one probe reply of the round
 	evCrash       // Arg: index into the fault plan's crash schedule
 	evDeltaRetire // Node: delta-mode node withdrawing its tracked reports
+	evWake        // Node: delta-mode node starting its round on its standing-query epoch timer
 )
 
 // Event is a typed, fixed-size event record: a kind tag, a target node

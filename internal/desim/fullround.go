@@ -16,7 +16,8 @@ import (
 
 // RoundResult is the outcome of a full packet-level Iso-Map round.
 type RoundResult struct {
-	// QueryReached counts nodes that received the flooded query.
+	// QueryReached counts nodes that received the flooded query, or in a
+	// standing-query delta round woke on their epoch timer.
 	QueryReached int
 	// IsolineNodes counts nodes that appointed themselves.
 	IsolineNodes int
@@ -178,6 +179,9 @@ type roundShard struct {
 	reportScratch []core.Report
 	deltaScratch  []core.Report
 	levelScratch  []int
+	// wakes are this shard's standing-query timers still to schedule, in
+	// (offset, id) order.
+	wakes []network.NodeID
 }
 
 // jitterFor spreads per-node delays quasi-uniformly over a window of
@@ -491,6 +495,45 @@ func (sh *roundShard) deltaRetireAll(id network.NodeID) {
 	sh.emit(id, out)
 }
 
+// wake starts node at's round: everything hearing the query runs except
+// the flood's rebroadcast. Border-region candidates arm their probe; a
+// delta-mode node outside every border region withdraws what it tracks.
+// It runs on the first reception of a flood, or on evWake at the node's
+// epoch offset in a standing-query round.
+func (sh *roundShard) wake(at network.NodeID) {
+	rs := sh.rs
+	rs.queryHeard[at] = true
+	sh.res.QueryReached++
+	if t := sh.eng.Now(); t > sh.res.QuerySeconds {
+		sh.res.QuerySeconds = t
+	}
+	if len(rs.q.CandidateLevels(rs.nw.Node(at).Value)) == 0 {
+		if rs.delta != nil && rs.delta.trackedAt(at) > 0 {
+			// The isoline moved entirely out of this node's border
+			// region: withdraw its tracked reports on the same schedule
+			// a measurement would have produced them.
+			sh.eng.ScheduleEvent(probeDelay+replyWindow+rs.jitterFor(at+3000, 128),
+				Event{Kind: evDeltaRetire, Node: at})
+		}
+		return
+	}
+	rs.listening[at] = true
+	sh.eng.ScheduleEvent(probeDelay+rs.jitterFor(at+1000, 128), Event{Kind: evProbeStart, Node: at})
+}
+
+// nextWake schedules the shard's next standing-query timer. Each evWake
+// schedules the one after it, so the queue holds one pending timer per
+// shard instead of every node's at once; the timers fire in (offset, id)
+// order either way.
+func (sh *roundShard) nextWake() {
+	if len(sh.wakes) == 0 {
+		return
+	}
+	id := sh.wakes[0]
+	sh.wakes = sh.wakes[1:]
+	sh.eng.ScheduleEventAt(sh.rs.delta.offset[id], Event{Kind: evWake, Node: id})
+}
+
 // onFrame is the receive handler every alive node shares: query flood,
 // probes, replies and report batches. It always runs on the shard owning
 // the receiving node.
@@ -501,30 +544,16 @@ func (sh *roundShard) onFrame(at network.NodeID, fr Frame) {
 		if rs.queryHeard[at] {
 			return
 		}
-		rs.queryHeard[at] = true
-		sh.res.QueryReached++
 		if sh.rec != nil {
 			sh.rec.Record(trace.Event{T: sh.eng.Now(), Kind: trace.KindQueryHeard,
 				Phase: trace.PhaseQuery, Node: int32(at), Peer: int32(fr.From)})
 		}
-		if t := sh.eng.Now(); t > sh.res.QuerySeconds {
-			sh.res.QuerySeconds = t
+		if rs.delta != nil {
+			rs.delta.offset[at] = sh.eng.Now()
 		}
 		// Rebroadcast the flood once.
 		sh.eng.ScheduleEvent(rs.jitterFor(at, 64), Event{Kind: evRebroadcast, Node: at})
-		// Border-region candidates probe their neighborhood.
-		if len(rs.q.CandidateLevels(rs.nw.Node(at).Value)) == 0 {
-			if rs.delta != nil && rs.delta.trackedAt(at) > 0 {
-				// The isoline moved entirely out of this node's border
-				// region: withdraw its tracked reports on the same schedule
-				// a measurement would have produced them.
-				sh.eng.ScheduleEvent(probeDelay+replyWindow+rs.jitterFor(at+3000, 128),
-					Event{Kind: evDeltaRetire, Node: at})
-			}
-			return
-		}
-		rs.listening[at] = true
-		sh.eng.ScheduleEvent(probeDelay+rs.jitterFor(at+1000, 128), Event{Kind: evProbeStart, Node: at})
+		sh.wake(at)
 	case FrameProbe:
 		// The first probe heard arms the node's one reply, which every
 		// listening candidate in range keeps, not only this prober.
@@ -585,6 +614,16 @@ func (sh *roundShard) onEvent(ev Event) {
 		}
 	case evDeltaRetire:
 		sh.deltaRetireAll(ev.Node)
+	case evWake:
+		sh.nextWake()
+		if !rs.nw.Alive(ev.Node) {
+			return // crashed before its timer fired
+		}
+		if sh.rec != nil {
+			sh.rec.Record(trace.Event{T: sh.eng.Now(), Kind: trace.KindWake,
+				Phase: trace.PhaseQuery, Node: int32(ev.Node), Peer: -1})
+		}
+		sh.wake(ev.Node)
 	case evInject:
 		sh.emit(ev.Node, rs.injects[ev.Node])
 	}
@@ -592,7 +631,9 @@ func (sh *roundShard) onEvent(ev Event) {
 
 // RunRound executes an entire Iso-Map round on the discrete-event radio:
 // the sink floods the query (unacknowledged broadcast flood with
-// duplicate suppression), nodes whose readings fall in the border region
+// duplicate suppression) — or, in a delta round that holds a standing
+// query (see DeltaState), nodes start on their epoch timers with nothing
+// on the air — nodes whose readings fall in the border region
 // probe their neighborhood and run the regression when the replies are
 // in, and the resulting reports converge-cast to the sink with
 // in-network filtering. Every phase is made of real frames subject to
@@ -644,17 +685,38 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 
 	// The sink originates the query, on its own shard's scheduler — the
 	// bootstrap closure is the round's only untyped event, alone at t=0,
-	// so its execution slot is identical at every shard count.
+	// so its execution slot is identical at every shard count. A delta
+	// round between floods instead wakes every node holding the standing
+	// query at its epoch offset, on the owning shard.
+	flood := opt.Delta == nil || opt.Delta.beginRound(q)
 	rootSh := rs.shardFor(rs.root)
 	rs.queryHeard[rs.root] = true
 	rootSh.res.QueryReached++
 	if rootSh.rec != nil {
-		rootSh.rec.Record(trace.Event{Kind: trace.KindQueryHeard, Phase: trace.PhaseQuery,
-			Node: int32(rs.root), Peer: int32(rs.root)})
+		ev := trace.Event{Kind: trace.KindQueryHeard, Phase: trace.PhaseQuery, Node: int32(rs.root), Peer: int32(rs.root)}
+		if !flood {
+			ev.Kind, ev.Peer = trace.KindWake, -1
+		}
+		rootSh.rec.Record(ev)
 	}
-	rootSh.eng.Schedule(0, func() {
-		_ = rootSh.radio.BroadcastQuery(rs.root, core.QueryBytes)
-	})
+	if flood {
+		if opt.Delta != nil {
+			opt.Delta.offset[rs.root] = 0
+		}
+		rootSh.eng.Schedule(0, func() {
+			_ = rootSh.radio.BroadcastQuery(rs.root, core.QueryBytes)
+		})
+	} else {
+		for _, id := range opt.Delta.wakeOrder {
+			if id != rs.root && rs.nw.Alive(id) {
+				sh := rs.shardFor(id)
+				sh.wakes = append(sh.wakes, id)
+			}
+		}
+		for _, sh := range rs.shards {
+			sh.nextWake()
+		}
+	}
 	// The sink itself may be an isoline node: give it the same probe path.
 	if len(q.CandidateLevels(rs.nw.Node(rs.root).Value)) > 0 {
 		rs.listening[rs.root] = true
@@ -664,6 +726,9 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 	}
 
 	res := rs.run(opt.Trace)
+	if flood && opt.Delta != nil {
+		opt.Delta.sortWakes()
+	}
 	res.Delivered = opt.Faults.MangleSinkReports(res.Delivered, field.BoundsRect(f))
 	return res, nil
 }

@@ -145,6 +145,10 @@ type RadioStats struct {
 	// Delivered counts data frames handed to their destination exactly
 	// once (duplicates from lost acks are filtered).
 	Delivered int
+	// Ledger tallies every physical transmission (broadcasts, data
+	// frames, retries and acks) and its bytes by protocol phase, at the
+	// point the transmit energy is charged; it needs no trace recorder.
+	Ledger trace.Ledger
 }
 
 // add accumulates another radio's stats (shard merge).
@@ -155,6 +159,10 @@ func (s *RadioStats) add(o RadioStats) {
 	s.Drops += o.Drops
 	s.ChannelLosses += o.ChannelLosses
 	s.Delivered += o.Delivered
+	for p, t := range o.Ledger {
+		s.Ledger[p].Frames += t.Frames
+		s.Ledger[p].Bytes += t.Bytes
+	}
 }
 
 // batchPool recycles the report-batch slices that ride FrameReports
@@ -1018,6 +1026,7 @@ func (r *Radio) transmit(slot int32) {
 	if r.counters != nil {
 		r.counters.ChargeTx(f.From, f.Bytes)
 	}
+	r.Stats.Ledger.Add(phaseOfFrame(f), f.Bytes)
 	r.eng.ScheduleEvent(d, Event{Kind: evPropagate, Node: f.From, Seq: f.seq, Arg: slot})
 	if g.shardOf != nil && g.border[f.From] {
 		r.markBusyDirty(f.From)

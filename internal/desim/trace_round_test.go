@@ -34,12 +34,29 @@ func checkTrace(t *testing.T, rec *trace.Recorder, cfg RadioConfig) {
 	}
 }
 
-// TestTraceFrameKinds pins the frame kinds trace.Check's reply
-// invariants recognise to the radio's.
+// checkLedger fails the test unless the round's always-on radio ledger
+// equals the per-phase transmit totals of its recorded trace.
+func checkLedger(t *testing.T, res *RoundResult, rec *trace.Recorder) {
+	t.Helper()
+	var want trace.Ledger
+	for _, pb := range rec.Summarize().Phases {
+		for p := range want {
+			if trace.Phase(p).String() == pb.Phase {
+				want[p] = trace.PhaseTx{Frames: pb.Tx, Bytes: pb.TxBytes}
+			}
+		}
+	}
+	if res.Radio.Ledger != want {
+		t.Errorf("radio ledger %+v, trace summary phases %+v", res.Radio.Ledger, want)
+	}
+}
+
+// TestTraceFrameKinds pins the frame kinds trace.Check's query, probe
+// and reply invariants recognise to the radio's.
 func TestTraceFrameKinds(t *testing.T) {
-	if uint8(FrameProbe) != trace.FrameProbe || uint8(FrameReply) != trace.FrameReply {
-		t.Fatalf("trace knows probe/reply as %d/%d, the radio sends %d/%d",
-			trace.FrameProbe, trace.FrameReply, FrameProbe, FrameReply)
+	if uint8(FrameQuery) != trace.FrameQuery || uint8(FrameProbe) != trace.FrameProbe || uint8(FrameReply) != trace.FrameReply {
+		t.Fatalf("trace knows query/probe/reply as %d/%d/%d, the radio sends %d/%d/%d",
+			trace.FrameQuery, trace.FrameProbe, trace.FrameReply, FrameQuery, FrameProbe, FrameReply)
 	}
 }
 
@@ -172,10 +189,12 @@ func TestGoldenTrace1k(t *testing.T) {
 
 	run := func(eng EngineAPI) *trace.Recorder {
 		rec := traceRecorderFor(1000)
-		if _, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: eng, Trace: rec}); err != nil {
+		res, err := RunRound(tree, f, q, fc, cfg, RoundOptions{Engine: eng, Trace: rec})
+		if err != nil {
 			t.Fatal(err)
 		}
 		checkTrace(t, rec, cfg)
+		checkLedger(t, res, rec)
 		return rec
 	}
 
@@ -268,6 +287,7 @@ func TestGoldenFaultTrace1k(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkTrace(t, rec, cfg)
+		checkLedger(t, res, rec)
 		return goldenDigest(rec), res
 	}
 

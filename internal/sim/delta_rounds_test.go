@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"isomap/internal/desim"
 	"isomap/internal/field"
+	"isomap/internal/trace"
 )
 
 func newDeltaSource(t *testing.T, r *Runner, seed int64, faultEvery int) *RoundSource {
@@ -93,20 +95,33 @@ func TestRoundSourceDeltaSharded(t *testing.T) {
 // TestRoundSourceDeltaSeekReplay pins the delta checkpoint-restore
 // contract: SeekRound replays rounds 1..n from reset protocol state, so
 // a fresh same-seed source seeked to n continues the continuous stream
-// byte-identically — source-side memory, aged belief and expiry clocks
-// all aligned.
+// byte-identically — source-side memory, standing query and epoch
+// offsets, aged belief and expiry clocks all aligned. The stream runs
+// past the standing query's first re-flood (round K+1), and one seek
+// lands beyond it.
 func TestRoundSourceDeltaSeekReplay(t *testing.T) {
+	const k = desim.RefloodRounds
 	r := NewRunner(1)
 	cont := newDeltaSource(t, r, 5, 2)
 	var stream []*RoundData
-	for round := 0; round < 5; round++ {
+	for round := 0; round < k+3; round++ {
 		rd, err := cont.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		stream = append(stream, rd)
 	}
-	for _, seek := range []int{0, 2, 4} {
+	for i, rd := range stream {
+		flooded := rd.Ledger[trace.PhaseQuery].Bytes > 0
+		if want := rd.Round == 1 || rd.Round == k+1; flooded != want {
+			t.Fatalf("round %d: query flood on the air = %v, want %v (re-flood every %d rounds)", rd.Round, flooded, want, k)
+		}
+		if got := rd.Ledger[trace.PhaseQuery].Bytes + rd.Ledger[trace.PhaseMeasure].Bytes +
+			rd.Ledger[trace.PhaseCollect].Bytes + rd.Ledger[trace.PhaseLink].Bytes; got != rd.TxBytes {
+			t.Fatalf("round %d: ledger sums to %d bytes, TxBytes %d", i+1, got, rd.TxBytes)
+		}
+	}
+	for _, seek := range []int{0, 2, k + 1} {
 		re := newDeltaSource(t, r, 5, 2)
 		if err := re.SeekRound(seek); err != nil {
 			t.Fatal(err)
@@ -125,7 +140,8 @@ func TestRoundSourceDeltaSeekReplay(t *testing.T) {
 			}
 		}
 	}
-	// Seeking an already-advanced source must also reset cleanly.
+	// Seeking an already-advanced source must also reset cleanly, the
+	// standing query included: the replayed round 1 floods again.
 	again := newDeltaSource(t, r, 5, 2)
 	for round := 0; round < 3; round++ {
 		if _, err := again.Next(); err != nil {

@@ -9,6 +9,7 @@ import (
 	"isomap/internal/field"
 	"isomap/internal/monitor"
 	"isomap/internal/network"
+	"isomap/internal/trace"
 )
 
 // RoundSource drives one deployment through successive monitoring rounds
@@ -133,6 +134,9 @@ type RoundData struct {
 	// frames, and total transmitted bytes including retries and acks.
 	DataFrames int64
 	TxBytes    int64
+	// Ledger splits the round's transmissions and their bytes by protocol
+	// phase (query, measure, collect, link); its bytes sum to TxBytes.
+	Ledger trace.Ledger
 	// Delta carries the delta-mode round telemetry (nil outside delta
 	// mode).
 	Delta *DeltaRoundStats
@@ -244,6 +248,7 @@ func (rs *RoundSource) nextPacket(f field.Field, rd *RoundData, faulted bool) (*
 	rd.Crashed = res.Crashed
 	rd.DataFrames = int64(res.Radio.DataSent)
 	rd.TxBytes = res.Counters.TotalTxBytes()
+	rd.Ledger = res.Radio.Ledger
 	if rs.Delta {
 		st := rs.aged.Apply(rs.round, res.Delivered, nil)
 		rd.Reports = rs.aged.Reports()

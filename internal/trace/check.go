@@ -17,10 +17,12 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: seq=%d node=%d: %s", v.Invariant, v.Seq, v.Node, v.Msg)
 }
 
-// FrameProbe and FrameReply are the raw desim.FrameKind values of the
-// measure phase's probe and reply frames, which the reply invariants
-// recognise by Event.FrameKind (a desim test pins the two in step).
+// FrameQuery, FrameProbe and FrameReply are the raw desim.FrameKind
+// values of the query flood's frames and the measure phase's probe and
+// reply frames, which the invariants recognise by Event.FrameKind (a
+// desim test pins them in step).
 const (
+	FrameQuery uint8 = 2
 	FrameProbe uint8 = 3
 	FrameReply uint8 = 4
 )
@@ -64,7 +66,12 @@ func (r *Recorder) Check(cfg CheckConfig) []Violation {
 //   - reply-after-probe: a reply's sender had a probe delivered to it
 //     earlier in the round;
 //   - reply-broadcast: replies are unacknowledged broadcasts, so none
-//     appears in a send, ack, retry, drop or dead event.
+//     appears in a send, ack, retry, drop or dead event;
+//   - probe-after-query: a probe's sender heard the query or woke on its
+//     standing-query timer earlier in the round;
+//   - flood-or-wake: a round either floods the query (query-heard
+//     events, query frames on the air) or starts its nodes on their
+//     standing-query timers (wake events), never both.
 //
 // Together these turn the trace into a test oracle: properties that
 // previously required printf archaeology become assertions.
@@ -96,11 +103,14 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 	// node's reply transmissions.
 	probed := make(map[int32]bool)
 	replies := make(map[int32]int)
+	// started marks nodes that heard the query or woke on their timer.
+	started := make(map[int32]bool)
 	var (
-		lastT        float64
-		sawRoundEnd  bool
-		sinkAccepted int64
-		sinkTotal    int64
+		flooded, woke bool
+		lastT         float64
+		sawRoundEnd   bool
+		sinkAccepted  int64
+		sinkTotal     int64
 	)
 	for i, ev := range events {
 		if ev.Kind == KindSinkStage || ev.Kind == KindAgeExpire {
@@ -141,6 +151,20 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 		}
 
 		switch ev.Kind {
+		case KindTx:
+			switch {
+			case ev.FrameKind == FrameQuery:
+				flooded = true
+			case ev.FrameKind == FrameProbe && !started[ev.Node]:
+				out = append(out, Violation{Invariant: "probe-after-query", Seq: ev.Seq, Node: ev.Node,
+					Msg: fmt.Sprintf("probe at t=%g from a node that neither heard the query nor woke", ev.T)})
+			}
+		case KindQueryHeard:
+			started[ev.Node] = true
+			flooded = true
+		case KindWake:
+			started[ev.Node] = true
+			woke = true
 		case KindSend:
 			fs := frameAt(ev.Seq)
 			if fs.sent {
@@ -190,6 +214,10 @@ func Check(events []Event, cfg CheckConfig) []Violation {
 			sawRoundEnd = true
 			sinkTotal = ev.Seq
 		}
+	}
+	if flooded && woke {
+		out = append(out, Violation{Invariant: "flood-or-wake",
+			Msg: "round both flooded the query and woke nodes on their standing-query timers"})
 	}
 	if sawRoundEnd {
 		for seq, fs := range frames {

@@ -189,8 +189,9 @@ func TestCheckCounters(t *testing.T) {
 	}
 }
 
-// measureTrace is a sound measure exchange: node 1 probes, nodes 2 and 3
-// hear the probe, and each broadcasts its one reply, which node 1 keeps.
+// measureTrace is a sound measure exchange: node 1 wakes on its
+// standing-query timer and probes, nodes 2 and 3 hear the probe, and
+// each broadcasts its one reply, which node 1 keeps.
 func measureTrace() []Event {
 	probe := func(t float64, kind Kind, node, peer int32) Event {
 		return Event{T: t, Kind: kind, Node: node, Peer: peer, Seq: 10, Bytes: 6, Phase: PhaseMeasure, FrameKind: FrameProbe}
@@ -199,6 +200,7 @@ func measureTrace() []Event {
 		return Event{T: t, Kind: kind, Node: node, Peer: peer, Seq: seq, Bytes: 20, Phase: PhaseMeasure, FrameKind: FrameReply}
 	}
 	return []Event{
+		{T: 0.05, Kind: KindWake, Node: 1, Peer: -1, Phase: PhaseQuery},
 		probe(0.1, KindTx, 1, -2),
 		probe(0.2, KindDeliver, 2, 1),
 		probe(0.2, KindDeliver, 3, 1),
@@ -230,9 +232,9 @@ func TestCheckReplyAfterProbe(t *testing.T) {
 
 	// A node replies before the probe reaches it.
 	evs = measureTrace()
-	early := evs[5] // node 3's reply, moved ahead of its probe delivery
+	early := evs[6] // node 3's reply, moved ahead of its probe delivery
 	early.T = 0.15
-	evs = slices.Insert(slices.Delete(evs, 5, 6), 1, early)
+	evs = slices.Insert(slices.Delete(evs, 6, 7), 2, early)
 	expectViolation(t, "reply-after-probe", evs, CheckConfig{})
 }
 
@@ -242,4 +244,36 @@ func TestCheckReplyBroadcast(t *testing.T) {
 			Event{T: 0.6, Kind: k, Node: 2, Peer: 1, Seq: 11, Phase: PhaseMeasure, FrameKind: FrameReply})
 		expectViolation(t, "reply-broadcast", evs, CheckConfig{})
 	}
+}
+
+func TestCheckProbeAfterQuery(t *testing.T) {
+	// The prober never started its round.
+	evs := measureTrace()[1:]
+	expectViolation(t, "probe-after-query", evs, CheckConfig{})
+
+	// The prober starts its round only after probing.
+	evs = measureTrace()
+	wake := evs[0]
+	wake.T = 0.15
+	evs = slices.Insert(evs[1:], 1, wake)
+	expectViolation(t, "probe-after-query", evs, CheckConfig{})
+
+	// Hearing the flood starts a round as well as waking does.
+	evs = measureTrace()
+	evs[0].Kind, evs[0].Peer = KindQueryHeard, 0
+	if v := Check(evs, CheckConfig{}); len(v) > 0 {
+		t.Fatalf("probe after hearing the flood flagged: %v", v[0])
+	}
+}
+
+func TestCheckFloodOrWake(t *testing.T) {
+	// A flood round in which one node also wakes on its timer.
+	evs := slices.Insert(cleanTrace(), 1,
+		Event{T: 0.0, Kind: KindWake, Node: 7, Peer: -1, Phase: PhaseQuery})
+	expectViolation(t, "flood-or-wake", evs, CheckConfig{})
+
+	// A timer round in which a query frame still goes on the air.
+	evs = append(measureTrace(),
+		Event{T: 0.6, Kind: KindTx, Node: 3, Peer: -2, Seq: 20, Bytes: 8, Phase: PhaseQuery, FrameKind: FrameQuery})
+	expectViolation(t, "flood-or-wake", evs, CheckConfig{})
 }

@@ -54,14 +54,17 @@ type Summary struct {
 	Events        int64 `json:"events"`
 	DroppedEvents int64 `json:"droppedEvents"`
 	// Round totals.
-	Sends       int64 `json:"sends"`
-	Delivered   int64 `json:"delivered"`
-	Acked       int64 `json:"acked"`
-	Drops       int64 `json:"drops"`
-	Crashes     int64 `json:"crashes"`
-	Reparents   int64 `json:"reparents"`
-	Severed     int64 `json:"severed"`
-	QueryHeard  int64 `json:"queryHeard"`
+	Sends      int64 `json:"sends"`
+	Delivered  int64 `json:"delivered"`
+	Acked      int64 `json:"acked"`
+	Drops      int64 `json:"drops"`
+	Crashes    int64 `json:"crashes"`
+	Reparents  int64 `json:"reparents"`
+	Severed    int64 `json:"severed"`
+	QueryHeard int64 `json:"queryHeard"`
+	// Wakes counts nodes that started the round on their standing-query
+	// epoch timer instead of a flood (delta rounds between floods).
+	Wakes       int64 `json:"wakes,omitempty"`
 	Generated   int64 `json:"generated"`
 	SinkReports int64 `json:"sinkReports"`
 	// Delta-mode totals: level transits reported, repeats withheld at the
@@ -148,6 +151,8 @@ func Summarize(events []Event, dropped int64) Summary {
 			s.Severed++
 		case KindQueryHeard:
 			s.QueryHeard++
+		case KindWake:
+			s.Wakes++
 		case KindGenerate:
 			s.Generated += int64(ev.Arg)
 		case KindSinkReport:

@@ -74,8 +74,8 @@ func TestSummarizePhaseBreakdown(t *testing.T) {
 }
 
 // TestSummarizeDeltaTallies covers the delta-protocol event vocabulary:
-// crossings, source-side suppressions and sink-side age expiries roll up
-// into their Summary totals and nothing else.
+// crossings, source-side suppressions, standing-query wakes and sink-side
+// age expiries roll up into their Summary totals and nothing else.
 func TestSummarizeDeltaTallies(t *testing.T) {
 	evs := []Event{
 		{T: 0.4, Kind: KindCrossing, Node: 3, Peer: -1, Arg: 0, Phase: PhaseMeasure},
@@ -83,12 +83,44 @@ func TestSummarizeDeltaTallies(t *testing.T) {
 		{T: 0.5, Kind: KindSuppress, Node: 4, Peer: -1, Arg: 0, Phase: PhaseMeasure},
 		{Kind: KindAgeExpire, Node: 5, Peer: -1, Arg: 0},
 	}
+	evs = append(evs, Event{T: 0.1, Kind: KindWake, Node: 3, Peer: -1, Phase: PhaseQuery})
 	s := Summarize(evs, 0)
-	if s.Crossings != 2 || s.Suppressed != 1 || s.AgeExpired != 1 {
-		t.Errorf("crossings=%d suppressed=%d ageExpired=%d, want 2/1/1",
-			s.Crossings, s.Suppressed, s.AgeExpired)
+	if s.Crossings != 2 || s.Suppressed != 1 || s.AgeExpired != 1 || s.Wakes != 1 {
+		t.Errorf("crossings=%d suppressed=%d ageExpired=%d wakes=%d, want 2/1/1/1",
+			s.Crossings, s.Suppressed, s.AgeExpired, s.Wakes)
 	}
 	if s.Sends != 0 || s.Delivered != 0 || s.Drops != 0 {
 		t.Errorf("delta events leaked into radio totals: %+v", s)
+	}
+}
+
+// TestLedgerMatchesSummary: a ledger tallied at every transmission holds
+// the same per-phase frames and bytes as the Summary of the trace those
+// transmissions were recorded in.
+func TestLedgerMatchesSummary(t *testing.T) {
+	txs := []Event{
+		{T: 0.1, Kind: KindTx, Node: 0, Bytes: 8, Phase: PhaseQuery},
+		{T: 0.2, Kind: KindTx, Node: 1, Bytes: 8, Phase: PhaseQuery},
+		{T: 0.3, Kind: KindTx, Node: 1, Bytes: 2, Phase: PhaseMeasure},
+		{T: 0.4, Kind: KindTx, Node: 2, Bytes: 36, Phase: PhaseCollect},
+		{T: 0.5, Kind: KindTx, Node: 1, Bytes: 2, Phase: PhaseLink},
+	}
+	var l Ledger
+	for _, ev := range txs {
+		l.Add(ev.Phase, int(ev.Bytes))
+	}
+	var fromSummary Ledger
+	for _, pb := range Summarize(txs, 0).Phases {
+		for p := range fromSummary {
+			if Phase(p).String() == pb.Phase {
+				fromSummary[p] = PhaseTx{Frames: pb.Tx, Bytes: pb.TxBytes}
+			}
+		}
+	}
+	if l != fromSummary {
+		t.Fatalf("ledger %+v, summary %+v", l, fromSummary)
+	}
+	if l[PhaseQuery] != (PhaseTx{Frames: 2, Bytes: 16}) {
+		t.Errorf("query phase %+v, want 2 frames of 16 bytes", l[PhaseQuery])
 	}
 }

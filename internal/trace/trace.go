@@ -69,6 +69,11 @@ const (
 	KindSuppress  // Node stayed on its isoline; report withheld (Arg: level index)
 	KindAgeExpire // sink aged out a stale report (Node: source; Arg: level index); post-round, T is 0
 
+	// Standing query (desim delta mode): Node holds the query from an
+	// earlier flood and starts its round on its epoch timer instead of
+	// hearing a flood this round.
+	KindWake
+
 	kindCount // number of kinds, for aggregation arrays
 )
 
@@ -97,6 +102,7 @@ var kindNames = [...]string{
 	KindCrossing:   "crossing",
 	KindSuppress:   "suppress",
 	KindAgeExpire:  "age-expire",
+	KindWake:       "wake",
 }
 
 // String returns the canonical lowercase name of the kind.
@@ -136,6 +142,25 @@ func (p Phase) String() string {
 		return phaseNames[p]
 	}
 	return "unknown"
+}
+
+// PhaseTx is one phase's transmit tally: physical transmissions
+// (retries and acks included) and their bytes.
+type PhaseTx struct {
+	Frames int64
+	Bytes  int64
+}
+
+// Ledger is a round's transmit tally per protocol phase, indexed by
+// Phase. desim's radio keeps it on every round, recorder or not, at the
+// same point it charges transmit energy, so it equals the Tx/TxBytes of
+// the traced round's Summary phases.
+type Ledger [phaseCount]PhaseTx
+
+// Add tallies one transmission of bytes in phase p.
+func (l *Ledger) Add(p Phase, bytes int) {
+	l[p].Frames++
+	l[p].Bytes += int64(bytes)
 }
 
 // Cause refines KindDrop/KindDead events with why the frame was
