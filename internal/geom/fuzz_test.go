@@ -9,7 +9,9 @@ import (
 // FuzzClipHalfPlane feeds arbitrary half-planes to the clipper; the result
 // must always be inside both the half-plane and the original rectangle, and
 // clipping into a dirty, reused buffer must give the fresh result bit for
-// bit (nil included).
+// bit (nil included). A labelled clip must give the same vertices, one
+// label per vertex, and put every edge on the line its label names: the
+// rectangle edge it came from, or h's boundary.
 func FuzzClipHalfPlane(f *testing.F) {
 	f.Add(5.0, 5.0, 1.0, 0.0)
 	f.Add(0.0, 0.0, 0.0, 0.0)
@@ -27,8 +29,34 @@ func FuzzClipHalfPlane(f *testing.F) {
 		for i := range dirty {
 			dirty[i] = Point{X: math.NaN(), Y: float64(i)}
 		}
-		if reused, _ := pg.clipInto(dirty, h); !polygonBitsEqual(reused, clipped) {
+		if reused, _, _ := pg.clipInto(dirty, h, nil, nil, 0); !polygonBitsEqual(reused, clipped) {
 			t.Fatalf("clipInto into a reused buffer = %v, ClipHalfPlane = %v", reused, clipped)
+		}
+		const hLabel = 7
+		labelled, labels, within := pg.clipInto(nil, h, []int32{0, 1, 2, 3}, make([]int32, 2, 3), hLabel)
+		if !polygonBitsEqual(labelled, clipped) || len(labels) != len(labelled) {
+			t.Fatalf("labelled clip = %v with labels %v, ClipHalfPlane = %v", labelled, labels, clipped)
+		}
+		for k, l := range labels {
+			a, b := labelled[k], labelled[(k+1)%len(labelled)]
+			line, tol := HalfPlane{}, 2*Eps
+			switch {
+			case l >= 0 && l < 4:
+				line = HalfPlane{Origin: pg[l], Normal: pg[(l+1)%4].Sub(pg[l])}
+				line.Normal = Vec{X: line.Normal.Y, Y: -line.Normal.X}
+			case l == hLabel:
+				if !within || max(math.Abs(ox), math.Abs(oy)) > 1e6 {
+					continue
+				}
+				line, tol = h, 1e-8*(11+max(math.Abs(ox), math.Abs(oy)))
+			default:
+				t.Fatalf("edge %d has label %d", k, l)
+			}
+			n := line.Normal.Norm()
+			if math.Abs(line.Side(a))/n > tol || math.Abs(line.Side(b))/n > tol {
+				t.Fatalf("edge %v–%v labelled %d lies off its line (distances %v, %v)",
+					a, b, l, math.Abs(line.Side(a))/n, math.Abs(line.Side(b))/n)
+			}
 		}
 		area := clipped.Area()
 		if area < 0 || area > 100+1e-6 {

@@ -153,7 +153,7 @@ func (h HalfPlane) Contains(p Point) bool { return h.Side(p) <= Eps }
 // Sutherland-Hodgman rule, returning the (possibly empty) convex piece that
 // lies inside the half-plane.
 func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon {
-	out, _ := pg.clipInto(nil, h)
+	out, _, _ := pg.clipInto(nil, h, nil, nil, 0)
 	return out
 }
 
@@ -163,48 +163,87 @@ func (pg Polygon) ClipHalfPlane(h HalfPlane) Polygon {
 // arithmetic and their order are exactly ClipHalfPlane's; the result is nil
 // below three vertices whatever dst held.
 //
+// lab, when non-nil, holds one edge label per vertex of pg: the label of
+// the edge that starts there. The result's labels are then written into
+// labDst[:0] (which must not alias lab) and returned: a kept vertex keeps
+// its label, a crossing entering the half-plane keeps the label of the
+// edge it cuts, and a crossing leaving it starts the edge along h's
+// boundary, labelled site.
+//
 // within reports whether every crossing was interpolated inside its edge.
 // It is false only when a vertex kept by the Eps band lies strictly
 // outside the boundary and one of its edges crosses: the crossing is then
 // extrapolated past that vertex, possibly far along a near-parallel edge.
-func (pg Polygon) clipInto(dst Polygon, h HalfPlane) (clipped Polygon, within bool) {
+func (pg Polygon) clipInto(dst Polygon, h HalfPlane, lab, labDst []int32, site int32) (clipped Polygon, labels []int32, within bool) {
 	if len(pg) == 0 {
-		return nil, true
+		return nil, nil, true
 	}
 	out := dst[:0]
+	if lab != nil {
+		lab = lab[:len(pg)]
+		labels = labDst[:0]
+	}
 	within = true
-	n := len(pg)
-	for i := 0; i < n; i++ {
-		cur, next := pg[i], pg[(i+1)%n]
-		sc, sn := h.Side(cur), h.Side(next)
+	// Each vertex's Side is evaluated once, as next, and carried to the
+	// following edge as cur.
+	first := h.Side(pg[0])
+	sc := first
+	for i, cur := range pg {
+		next, sn := pg[0], first
+		if i+1 < len(pg) {
+			next = pg[i+1]
+			sn = h.Side(next)
+		}
 		curIn := sc <= Eps
 		nextIn := sn <= Eps
 		if curIn {
 			out = append(out, cur)
+			if lab != nil {
+				labels = append(labels, lab[i])
+			}
 		}
 		if curIn != nextIn {
 			// The edge crosses the boundary; interpolate the crossing.
 			t := sc / (sc - sn)
 			within = within && t >= 0 && t <= 1
 			out = append(out, Segment{A: cur, B: next}.PointAt(t))
+			if lab != nil {
+				if curIn {
+					labels = append(labels, site)
+				} else {
+					labels = append(labels, lab[i])
+				}
+			}
 		}
+		sc = sn
 	}
-	return dedupeClosePoints(out), within
+	out, labels = dedupeClosePoints(out, labels)
+	return out, labels, within
 }
 
 // dedupeClosePoints removes, in place, consecutive (and wrap-around)
 // duplicate vertices that clipping can introduce, returning nil when fewer
-// than three vertices remain.
-func dedupeClosePoints(pg Polygon) Polygon {
+// than three vertices remain. lab, when non-nil, is pg's edge labels,
+// compacted alongside: a vertex dropped as a duplicate of the last kept one
+// hands that vertex its label, since the kept vertex now starts the dropped
+// one's edge; a trailing vertex dropped as a duplicate of the first takes
+// its own (vanishing) edge's label with it.
+func dedupeClosePoints(pg Polygon, lab []int32) (Polygon, []int32) {
 	if len(pg) == 0 {
-		return nil
+		return nil, nil
 	}
 	// The write index never passes the read index, and each point is
 	// compared with the last one kept, as a copying pass would.
 	out := pg[:0]
-	for _, p := range pg {
+	for k, p := range pg {
 		if len(out) > 0 && out[len(out)-1].NearlyEqual(p) {
+			if lab != nil {
+				lab[len(out)-1] = lab[k]
+			}
 			continue
+		}
+		if lab != nil {
+			lab[len(out)] = lab[k]
 		}
 		out = append(out, p)
 	}
@@ -212,7 +251,10 @@ func dedupeClosePoints(pg Polygon) Polygon {
 		out = out[:len(out)-1]
 	}
 	if len(out) < 3 {
-		return nil
+		return nil, nil
 	}
-	return out
+	if lab != nil {
+		lab = lab[:len(out)]
+	}
+	return out, lab
 }

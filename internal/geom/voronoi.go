@@ -22,8 +22,8 @@ type VoronoiCell struct {
 	// Neighbors[i].
 	SharedEdges []Segment
 	// certified marks a cell whose construction meets the premises of
-	// NearestFrom's certificate (see certifiable). It is a function of
-	// the cell's clip sequence, adjacency and bounds.
+	// NearestFrom's certificate (see keepCell). It is a function of the
+	// cell's clip sequence and bounds.
 	certified bool
 }
 
@@ -33,9 +33,9 @@ type VoronoiDiagram struct {
 	Bounds Polygon
 	// Cells holds one cell per input site, in input order.
 	Cells []VoronoiCell
-	// index, when set, answers nearest-site queries for CellContaining and
-	// adjacency without scanning all sites. Diagrams built by Voronoi carry
-	// one; zero-value diagrams fall back to linear scans.
+	// index, when set, answers nearest-site queries for CellContaining
+	// without scanning all sites. Diagrams built by Voronoi carry one;
+	// zero-value diagrams fall back to linear scans.
 	index *NNIndex
 	// walk is NearestFrom's neighbour and margin table, built with the
 	// cells.
@@ -81,33 +81,31 @@ func VoronoiWithIndex(sites []Point, bounds Polygon, index *NNIndex) *VoronoiDia
 type voronoiScratch struct {
 	// clip holds the two buffers the clip loop alternates between: once a
 	// cell has been clipped, its region lives in clip[0] and the next clip
-	// writes into clip[1] before the two swap.
+	// writes into clip[1] before the two swap. lab does the same for the
+	// region's edge labels (clipInto): the site whose bisector the edge
+	// starting at each vertex lies on, or -1 for a bounds edge.
 	clip [2]Polygon
+	lab  [2][]int32
+	// boundsLab labels the unclipped region, the bounds: all -1.
+	boundsLab []int32
 	// pend is ringBatches' pending-candidate buffer.
 	pend []nnCand
-	// adj collects one cell's shared edges before they are copied out.
-	adj []adjEdge
 
 	// The cell being built; visit and clipBatch read and update these.
 	sites   []Point
 	i       int
 	region  Polygon
+	labels  []int32
 	clipped bool // region lives in clip[0] rather than being the bounds
 	r2      float64
 	// nearD2 is the squared distance to the first candidate visited, the
 	// nearest other site; within holds while every clip interpolated its
-	// crossings inside their edges. Both feed certifiable.
+	// crossings inside their edges. Both feed the certificate.
 	nearD2 float64
 	within bool
 	// coordMax is the largest coordinate magnitude of the bounds, the
 	// scale of misses' margin.
 	coordMax float64
-}
-
-// adjEdge is one shared edge of a cell and the neighbor across it.
-type adjEdge struct {
-	j int
-	e Segment
 }
 
 // buildCell computes cell i of d — region and adjacency — with the
@@ -132,7 +130,13 @@ func (d *VoronoiDiagram) buildCell(sc *voronoiScratch, sites []Point, i int) {
 // visited yet.
 func (sc *voronoiScratch) begin(bounds Polygon, sites []Point, i int) {
 	sc.sites, sc.i = sites, i
-	sc.region, sc.clipped = bounds, false
+	if len(sc.boundsLab) != len(bounds) {
+		sc.boundsLab = make([]int32, len(bounds))
+		for k := range sc.boundsLab {
+			sc.boundsLab[k] = -1
+		}
+	}
+	sc.region, sc.labels, sc.clipped = bounds, sc.boundsLab, false
 	sc.r2 = farthestVertexDist2(bounds, sites[i])
 	sc.nearD2, sc.within = math.Inf(1), true
 	sc.coordMax = 0
@@ -143,15 +147,35 @@ func (sc *voronoiScratch) begin(bounds Polygon, sites []Point, i int) {
 
 // keepCell stores the cell the scratch holds as cell i of d. A clipped
 // region is copied out of the scratch buffers at its exact size; an
-// unclipped one is the bounds itself, shared.
+// unclipped one is the bounds itself, shared. The adjacency is read off
+// the edge labels in region order, both lists allocated once at their
+// exact size (nil when no edge has a neighbour). The cell is certified
+// when it meets premises (P1) and (P3) of NearestFrom's certificate; the
+// labels give (P2) (DESIGN.md "Certified-walk rasterization").
 func (d *VoronoiDiagram) keepCell(sc *voronoiScratch, sites []Point, i int) {
 	region := sc.region
 	if sc.clipped && region != nil {
 		region = append(make(Polygon, 0, len(region)), region...)
 	}
-	d.Cells[i] = VoronoiCell{Site: sites[i], Index: i, Region: region}
-	d.cellAdjacency(sc, sites, i)
-	d.Cells[i].certified = sc.within && sc.nearD2 >= walkMinSep*walkMinSep && d.certifiable(sites, i)
+	c := VoronoiCell{Site: sites[i], Index: i, Region: region}
+	n := 0
+	for _, j := range sc.labels {
+		if j >= 0 {
+			n++
+		}
+	}
+	if n > 0 {
+		c.Neighbors, c.SharedEdges = make([]int, 0, n), make([]Segment, 0, n)
+		for k, j := range sc.labels {
+			if j >= 0 {
+				c.Neighbors = append(c.Neighbors, int(j))
+				c.SharedEdges = append(c.SharedEdges, Segment{A: region[k], B: region[(k+1)%len(region)]})
+			}
+		}
+	}
+	c.certified = sc.within && sc.nearD2 >= walkMinSep*walkMinSep &&
+		len(region) >= 3 && d.walk.inBounds(c.Site)
+	d.Cells[i] = c
 }
 
 // visit applies candidate j at squared distance d2 to the cell being
@@ -164,7 +188,7 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 	if len(sc.region) < 3 {
 		// Degenerate bounds: the naive path nils such a region on its
 		// first clip (dedupe drops sub-triangle output).
-		sc.region = nil
+		sc.region, sc.labels = nil, nil
 		return false
 	}
 	if d2 >= 4*sc.r2 {
@@ -175,19 +199,20 @@ func (sc *voronoiScratch) visit(j int, d2 float64) bool {
 		// Duplicate sites split the plane ambiguously; assign the
 		// region to the lower-indexed site.
 		if j < sc.i {
-			sc.region = nil
+			sc.region, sc.labels = nil, nil
 			return false
 		}
 		return true
 	}
-	out, within := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t))
+	out, lab, within := sc.region.clipInto(sc.clip[1], bisectorHalfPlane(s, t), sc.labels, sc.lab[1], int32(j))
 	sc.within = sc.within && within
 	if out == nil {
-		sc.region = nil
+		sc.region, sc.labels = nil, nil
 		return false
 	}
 	sc.clip[0], sc.clip[1] = out, sc.clip[0]
-	sc.region, sc.clipped = out, true
+	sc.lab[0], sc.lab[1] = lab, sc.lab[0]
+	sc.region, sc.labels, sc.clipped = out, lab, true
 	sc.r2 = farthestVertexDist2(out, s)
 	return true
 }
@@ -316,73 +341,6 @@ func farthestVertexDist2(pg Polygon, s Point) float64 {
 // as to t.
 func bisectorHalfPlane(s, t Point) HalfPlane {
 	return HalfPlane{Origin: s.Mid(t), Normal: t.Sub(s)}
-}
-
-// cellAdjacency fills Neighbors/SharedEdges of one cell, walking its
-// region's edges in order and allocating both lists once at their exact
-// size (nil when the cell has no neighbor).
-func (d *VoronoiDiagram) cellAdjacency(sc *voronoiScratch, sites []Point, i int) {
-	ci := &d.Cells[i]
-	region := ci.Region
-	n := len(region)
-	if n < 2 {
-		return
-	}
-	adj := sc.adj[:0]
-	for k := range region {
-		e := Segment{A: region[k], B: region[(k+1)%n]}
-		if j, ok := d.edgeNeighbor(sites, i, e); ok {
-			adj = append(adj, adjEdge{j: j, e: e})
-		}
-	}
-	sc.adj = adj
-	if len(adj) == 0 {
-		return
-	}
-	ci.Neighbors = make([]int, len(adj))
-	ci.SharedEdges = make([]Segment, len(adj))
-	for k, a := range adj {
-		ci.Neighbors[k], ci.SharedEdges[k] = a.j, a.e
-	}
-}
-
-// adjacencyTol is edgeNeighbor's equidistance band: an edge belongs to
-// the nearest other site of its midpoint when the two sites' distances
-// from that midpoint agree within it.
-const adjacencyTol = 1e-6
-
-// edgeNeighbor identifies which other site (if any) generates edge e of cell
-// i: the edge midpoint must be (within tolerance) equidistant from both
-// sites and the edge must lie on their bisector.
-func (d *VoronoiDiagram) edgeNeighbor(sites []Point, i int, e Segment) (int, bool) {
-	const tol = adjacencyTol
-	m := e.Mid()
-	di := m.DistTo(sites[i])
-	best := -1
-	if d.index != nil {
-		best = d.index.NearestExcluding(m, i)
-	} else {
-		// Same ordering as NearestExcluding (squared distances, lowest
-		// index on ties) so indexed and naive diagrams agree exactly.
-		bestD2 := 0.0
-		for j, s := range sites {
-			if j == i {
-				continue
-			}
-			if d2 := m.Dist2To(s); best < 0 || d2 < bestD2 {
-				best, bestD2 = j, d2
-			}
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	// The shared edge midpoint is equidistant from both generating sites.
-	dj := m.DistTo(sites[best])
-	if dj >= di+tol || dj < di-tol {
-		return 0, false
-	}
-	return best, true
 }
 
 // CellContaining returns the index of the cell whose site is nearest to p

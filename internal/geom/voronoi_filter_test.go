@@ -95,7 +95,7 @@ func TestVoronoiFilterFallback(t *testing.T) {
 	// The premises: u's clip of the first-batch region extrapolates, and
 	// w's bisector misses that region but not the clipped one.
 	region := Rect(0, 0, 25, 50)
-	spiked, within := region.clipInto(nil, bisectorHalfPlane(s, u))
+	spiked, _, within := region.clipInto(nil, bisectorHalfPlane(s, u), nil, nil, 0)
 	if within {
 		t.Fatalf("u's clip of %v stayed within its edges: %v", region, spiked)
 	}

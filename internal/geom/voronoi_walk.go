@@ -17,21 +17,22 @@ import "math"
 //
 // i.e. p lies more than δ on h's side of every listed bisector.
 //
-// The margin argument. Clipping and adjacency detection work to
-// tolerances, so the listed neighbours are not exactly the true ones: a
-// neighbour whose edge dedupe dropped, or whose bisector cut the region by
-// no more than the clip band, is missing. Such a neighbour owns only a
-// sliver of what the listed bisectors bound, and every point of that
-// sliver lies within η of the region's boundary; the margin δ ≫ η rejects
-// it. certifiable checks, per cell, the premises that make this exact:
+// The margin argument. Clipping works to a tolerance, so the listed
+// neighbours are not exactly the true ones: a neighbour whose edge dedupe
+// dropped, or whose bisector cut the region by no more than the clip band,
+// is missing. Such a neighbour owns only a sliver of what the listed
+// bisectors bound, and every point of that sliver lies within η of the
+// region's boundary; the margin δ ≫ η rejects it. A cell is certified
+// (keepCell) when it meets the premises that make this exact:
 //
 //	(P1) every clip interpolated its crossings inside their edges, so the
 //	     region G lies in each applied half-plane widened by the clip band
 //	     η = Eps/|s_t − s_h| ≤ Eps/walkMinSep = 1e-7, the site having no
 //	     other site within walkMinSep;
 //	(P2) every edge of G has both endpoints within ε = δ/4 of the line it
-//	     is attributed to: its listed neighbour's bisector, else a bounds
-//	     edge;
+//	     is attributed to: its label's bisector, else a bounds edge. This
+//	     one is not tested: the edge labels and (P1) imply it (DESIGN.md
+//	     "Certified-walk rasterization");
 //	(P3) s_h lies more than δ inside the bounds.
 //
 // Let P_m be the points more than m inside the bounds and every listed
@@ -53,10 +54,9 @@ import "math"
 // never depends on the hint.
 
 const (
-	// walkMargin is the certificate's margin δ, in distance units.
-	walkMargin = adjacencyTol
-	// walkEdgeTol is ε of (P2).
-	walkEdgeTol = walkMargin / 4
+	// walkMargin is the certificate's margin δ, in distance units; (P2)'s
+	// ε is δ/4.
+	walkMargin = 1e-6
 	// walkMinSep is the separation (P1) requires of a cell's site: below
 	// it the clip band Eps/|s_t − s_h| could exceed δ − ε.
 	walkMinSep = 1e-2
@@ -131,45 +131,6 @@ func (w *voronoiWalk) inBounds(p Point) bool {
 	}
 	for _, hp := range w.bounds {
 		if !(hp.Side(p) < -walkMargin) {
-			return false
-		}
-	}
-	return true
-}
-
-// onBounds reports whether segment a–b lies within walkEdgeTol of one
-// bounds edge's line.
-func (w *voronoiWalk) onBounds(a, b Point) bool {
-	for _, hp := range w.bounds {
-		if math.Abs(hp.Side(a)) <= walkEdgeTol && math.Abs(hp.Side(b)) <= walkEdgeTol {
-			return true
-		}
-	}
-	return false
-}
-
-// certifiable checks premises (P2) and (P3) of cell i, whose region and
-// adjacency are built; buildCell adds (P1).
-func (d *VoronoiDiagram) certifiable(sites []Point, i int) bool {
-	c := &d.Cells[i]
-	if len(c.Region) < 3 || !d.walk.inBounds(c.Site) {
-		return false
-	}
-	// cellAdjacency lists the attributed edges in region order.
-	k := 0
-	for e, a := range c.Region {
-		b := c.Region[(e+1)%len(c.Region)]
-		if k < len(c.SharedEdges) && c.SharedEdges[k] == (Segment{A: a, B: b}) {
-			t := sites[c.Neighbors[k]]
-			k++
-			hp := bisectorHalfPlane(c.Site, t)
-			tol := walkEdgeTol * hp.Normal.Norm()
-			if !(math.Abs(hp.Side(a)) <= tol && math.Abs(hp.Side(b)) <= tol) {
-				return false
-			}
-			continue
-		}
-		if !d.walk.onBounds(a, b) {
 			return false
 		}
 	}

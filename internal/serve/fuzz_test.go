@@ -23,7 +23,7 @@ func serveStatus(s *Server, method, path string, body []byte) *httptest.Response
 // 413 (oversized) and nothing else, and every 200 must leave a raster the
 // server can render.
 func FuzzPushRound(f *testing.F) {
-	s, err := NewServer(Config{Deployments: 1, Nodes: 120, Seed: 3, MaxBodyBytes: 4 << 10})
+	s, err := NewServer(Config{Deployments: 1, Nodes: 120, Seed: 3, MaxBodyBytes: fuzzBodyLimit})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,6 +42,11 @@ func FuzzPushRound(f *testing.F) {
 		"null",
 		strings.Repeat(" ", 5<<10),
 	} {
+		f.Add([]byte(seed))
+	}
+	// Every form the decoder's fast path declines, and a complete value
+	// followed by bytes past MaxBodyBytes.
+	for _, seed := range append(declinedBodies(), overLimit(fuzzBodyLimit)) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

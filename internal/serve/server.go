@@ -482,7 +482,8 @@ func (s *Server) handleRound(w http.ResponseWriter, r *http.Request, d *deployme
 	pushed := false
 	if r.Body != nil && r.ContentLength != 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+		var err error
+		if body, err = readRound(r.Body, r.ContentLength, s.cfg.MaxBodyBytes); err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
 				writeErr(w, http.StatusRequestEntityTooLarge, "round body exceeds %d bytes", mbe.Limit)
