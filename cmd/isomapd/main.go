@@ -3,9 +3,9 @@
 // (silting field, optional periodic fault injection) and serves contour
 // queries — level-set polylines, point and range classification, raster
 // tiles — from versioned snapshots with strong ETags. Each round's map is
-// rebuilt from that round's reports by internal/contour.Incremental, its
-// isolevels in parallel; -oracle cross-checks every update against a
-// sequential rebuild before publishing it.
+// built from that round's reports alone (contour.ReconstructWorkers), its
+// isolevels in parallel; -oracle cross-checks every parallel build
+// against a sequential one before publishing it.
 //
 // Usage:
 //
@@ -23,9 +23,9 @@
 // per-deployment checkpoints; a restarted isomapd resumes from them
 // byte-identical to a never-restarted run. -shards partitions each
 // deployment's round simulation into independently clocked shards and
-// -workers bounds both the shard executor and the reconstruction engine's
-// worker pools (0 picks GOMAXPROCS); output is byte-identical at any
-// width. -cache-entries bounds the per-deployment response artifact
+// -workers bounds the shard executor, each round's parallel level builds
+// and each raster render (0 picks GOMAXPROCS); output is byte-identical
+// at any width. -cache-entries bounds the per-deployment response artifact
 // cache. -pprof ADDR serves net/http/pprof on a separate listener (off
 // by default; never exposed on the main address).
 //
@@ -59,12 +59,12 @@ func main() {
 		fieldSpeed  = flag.Float64("field-speed", 0, "evolving field speed factor (0 = 1)")
 		delta       = flag.Bool("delta", false, "run rounds on the delta-report protocol (level-crossing deltas + aged sink belief)")
 		deltaExpiry = flag.Int("delta-expiry", 0, "delta sink belief expiry in rounds (0 = never expire)")
-		oracle      = flag.Bool("oracle", false, "verify every incremental update against a full rebuild")
+		oracle      = flag.Bool("oracle", false, "verify every parallel round build against a sequential rebuild before publishing (skipped at a width of 1)")
 		interval    = flag.Duration("interval", 0, "supervised auto-advance period (0 = only on POST)")
 		ckptDir     = flag.String("checkpoint-dir", "", "directory for per-deployment checkpoints (empty = no checkpoints)")
 		ckptEvery   = flag.Int("checkpoint-every", 1, "checkpoint every Nth published version")
 		shards      = flag.Int("shards", 0, "round-simulation shards per deployment (0 = unsharded)")
-		workers     = flag.Int("workers", 0, "ingest worker width: shard executor + incremental engine pools (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker width: shard executor, parallel level builds and raster renders (0 = GOMAXPROCS)")
 		cacheSize   = flag.Int("cache-entries", 0, "response artifact cache entries per deployment (0 = default)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this separate address (empty = off)")
 	)

@@ -41,14 +41,12 @@ type Options struct {
 	// raster stages. Nil keeps the reconstruction byte-identical to an
 	// untraced run.
 	Trace *trace.Recorder
-	// Workers bounds the Incremental engine's worker pools: the
-	// independent isolevels of an Update build on at most Workers
-	// goroutines, and Incremental.Raster passes it to RasterWorkers.
-	// Values below 1 select GOMAXPROCS. Output is byte-identical at any
-	// width (the parallel property tests pin it); a non-nil Trace forces
-	// sequential Updates so stage events keep their deterministic order.
-	// Reconstruct ignores Workers — its raster parallelism is
-	// RasterWorkers' explicit argument.
+	// Workers is read only by the Incremental engine, which the
+	// benchmark harness still drives: the isolevels of an Update build on
+	// at most Workers goroutines, and Incremental.Raster passes it to
+	// RasterWorkers. Values below 1 select GOMAXPROCS. Reconstruct and
+	// ReconstructWorkers ignore it; their width is an explicit argument,
+	// as RasterWorkers' is.
 	Workers int
 }
 
@@ -136,10 +134,32 @@ func recordStage(tr *trace.Recorder, stage trace.Stage, level int, start time.Ti
 //
 // Reconstruct builds its levels one after another and ignores
 // opts.Workers, so callers that already run many reconstructions in
-// parallel start no goroutines of their own through it.
+// parallel start no goroutines of their own through it. It is
+// ReconstructWorkers at width 1.
 func Reconstruct(reports []core.Report, levels field.Levels, bounds geom.Polygon, sinkValue float64, opts Options) *Map {
+	return ReconstructWorkers(reports, levels, bounds, sinkValue, opts, 1)
+}
+
+// ReconstructWorkers is Reconstruct with its independent isolevels built
+// on at most workers goroutines (workers < 1 selects GOMAXPROCS). A
+// non-nil opts.Trace forces width 1: trace.Recorder is single-writer and
+// stage events keep their deterministic order. The map is identical at
+// any width.
+func ReconstructWorkers(reports []core.Report, levels field.Levels, bounds geom.Polygon, sinkValue float64, opts Options, workers int) *Map {
 	byLevel := groupByLevel(reports, levels.Count())
-	return buildMap(byLevel, levels, bounds.EnsureCCW(), sinkValue, opts, 1)
+	return buildMap(byLevel, levels, bounds.EnsureCCW(), sinkValue, opts, poolWidth(opts, workers))
+}
+
+// poolWidth resolves a level-pool width: 1 under a trace, GOMAXPROCS for
+// workers < 1, workers otherwise.
+func poolWidth(opts Options, workers int) int {
+	if opts.Trace != nil {
+		return 1
+	}
+	if workers < 1 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return workers
 }
 
 // groupByLevel buckets reports by level index in arrival order, dropping

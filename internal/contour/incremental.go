@@ -1,23 +1,8 @@
-// Incremental is the sink's multi-round engine: the serving layer feeds
-// it one report round at a time and reads back the current map. Every
-// Update rebuilds each isolevel from that round's reports alone, as the
-// paper's sink does (Sec. 3.4), with the independent levels built on a
-// worker pool.
-//
-// The contract: Update(reports, sinkValue) returns a Map equal (bit for
-// bit — DeepEqual, including every region float) to
-// Reconstruct(reports, levels, bounds, sinkValue, opts), whatever rounds
-// came before. Arranged returns the last round's in-range reports grouped
-// by level in arrival order, the exact order Reconstruct builds from.
-// Rasters are always the map's full certified sweep (Map.RasterWorkers),
-// so equal maps give equal rasters. The incremental_test.go property
-// tests pin both.
 package contour
 
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 
 	"isomap/internal/core"
 	"isomap/internal/field"
@@ -50,10 +35,24 @@ type IncrementalStats struct {
 	RasterFullRebuilds      int
 }
 
-// Incremental is the multi-round reconstruction engine. It is not safe
-// for concurrent use; serialize Update/Raster calls (the serving daemon
-// takes a per-deployment lock) — Maps it has returned remain valid and
-// read-only forever.
+// Incremental is the multi-round engine the benchmark harness (the
+// separate perfbench module) still drives as its shadow; nothing else
+// calls it. It is kept only until that harness calls ReconstructWorkers,
+// like desim's RunFullRound* wrappers. Every Update is
+// ReconstructWorkers over that round's reports at the Options.Workers
+// width: it keeps no state that shapes the next round.
+//
+// The contract: Update(reports, sinkValue) returns a Map equal (bit for
+// bit — DeepEqual, including every region float) to
+// Reconstruct(reports, levels, bounds, sinkValue, opts), whatever rounds
+// came before. Arranged returns the last round's in-range reports grouped
+// by level in arrival order, the exact order Reconstruct builds from.
+// Rasters are always the map's full certified sweep (Map.RasterWorkers),
+// so equal maps give equal rasters. The incremental_test.go property
+// tests pin both.
+//
+// It is not safe for concurrent use; serialize Update/Raster calls. Maps
+// it has returned remain valid and read-only forever.
 type Incremental struct {
 	levels field.Levels
 	bounds geom.Polygon
@@ -89,9 +88,7 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 // Arranged returns the last Update's in-range reports grouped by level in
 // arrival order, concatenated level by level: the input Reconstruct
 // builds the current map from. Feeding it to any engine's Update
-// reproduces this engine's map and raster exactly; the serving layer
-// recovers a quarantined or restarted deployment this way, from the
-// incoming round or a checkpoint's retained order.
+// reproduces this engine's map and raster exactly.
 func (inc *Incremental) Arranged() []core.Report {
 	var out []core.Report
 	for _, lvl := range inc.byLevel {
@@ -100,27 +97,11 @@ func (inc *Incremental) Arranged() []core.Report {
 	return out
 }
 
-// workers resolves the engine's effective pool width: Options.Workers,
-// with values below 1 selecting GOMAXPROCS, and a non-nil Trace forcing 1
-// (trace.Recorder is single-writer and stage-event order must stay
-// deterministic).
-func (inc *Incremental) workers() int {
-	if inc.opts.Trace != nil {
-		return 1
-	}
-	w := inc.opts.Workers
-	if w < 1 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // Update ingests one round of reports and returns the new current map:
-// Reconstruct's map of the same reports, its isolevels built on the
-// engine's worker pool (see workers).
+// ReconstructWorkers' map of the same reports at width Options.Workers.
 func (inc *Incremental) Update(reports []core.Report, sinkValue float64) *Map {
 	inc.byLevel = groupByLevel(reports, len(inc.values))
-	m := buildMap(inc.byLevel, inc.levels, inc.bounds, sinkValue, inc.opts, inc.workers())
+	m := buildMap(inc.byLevel, inc.levels, inc.bounds, sinkValue, inc.opts, poolWidth(inc.opts, inc.opts.Workers))
 	for _, lvl := range inc.byLevel {
 		inc.stats.CellsRecomputed += len(lvl)
 	}
@@ -142,9 +123,9 @@ func (inc *Incremental) Raster(rows, cols int) *field.Raster {
 
 // Equivalent reports whether two maps are byte-identical: every exported
 // and retained internal field equal via DeepEqual, plus equal rows x cols
-// raster bytes. It is the oracle check the serving daemon's -oracle mode
-// and the incremental property tests run after every update; the error
-// names the first divergence found.
+// raster bytes. It is the check the serving daemon's -oracle mode runs
+// before every publish, and the property tests after every build; the
+// error names the first divergence found.
 func Equivalent(a, b *Map, rows, cols int) error {
 	if (a == nil) != (b == nil) {
 		return fmt.Errorf("contour: one map is nil (a=%v b=%v)", a == nil, b == nil)

@@ -189,12 +189,10 @@ func TestIncrementalOutOfRangeLevels(t *testing.T) {
 	}
 }
 
-// TestIncrementalArrangedReproducesEngine is the recovery lemma the
-// serving layer leans on: at any point of a churn run, a fresh engine
-// whose first Update is the live engine's Arranged() order has a map and
-// raster byte-identical to the continuous engine's — so a quarantined
-// deployment (or a restart from a checkpoint) resumes exactly where the
-// uncorrupted engine stood.
+// TestIncrementalArrangedReproducesEngine: at any point of a churn run, a
+// fresh engine whose first Update is the live engine's Arranged() order
+// has a map and raster byte-identical to the continuous engine's, and
+// continues identically.
 func TestIncrementalArrangedReproducesEngine(t *testing.T) {
 	levels := testLevels()
 	bounds := geom.Rect(0, 0, 30, 30)

@@ -173,7 +173,7 @@ func (ix *NNIndex) scanRing(qx, qy, r int, f func(ids []int32)) {
 
 // Nearest returns the index of the site nearest to p (lowest index on exact
 // ties), or -1 for an empty index.
-func (ix *NNIndex) Nearest(p Point) int { return int(ix.nearestFrom(p, -1, -1)) }
+func (ix *NNIndex) Nearest(p Point) int { return int(ix.nearestFrom(p, -1)) }
 
 // NearestWarm is Nearest warm-started from a hint — typically the answer of
 // a nearby query. The hint seeds the search radius, so the rings stop once
@@ -186,24 +186,14 @@ func (ix *NNIndex) NearestWarm(p Point, hint int) int {
 	if hint >= 0 && hint < len(ix.sites) {
 		h = int32(hint)
 	}
-	return int(ix.nearestFrom(p, h, -1))
-}
-
-// NearestExcluding returns the nearest site to p whose index differs from
-// exclude, or -1 when no such site exists.
-func (ix *NNIndex) NearestExcluding(p Point, exclude int) int {
-	e := int32(-1)
-	if exclude >= 0 && exclude < len(ix.sites) {
-		e = int32(exclude)
-	}
-	return int(ix.nearestFrom(p, -1, e))
+	return int(ix.nearestFrom(p, h))
 }
 
 // nearestFrom is the shared ring search: best (when >= 0) seeds the upper
-// bound, exclude (when >= 0) is skipped. Rings expand until their distance
-// lower bound strictly exceeds the best distance, which keeps exact-tie
-// candidates reachable and makes the result hint-independent.
-func (ix *NNIndex) nearestFrom(p Point, best, exclude int32) int32 {
+// bound. Rings expand until their distance lower bound strictly exceeds
+// the best distance, which keeps exact-tie candidates reachable and makes
+// the result hint-independent.
+func (ix *NNIndex) nearestFrom(p Point, best int32) int32 {
 	bestD2 := math.Inf(1)
 	if best >= 0 {
 		bestD2 = p.Dist2To(ix.sites[best])
@@ -218,9 +208,6 @@ func (ix *NNIndex) nearestFrom(p Point, best, exclude int32) int32 {
 		}
 		ix.scanRing(qx, qy, r, func(ids []int32) {
 			for _, si := range ids {
-				if si == exclude {
-					continue
-				}
 				d2 := p.Dist2To(ix.sites[si])
 				if best < 0 || d2 < bestD2 || (d2 == bestD2 && si < best) {
 					best, bestD2 = si, d2

@@ -91,28 +91,6 @@ func TestNNIndexWarmStartHintIndependent(t *testing.T) {
 	}
 }
 
-func TestNNIndexNearestExcludingMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	bounds := Rect(0, 0, 50, 50)
-	for si, sites := range randomSiteSets(rng) {
-		ix := NewNNIndex(sites, bounds)
-		for _, p := range probes(rng, 100) {
-			ex := rng.Intn(len(sites))
-			want := bruteNearest(sites, p, ex)
-			if got := ix.NearestExcluding(p, ex); got != want {
-				t.Fatalf("set %d: NearestExcluding(%v, %d) = %d, brute = %d", si, p, ex, got, want)
-			}
-		}
-	}
-}
-
-func TestNNIndexNearestExcludingSingleSite(t *testing.T) {
-	ix := NewNNIndex([]Point{{5, 5}}, Rect(0, 0, 10, 10))
-	if got := ix.NearestExcluding(Point{1, 1}, 0); got != -1 {
-		t.Errorf("excluding the only site should return -1, got %d", got)
-	}
-}
-
 func TestNNIndexVisitByDistanceOrderAndCompleteness(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	bounds := Rect(0, 0, 50, 50)
@@ -243,9 +221,6 @@ func TestNNIndexFarAndNonFiniteProbes(t *testing.T) {
 	} {
 		if got, want := ix.Nearest(p), bruteNearest(sites, p, -1); got != want {
 			t.Errorf("Nearest(%v) = %d, brute = %d", p, got, want)
-		}
-		if got, want := ix.NearestExcluding(p, 5), bruteNearest(sites, p, 5); got != want {
-			t.Errorf("NearestExcluding(%v, 5) = %d, brute = %d", p, got, want)
 		}
 		n := 0
 		ix.VisitByDistance(p, func(int, float64) bool { n++; return true })

@@ -18,9 +18,10 @@ import (
 // bound plus dropping superseded versions on publish), never a
 // correctness one, and an ETag can never name bytes of another version.
 //
-// A quarantined (degraded) deployment publishes nothing, so its cache
-// keeps serving the last good version's bytes untouched; a resync
-// publishes a fresh version, which purges the old entries. Concurrent
+// A failed round publishes nothing, so a degraded deployment's cache
+// keeps serving the last good version's bytes untouched; the next
+// successful round publishes a fresh version, which purges the old
+// entries. Concurrent
 // cold misses on one key coalesce singleflight-style: the first request
 // renders, the rest wait and share the bytes.
 
@@ -179,7 +180,7 @@ func (c *artifactCache) store(version int, vk string, body []byte, ct string) {
 // Entries of the kept version survive: re-publishing the same version
 // never happens (the counter is monotone), and the degraded path
 // publishes nothing at all, so the last good version's bytes keep
-// serving through a quarantine.
+// serving through failed rounds.
 func (c *artifactCache) invalidate(keep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -39,12 +39,9 @@ func TestCacheEquivalence(t *testing.T) {
 	d := s.deps["d0"]
 	sn := d.snap.Load()
 
-	// Oracle: a from-scratch rebuild of the same arranged round, rendered
+	// Oracle: a sequential rebuild of the snapshot's reports, rendered
 	// through the same encoders the handlers use.
-	d.mu.Lock()
-	arranged := d.inc.Arranged()
-	d.mu.Unlock()
-	full := contour.Reconstruct(arranged, d.levels, d.bounds, sn.sinkValue, d.opts)
+	full := contour.Reconstruct(sn.input, d.levels, d.bounds, sn.sinkValue, d.opts)
 
 	oracle := map[string][]byte{}
 	for _, idx := range []int{0, 1} {
@@ -103,14 +100,14 @@ func TestCacheEquivalence(t *testing.T) {
 }
 
 // TestCacheInvalidationLifecycle walks the cache across the deployment
-// state machine: publish purges superseded versions, quarantine leaves
-// the last good version's bytes serving (as hits, no re-render), and the
-// resync publish purges them in turn.
+// state machine: publish purges superseded versions, a failed round
+// leaves the last good version's bytes serving (as hits, no re-render),
+// and the next successful publish purges them in turn.
 func TestCacheInvalidationLifecycle(t *testing.T) {
 	plan := NewChaosPlan(ChaosConfig{Seed: 91, DivergeRate: 0.34})
 	fires := chaosSchedule(12, func(a int) bool { return plan.Diverge("d0", a) })
 	// Need at least two clean publishes before the first divergence so the
-	// publish-invalidation arm runs, then a divergence with room to resync.
+	// publish-invalidation arm runs, then a divergence with room to recover.
 	if len(fires) == 0 || fires[0] < 3 || fires[len(fires)-1] >= 12 {
 		t.Fatalf("chaos seed produced unusable divergence schedule %v; pick another seed", fires)
 	}
@@ -164,7 +161,7 @@ func TestCacheInvalidationLifecycle(t *testing.T) {
 	attempt++
 
 	// Degraded: every query keeps serving the last good version's cached
-	// bytes, byte-identical, as hits — the quarantine rendered nothing.
+	// bytes, byte-identical, as hits — the failed round rendered nothing.
 	missesBefore, hitsBefore := counter("cache_misses"), counter("cache_hits")
 	for _, p := range paths {
 		_, etag, body := fetch(t, ts, p)
@@ -172,7 +169,7 @@ func TestCacheInvalidationLifecycle(t *testing.T) {
 			t.Fatalf("degraded GET %s: ETag %q, want last good %q", p, etag, goodETag)
 		}
 		if !bytes.Equal(body, goodBytes[p]) {
-			t.Fatalf("degraded GET %s: bytes diverge from pre-quarantine cache", p)
+			t.Fatalf("degraded GET %s: bytes diverge from pre-failure cache", p)
 		}
 	}
 	if counter("cache_misses") != missesBefore {
@@ -182,7 +179,7 @@ func TestCacheInvalidationLifecycle(t *testing.T) {
 		t.Fatal("degraded queries were not all counted as cache hits")
 	}
 
-	// Resync publishes a fresh version: old entries purged, new bytes
+	// Recovery publishes a fresh version: old entries purged, new bytes
 	// served under the new ETag.
 	for plan.Diverge("d0", attempt) {
 		postRoundStatus(t, ts, "d0", "")
@@ -190,15 +187,15 @@ func TestCacheInvalidationLifecycle(t *testing.T) {
 	}
 	resp, out := postRoundStatus(t, ts, "d0", "")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("resync round: status %d (%v)", resp.StatusCode, out)
+		t.Fatalf("recovery round: status %d (%v)", resp.StatusCode, out)
 	}
 	if n := d.cache.len(); n != 0 {
-		t.Fatalf("resync left %d stale entries cached", n)
+		t.Fatalf("recovery left %d stale entries cached", n)
 	}
 	newBytes := warm()
 	for _, p := range paths[:2] {
 		if bytes.Equal(newBytes[p], goodBytes[p]) {
-			t.Fatalf("post-resync GET %s still serves pre-quarantine bytes", p)
+			t.Fatalf("post-recovery GET %s still serves pre-failure bytes", p)
 		}
 	}
 }

@@ -17,12 +17,12 @@ import (
 // nil-receiver-safe so the ingest path needs no branches.
 //
 // The injected kinds map one-to-one onto the failure domains the
-// resilience layer must absorb: Panic (ingest panics mid-update →
-// quarantine + resync), Diverge (synthetic oracle divergence, handled
+// resilience layer must absorb: Panic (ingest panics after the build →
+// 503, nothing published), Diverge (synthetic oracle divergence, handled
 // identically to a real one), SlowDelay (slow reconstruction rounds →
 // supervisor pacing and query staleness), and Corrupt/CorruptReports
 // (NaN-poisoned pushed batches → the HTTP validation layer must 400 them
-// without touching the engine).
+// before any build).
 type ChaosPlan struct {
 	cfg ChaosConfig
 }
@@ -33,7 +33,8 @@ type ChaosConfig struct {
 	// Seed drives the whole schedule.
 	Seed int64
 	// PanicRate is the probability an ingest attempt panics after the
-	// engine update (the harshest point: the engine is already ahead).
+	// round's map is built (the harshest point: a finished map that must
+	// not be published).
 	PanicRate float64
 	// DivergeRate is the probability an attempt reports a synthetic
 	// oracle divergence.
@@ -113,8 +114,7 @@ func (p *ChaosPlan) Corrupt(dep string, attempt int) bool {
 // pushed batch arrives: a deterministically chosen report gets NaN
 // coordinates and another an infinite gradient. It never mutates its
 // input; callers (the resilience tests) feed the result to the
-// validation layer and assert it is rejected, leaving the engine
-// untouched.
+// validation layer and assert it is rejected before any build.
 func (p *ChaosPlan) CorruptReports(reports []core.Report, dep string, attempt int) []core.Report {
 	out := append([]core.Report(nil), reports...)
 	if len(out) == 0 {

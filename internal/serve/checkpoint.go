@@ -14,15 +14,18 @@ import (
 
 // checkpointDoc is the on-disk per-deployment checkpoint. Determinism
 // makes it tiny: rounds are memoryless given the deployment's scenario
-// (sim.RoundSource.SeekRound), and an engine's map depends only on the
-// reports of its last Update, so the resumable state is the round
-// counter, the published version counter, and the engine's Arranged
-// reports, which a fresh contour.Incremental rebuilds the published map
-// from byte for byte. A restarted server therefore serves snapshots
-// (ETags, raster bytes, polylines) identical to a never-restarted
-// same-seed run. Checkpoints written while the engine kept reports in
-// slots from earlier rounds hold that slot order under the same field;
-// it restores the same way (TestRestoreSlotOrderCheckpoint).
+// (sim.RoundSource.SeekRound), and a published map depends only on its
+// round's reports, so the resumable state is the round counter, the
+// published version counter, and the snapshot's reports, which
+// contour.ReconstructWorkers rebuilds the published map from byte for
+// byte. A restarted server therefore serves snapshots (ETags, raster
+// bytes, polylines) identical to a never-restarted same-seed run.
+//
+// The reports are stored under the field "arranged". Checkpoints written
+// by earlier servers hold there the round's in-range reports grouped by
+// level, some in an order that slots from earlier rounds assigned; any
+// order that keeps each level's reports in their build order rebuilds
+// the same map (TestRestoreSlotOrderCheckpoint).
 type checkpointDoc struct {
 	// ID, Nodes, Seed and FaultEvery identify the deployment the
 	// checkpoint belongs to; restore refuses a checkpoint whose identity
@@ -43,7 +46,7 @@ type checkpointDoc struct {
 	Round     int `json:"round"`
 	SnapRound int `json:"snapRound"`
 
-	// Arranged is the engine's Arranged reports at Version, and
+	// Arranged is the published round's reports at Version, and
 	// SinkValue/Reports/Faulted the snapshot metadata to republish.
 	Arranged  []core.Report `json:"arranged"`
 	SinkValue float64       `json:"sinkValue"`
@@ -56,9 +59,9 @@ func (s *Server) checkpointPath(id string) string {
 }
 
 // writeCheckpoint persists the deployment's resumable state; called with
-// d.mu held, immediately after a publish, so the engine provably backs
-// sn. The write is atomic (temp file + rename): a crash mid-write leaves
-// the previous checkpoint intact, never a torn one.
+// d.mu held, immediately after publishing sn, so the round source's
+// counter matches it. The write is atomic (temp file + rename): a crash
+// mid-write leaves the previous checkpoint intact, never a torn one.
 func (s *Server) writeCheckpoint(d *deployment, sn *snapshot) error {
 	doc := checkpointDoc{
 		ID:         d.id,
@@ -69,7 +72,7 @@ func (s *Server) writeCheckpoint(d *deployment, sn *snapshot) error {
 		Version:    d.version,
 		Round:      d.src.Round(),
 		SnapRound:  sn.round,
-		Arranged:   d.inc.Arranged(),
+		Arranged:   sn.input,
 		SinkValue:  sn.sinkValue,
 		Reports:    sn.reports,
 		Faulted:    sn.faulted,
@@ -136,19 +139,16 @@ func (s *Server) restore(d *deployment) error {
 	if err := d.src.SeekRound(doc.Round); err != nil {
 		return err
 	}
-	inc := contour.NewIncremental(d.levels, d.bounds, d.opts)
-	m := inc.Update(doc.Arranged, doc.SinkValue)
-	d.inc = inc
 	d.version = doc.Version
 	d.snap.Store(&snapshot{
 		version:   doc.Version,
 		round:     doc.SnapRound,
 		etag:      fmt.Sprintf("%q", fmt.Sprintf("%s-v%d", d.id, doc.Version)),
-		m:         m,
+		m:         contour.ReconstructWorkers(doc.Arranged, d.levels, d.bounds, doc.SinkValue, d.opts, s.workers),
+		input:     doc.Arranged,
 		sinkValue: doc.SinkValue,
 		reports:   doc.Reports,
 		faulted:   doc.Faulted,
-		stats:     inc.Stats(),
 	})
 	// The artifact cache is in-process memory, so a restart can never
 	// resurrect pre-restart bytes — but restore is still a publish, so it

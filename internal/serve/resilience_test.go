@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -8,12 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"isomap/internal/core"
 	"isomap/internal/geom"
+	"isomap/internal/sim"
 )
 
 // counter reads one isomapd expvar counter (process-global and monotone:
@@ -52,7 +55,7 @@ func getMeta(t *testing.T, ts *httptest.Server, id string) (map[string]any, *htt
 }
 
 // TestPushedBatchValidation: poisonous payloads are client errors — 400,
-// engine untouched — and oversized bodies 413, never 500. JSON itself
+// nothing built or published — and oversized bodies 413, never 500. JSON itself
 // cannot spell NaN/Inf (the decoder rejects out-of-range literals like
 // 1e999 with 400), so the validateRound layer behind it is unit-tested
 // directly: it guards the paths that bypass JSON decoding, most
@@ -81,7 +84,7 @@ func TestPushedBatchValidation(t *testing.T) {
 	if v := s.deps["d0"].version; v != versionBefore {
 		t.Fatalf("rejected batches advanced the version: %d -> %d", versionBefore, v)
 	}
-	if h := s.deps["d0"].health.Load(); h.Degraded || h.StaleRounds != 0 {
+	if h := s.deps["d0"].health.Load(); h.StaleRounds != 0 {
 		t.Fatalf("rejected batches degraded the deployment: %+v", h)
 	}
 
@@ -164,22 +167,21 @@ func chaosSchedule(n int, pred func(attempt int) bool) []int {
 	return out
 }
 
-// TestQuarantineResync walks the deployment state machine through a
-// synthetic oracle divergence: the failed round publishes nothing and
-// quarantines the engine (fixing the old mutate-before-check bug),
-// queries keep serving the last good snapshot with staleness metadata,
-// and the next round resyncs via full rebuild — all under oracle mode,
-// so the resynced engine is re-verified before publishing.
-func TestQuarantineResync(t *testing.T) {
+// TestDivergedRoundKeepsLastSnapshot walks the deployment state machine
+// through a synthetic oracle divergence: the failed round publishes
+// nothing, queries keep serving the last good snapshot with staleness
+// metadata, and the next successful round publishes from its own
+// reports — all under oracle mode, so that round is verified before
+// publishing.
+func TestDivergedRoundKeepsLastSnapshot(t *testing.T) {
 	plan := NewChaosPlan(ChaosConfig{Seed: 97, DivergeRate: 0.34})
 	fires := chaosSchedule(12, func(a int) bool { return plan.Diverge("d0", a) })
 	if len(fires) == 0 || fires[0] == 1 {
 		t.Fatalf("chaos seed produced unusable divergence schedule %v; pick another seed", fires)
 	}
-	s, ts := bootServer(t, Config{Deployments: 1, Seed: 35, Oracle: true, OracleRes: 32, Chaos: plan})
-	d := s.deps["d0"]
+	_, ts := bootServer(t, Config{Deployments: 1, Seed: 35, Oracle: true, OracleRes: 32, Chaos: plan})
 
-	divBefore, resyncBefore := counter("divergences"), counter("resyncs")
+	divBefore := counter("divergences")
 	// Walk to the first successful round after the first divergence (the
 	// schedule may fire several attempts in a row).
 	last := fires[0] + 1
@@ -187,7 +189,7 @@ func TestQuarantineResync(t *testing.T) {
 		last++
 	}
 	var lastGoodETag string
-	sawDiverge, sawResync := false, false
+	sawDiverge, sawRecovery := false, false
 	for attempt := 1; attempt <= last; attempt++ {
 		resp, out := postRoundStatus(t, ts, "d0", "")
 		if plan.Diverge("d0", attempt) {
@@ -198,13 +200,7 @@ func TestQuarantineResync(t *testing.T) {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Fatal("503 carried no Retry-After")
 			}
-			// Quarantined: engine discarded, snapshot untouched.
-			d.mu.Lock()
-			inc := d.inc
-			d.mu.Unlock()
-			if inc != nil {
-				t.Fatal("diverged ingest left the engine alive")
-			}
+			// Nothing published: the snapshot is untouched.
 			meta, mresp := getMeta(t, ts, "d0")
 			if meta["state"] != "degraded" {
 				t.Fatalf("state after divergence = %v", meta["state"])
@@ -215,8 +211,8 @@ func TestQuarantineResync(t *testing.T) {
 			if mresp.Header.Get("Warning") == "" || mresp.Header.Get("X-Stale-Rounds") == "" {
 				t.Fatalf("degraded response missing staleness headers: %v", mresp.Header)
 			}
-			// The raster path must not touch the quarantined engine: it
-			// renders from the snapshot, version-consistent with the ETag.
+			// The raster renders from the snapshot, version-consistent
+			// with the ETag.
 			var ras struct {
 				Version int `json:"version"`
 			}
@@ -234,36 +230,32 @@ func TestQuarantineResync(t *testing.T) {
 		}
 		lastGoodETag = out["etag"].(string)
 		if sawDiverge {
-			sawResync = true
+			sawRecovery = true
 			meta, _ := getMeta(t, ts, "d0")
 			if meta["state"] != "healthy" {
-				t.Fatalf("state after resync = %v", meta["state"])
+				t.Fatalf("state after recovery = %v", meta["state"])
 			}
 			if meta["staleRounds"].(float64) != 0 {
-				t.Fatalf("staleRounds after resync = %v", meta["staleRounds"])
+				t.Fatalf("staleRounds after recovery = %v", meta["staleRounds"])
 			}
 		}
 	}
-	if !sawDiverge || !sawResync {
-		t.Fatalf("walk exercised diverge=%v resync=%v", sawDiverge, sawResync)
+	if !sawDiverge || !sawRecovery {
+		t.Fatalf("walk exercised diverge=%v recovery=%v", sawDiverge, sawRecovery)
 	}
 	if counter("divergences") <= divBefore {
 		t.Fatal("divergences counter did not grow")
 	}
-	if counter("resyncs") <= resyncBefore {
-		t.Fatal("resyncs counter did not grow")
-	}
 
-	// ETag versions keep ascending across the quarantine: no reuse of a
+	// ETag versions keep ascending across the failed round: no reuse of a
 	// version number for different bytes.
 	if !strings.Contains(lastGoodETag, "-v") {
 		t.Fatalf("bad final etag %q", lastGoodETag)
 	}
 }
 
-// TestPanicRecovery: a scheduled ingest panic is recovered, counted,
-// quarantines the engine and degrades the deployment — then the next
-// round resyncs it.
+// TestPanicRecovery: a scheduled ingest panic is recovered, counted and
+// degrades the deployment — then the next round heals it.
 func TestPanicRecovery(t *testing.T) {
 	plan := NewChaosPlan(ChaosConfig{Seed: 11, PanicRate: 0.3})
 	fires := chaosSchedule(12, func(a int) bool { return plan.Panic("d0", a) })
@@ -285,7 +277,7 @@ func TestPanicRecovery(t *testing.T) {
 	if counter("panics_recovered") <= panicsBefore {
 		t.Fatal("panics_recovered did not grow")
 	}
-	if h := s.deps["d0"].health.Load(); !h.Degraded {
+	if h := s.deps["d0"].health.Load(); h.state() != "degraded" {
 		t.Fatalf("post-panic health = %+v, want degraded", h)
 	}
 	// Recovery round.
@@ -294,8 +286,144 @@ func TestPanicRecovery(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovery round: status %d", resp.StatusCode)
 	}
-	if h := s.deps["d0"].health.Load(); h.Degraded || h.StaleRounds != 0 {
+	if h := s.deps["d0"].health.Load(); h.StaleRounds != 0 {
 		t.Fatalf("post-recovery health = %+v", h)
+	}
+}
+
+// TestRoundSourceFailureDegrades: a round whose source fails publishes
+// nothing, and the deployment reads "degraded" in meta, in the list and
+// in the Warning header while it is rounds behind; the next success
+// makes it "healthy" again.
+func TestRoundSourceFailureDegrades(t *testing.T) {
+	s, ts := bootServer(t, Config{Deployments: 1, Seed: 43})
+	postRound(t, ts, "d0")
+	d := s.deps["d0"]
+	listState := func() string {
+		t.Helper()
+		var list struct {
+			Deployments []struct {
+				State string `json:"state"`
+			} `json:"deployments"`
+		}
+		getJSON(t, ts, "/v1/deployments", &list)
+		if len(list.Deployments) != 1 {
+			t.Fatalf("list holds %d deployments", len(list.Deployments))
+		}
+		return list.Deployments[0].State
+	}
+
+	// A source without an environment panics in Next.
+	d.mu.Lock()
+	src := d.src
+	d.src = &sim.RoundSource{}
+	d.mu.Unlock()
+	if resp, out := postRoundStatus(t, ts, "d0", ""); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("failing source: status %d (%v), want 503", resp.StatusCode, out)
+	}
+	meta, resp := getMeta(t, ts, "d0")
+	if meta["state"] != "degraded" || meta["staleRounds"].(float64) != 1 {
+		t.Fatalf("after a source failure meta reads state %v, staleRounds %v; want degraded, 1", meta["state"], meta["staleRounds"])
+	}
+	if w := resp.Header.Get("Warning"); !strings.Contains(w, "(degraded)") {
+		t.Fatalf("Warning header %q does not name the degraded state", w)
+	}
+	if st := listState(); st != "degraded" {
+		t.Fatalf("list state %q after a source failure, want degraded", st)
+	}
+
+	d.mu.Lock()
+	d.src = src
+	d.mu.Unlock()
+	postRound(t, ts, "d0")
+	meta, resp = getMeta(t, ts, "d0")
+	if meta["state"] != "healthy" || meta["staleRounds"].(float64) != 0 || resp.Header.Get("Warning") != "" {
+		t.Fatalf("after recovery meta reads state %v, staleRounds %v, Warning %q", meta["state"], meta["staleRounds"], resp.Header.Get("Warning"))
+	}
+	if st := listState(); st != "healthy" {
+		t.Fatalf("list state %q after recovery, want healthy", st)
+	}
+}
+
+// TestFailedRoundLeavesNothingBehind: a round that panics or diverges
+// leaves no state that shapes later rounds. Three same-seed servers take
+// the same pushed bodies; one panics on attempt k, one diverges on it and
+// one never fails. Every later round serves the same raster JSON and PGM,
+// polyline, classify and range bytes on all three, except for the
+// embedded version, which the failed round did not advance.
+func TestFailedRoundLeavesNothingBehind(t *testing.T) {
+	const k, rounds = 2, 5
+	cfg := Config{Deployments: 1, Seed: 45, Oracle: true, OracleRes: 32, Workers: 2}
+	type server struct {
+		s    *Server
+		ts   *httptest.Server
+		fail *ChaosPlan
+	}
+	var servers []server
+	for _, fail := range []*ChaosPlan{
+		nil,
+		NewChaosPlan(ChaosConfig{Seed: 1, PanicRate: 1}),
+		NewChaosPlan(ChaosConfig{Seed: 1, DivergeRate: 1}),
+	} {
+		s, ts := bootServer(t, cfg)
+		servers = append(servers, server{s, ts, fail})
+	}
+	var bodies []string
+	for i := 0; i < rounds; i++ {
+		rd, err := servers[0].s.deps["d0"].src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(ingestBody{Reports: rd.Reports, SinkValue: rd.SinkValue})
+		bodies = append(bodies, string(b))
+	}
+	versionRe := regexp.MustCompile(`"version":\d+`)
+	for attempt := 1; attempt <= rounds; attempt++ {
+		var ref map[string][]byte
+		for si, sv := range servers {
+			failing := attempt == k && sv.fail != nil
+			if failing {
+				sv.s.SetChaos(sv.fail)
+			}
+			resp, out := postRoundStatus(t, sv.ts, "d0", bodies[attempt-1])
+			sv.s.SetChaos(nil)
+			if failing {
+				if resp.StatusCode != http.StatusServiceUnavailable {
+					t.Fatalf("server %d attempt %d: status %d, want 503", si, attempt, resp.StatusCode)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("server %d attempt %d: status %d (%v)", si, attempt, resp.StatusCode, out)
+			}
+			if attempt <= k {
+				continue
+			}
+			version := attempt
+			if sv.fail != nil {
+				version--
+			}
+			if want := fmt.Sprintf("%q", fmt.Sprintf("d0-v%d", version)); out["etag"] != want {
+				t.Fatalf("server %d attempt %d: ETag %v, want %s", si, attempt, out["etag"], want)
+			}
+			got := map[string][]byte{}
+			for _, p := range queryPaths("d0") {
+				code, _, body := fetch(t, sv.ts, p)
+				if code != http.StatusOK {
+					t.Fatalf("server %d GET %s: status %d", si, p, code)
+				}
+				got[p] = versionRe.ReplaceAll(body, []byte(`"version":_`))
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			for p, want := range ref {
+				if !bytes.Equal(got[p], want) {
+					t.Fatalf("server %d attempt %d GET %s: bytes differ from the server that never failed", si, attempt, p)
+				}
+			}
+		}
 	}
 }
 
@@ -330,7 +458,7 @@ func TestSupervisorBreakerReadyz(t *testing.T) {
 			return false
 		}
 		h := s.deps["d0"].health.Load()
-		return !h.CrashLooping && !h.Degraded
+		return !h.CrashLooping && h.StaleRounds == 0
 	})
 }
 

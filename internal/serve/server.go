@@ -1,9 +1,11 @@
 // Package serve implements the long-lived contour-map server behind
 // cmd/isomapd: N concurrent deployments, each fed rounds by a
-// sim.RoundSource (or by pushed report batches) and reconstructed by
-// contour.Incremental, serving level-set polylines,
-// point/range classification and raster tiles over HTTP from versioned
-// snapshots.
+// sim.RoundSource (or by pushed report batches), serving level-set
+// polylines, point/range classification and raster tiles over HTTP from
+// versioned snapshots. A round's map is contour.ReconstructWorkers over
+// that round's reports alone, as the paper's sink rebuilds each isolevel
+// (Sec. 3.4); a snapshot holds the reports next to their map, and the
+// deployment keeps no other reconstruction state.
 //
 // Consistency model: every successful ingest produces an immutable
 // snapshot carrying a strong ETag "<id>-v<version>". Query responses set
@@ -11,24 +13,23 @@
 // full entity-tag list) with 304s, so pollers pay nothing while a
 // deployment is quiet. Snapshots swap atomically; in-flight queries keep
 // serving the map they started with. In oracle mode the server verifies
-// each engine update byte-for-byte against a sequential Reconstruct of the
-// engine's Arranged reports before publishing it — the serving twin of the
-// engine's property tests.
+// each pooled build byte-for-byte against a sequential Reconstruct of the
+// same reports before publishing it, which catches level-pool
+// nondeterminism.
 //
 // Failure model: every failure mode of the ingest path is a recoverable,
-// observable state, never silent corruption. A panic or oracle divergence
-// quarantines the deployment's engine (the published snapshot
-// is untouched — nothing unverified is ever served) and the deployment
-// enters degraded mode: queries keep answering from the last good
-// snapshot with staleness metadata (Warning header, X-Stale-Rounds,
-// state in the meta document) until the next round resyncs: a fresh
-// contour.Incremental builds that round, and since every Update depends on
-// its own reports alone, it serves what an unbroken engine would have. A
-// Supervisor (supervisor.go) drives rounds in the background with bounded
-// exponential backoff and a crash-loop breaker surfaced through /readyz;
-// checkpoints (checkpoint.go) make the whole state survive a process
-// restart byte-identically. chaos.go injects seeded faults into exactly
-// these paths to prove recovery.
+// observable state, never silent corruption. A round whose source fails,
+// whose build panics or whose oracle check diverges publishes nothing and
+// leaves nothing behind: queries keep answering from the last good
+// snapshot, flagged degraded with staleness metadata (Warning header,
+// X-Stale-Rounds, state in the meta document), and the next successful
+// round publishes from its own reports, exactly what a server without
+// the failure would have published. A Supervisor (supervisor.go) drives
+// rounds in the background with bounded exponential backoff and a
+// crash-loop breaker surfaced through /readyz; checkpoints
+// (checkpoint.go) make the whole state survive a process restart
+// byte-identically. chaos.go injects seeded faults into exactly these
+// paths to prove recovery.
 package serve
 
 import (
@@ -89,15 +90,17 @@ type Config struct {
 	// staleness in rounds (0 disables aging).
 	Delta       bool
 	DeltaExpiry int
-	// Oracle verifies every engine update against a sequential
-	// Reconstruct before publishing (expensive; for tests and CI).
+	// Oracle verifies every round's pooled build against a sequential
+	// Reconstruct of the same reports before publishing (expensive; for
+	// tests and CI). At a resolved Workers width of 1 the two builds are
+	// the same call, so the check is skipped.
 	Oracle bool
 	// OracleRes is the raster resolution of oracle comparisons; zero
 	// selects 64.
 	OracleRes int
 
 	// CheckpointDir, when set, persists a per-deployment checkpoint
-	// (round counter, published version, arranged reports) there, and
+	// (round counter, published version, the round's reports) there, and
 	// NewServer restores deployments from any checkpoint it finds — a
 	// restarted server resumes serving byte-identical snapshots instead
 	// of losing every deployment back to round 0.
@@ -113,8 +116,9 @@ type Config struct {
 	// execution strategy for large served deployments.
 	Shards int
 	// Workers bounds the server's worker pools: the sharded round engine
-	// (sim.RoundSource.Workers), the engine's parallel level builds
-	// (contour.Options.Workers) and each raster render's row sweep. Zero selects GOMAXPROCS.
+	// (sim.RoundSource.Workers), each round's parallel level builds
+	// (contour.ReconstructWorkers) and each raster render's row sweep.
+	// Zero selects GOMAXPROCS.
 	Workers int
 
 	// MaxBodyBytes caps POST /rounds request bodies; zero selects 8 MiB.
@@ -162,27 +166,25 @@ func (c Config) temporalID() string {
 
 // snapshot is one published reconstruction; immutable once stored.
 type snapshot struct {
-	version   int
-	round     int
-	etag      string
-	m         *contour.Map
+	version int
+	round   int
+	etag    string
+	m       *contour.Map
+	// input is the round's reports as ingested, m's only input:
+	// checkpoints persist it and restore rebuilds m from it.
+	input     []core.Report
 	sinkValue float64
 	reports   int
 	faulted   bool
-	// stats are the engine's cumulative work counters as of this
-	// publish, so meta reads them without the deployment lock.
-	stats contour.IncrementalStats
 }
 
 // depHealth is a deployment's observable failure state; stored behind an
 // atomic pointer (written only under the deployment lock) so the query
 // path reads it lock-free.
 type depHealth struct {
-	// Degraded marks a quarantined engine: the deployment serves its
-	// last good snapshot until a round resyncs.
-	Degraded bool
 	// StaleRounds counts failed round attempts since the last publish —
-	// how many rounds behind the served snapshot is.
+	// how many rounds behind the served snapshot is. The deployment is
+	// degraded exactly while it is positive.
 	StaleRounds int
 	// ConsecFails counts consecutive ingest failures (the supervisor's
 	// backoff and breaker input).
@@ -195,15 +197,16 @@ type depHealth struct {
 }
 
 func (h depHealth) state() string {
-	if h.Degraded {
+	if h.StaleRounds > 0 {
 		return "degraded"
 	}
 	return "healthy"
 }
 
-// deployment is one monitored network: a round source feeding a
-// reconstruction engine. mu serializes ingest and engine access (the engine
-// is single-writer); published snapshots and health are read lock-free.
+// deployment is one monitored network: a round source whose rounds are
+// reconstructed into published snapshots. mu serializes ingest (the round
+// source and the counters below); published snapshots and health are
+// read lock-free.
 type deployment struct {
 	id     string
 	levels field.Levels
@@ -212,13 +215,9 @@ type deployment struct {
 	src    *sim.RoundSource
 
 	mu sync.Mutex
-	// inc is the reconstruction engine; nil while quarantined (after a
-	// panic or divergence), until the next successful round resyncs it.
-	inc *contour.Incremental
-	// version counts published snapshots. It is deliberately decoupled
-	// from the engine's update count: quarantine/resync discards engines,
-	// and a checkpoint restore rebuilds one, without ever rewinding the
-	// ETag sequence.
+	// version counts published snapshots. Failed rounds publish nothing
+	// and a checkpoint restore resumes the count, so the ETag sequence
+	// never rewinds.
 	version int
 	// attempts counts ingest attempts (including failed ones) — the
 	// deterministic key of the chaos schedule.
@@ -234,7 +233,10 @@ type deployment struct {
 
 // Server owns the deployments and implements http.Handler.
 type Server struct {
-	cfg       Config
+	cfg Config
+	// workers is Config.Workers resolved (GOMAXPROCS for zero): the
+	// level-pool width of every round's build.
+	workers   int
 	deps      map[string]*deployment
 	ids       []string
 	mux       *http.ServeMux
@@ -274,14 +276,14 @@ func NewServer(cfg Config) (*Server, error) {
 		rasterSem: make(chan struct{}, cfg.RasterInflight),
 	}
 	s.chaos.Store(cfg.Chaos)
-	// Surface the resolved ingest parallelism as a gauge next to the
-	// counters; 0 means "GOMAXPROCS at run time".
-	iw := cfg.Workers
-	if iw < 1 {
-		iw = runtime.GOMAXPROCS(0)
+	s.workers = cfg.Workers
+	if s.workers < 1 {
+		s.workers = runtime.GOMAXPROCS(0)
 	}
+	// Surface the resolved ingest parallelism as a gauge next to the
+	// counters.
 	g := new(expvar.Int)
-	g.Set(int64(iw))
+	g.Set(int64(s.workers))
 	serveVars().Set("parallel_ingest_workers", g)
 	runner := sim.NewRunner(1)
 	for i := 0; i < cfg.Deployments; i++ {
@@ -292,8 +294,6 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		id := fmt.Sprintf("d%d", i)
 		bounds := field.BoundsRect(env.Field)
-		opts := contour.DefaultOptions()
-		opts.Workers = cfg.Workers
 		src := &sim.RoundSource{Env: env, FaultEvery: cfg.FaultEvery,
 			Shards: cfg.Shards, Workers: cfg.Workers,
 			Delta: cfg.Delta, DeltaExpiry: cfg.DeltaExpiry}
@@ -308,9 +308,8 @@ func NewServer(cfg Config) (*Server, error) {
 			id:     id,
 			levels: env.Scenario.Levels,
 			bounds: bounds,
-			opts:   opts,
+			opts:   contour.DefaultOptions(),
 			src:    src,
-			inc:    contour.NewIncremental(env.Scenario.Levels, bounds, opts),
 			cache:  newArtifactCache(cfg.CacheEntries),
 		}
 		d.health.Store(&depHealth{})
@@ -432,7 +431,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, r *http.Request, d *deploymen
 		"state":       h.state(),
 		"staleRounds": h.StaleRounds,
 		"consecFails": h.ConsecFails,
-		"stats":       sn.stats,
 	}
 	if h.CrashLooping {
 		doc["crashLooping"] = true
@@ -452,10 +450,10 @@ type ingestBody struct {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// validateRound rejects pushed batches that would poison the engine:
-// NaN/Inf coordinates, gradients, levels or sink values (the serving twin
-// of FuzzGridFieldParse's loader hardening). Out-of-range level indices
-// are not an error — the engine drops them, matching Reconstruct.
+// validateRound rejects pushed batches that would poison the
+// reconstruction: NaN/Inf coordinates, gradients, levels or sink values
+// (the serving twin of FuzzGridFieldParse's loader hardening).
+// Out-of-range level indices are not an error — Reconstruct drops them.
 func validateRound(reports []core.Report, sinkValue float64) error {
 	if !isFinite(sinkValue) {
 		return fmt.Errorf("sinkValue %v is not finite", sinkValue)
@@ -475,8 +473,7 @@ func validateRound(reports []core.Report, sinkValue float64) error {
 
 // handleRound distinguishes client errors (malformed/poisonous payloads:
 // 400, oversized: 413) from server-side ingest failures (503 — the
-// deployment quarantined and will resync; the last good snapshot keeps
-// serving).
+// round published nothing; the last good snapshot keeps serving).
 func (s *Server) handleRound(w http.ResponseWriter, r *http.Request, d *deployment) {
 	var body ingestBody
 	pushed := false
@@ -535,8 +532,7 @@ func (s *Server) advance(d *deployment) (*snapshot, error) {
 }
 
 // nextRound draws the next simulated round, converting a round-source
-// panic into an error: the engine is untouched, so the failure costs one
-// stale round, not a quarantine.
+// panic into an error: the failure costs one stale round.
 func (s *Server) nextRound(d *deployment) (rd *sim.RoundData, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -549,17 +545,14 @@ func (s *Server) nextRound(d *deployment) (rd *sim.RoundData, err error) {
 	return d.src.Next()
 }
 
-// ingest feeds one round of reports into the reconstruction engine and
-// publishes the resulting snapshot — strictly in that order: the oracle
-// check (and any panic) happens before the publish, and a failed check
-// quarantines the engine rather than leaving it silently ahead of the
-// snapshot. A quarantined deployment resyncs here on its next round with
-// a fresh engine.
+// ingest builds one round's map and publishes it as a snapshot — strictly
+// in that order: the oracle check (and any panic) happens before the
+// publish, and a failed round publishes nothing.
 func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64, round int, faulted bool) (*snapshot, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.attempts++
-	m, resynced, err := s.rebuild(d, reports, sinkValue, d.attempts)
+	m, err := s.rebuild(d, reports, sinkValue, d.attempts)
 	if err != nil {
 		d.noteFailure(err)
 		serveVars().Add("ingest_failures", 1)
@@ -574,22 +567,19 @@ func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64,
 		round:     round,
 		etag:      fmt.Sprintf("%q", fmt.Sprintf("%s-v%d", d.id, d.version)),
 		m:         m,
+		input:     reports,
 		sinkValue: sinkValue,
 		reports:   len(reports),
 		faulted:   faulted,
-		stats:     d.inc.Stats(),
 	}
 	d.snap.Store(sn)
 	// Publish-time invalidation: drop cached bodies of every superseded
-	// version. Quarantine publishes nothing, so a degraded deployment
-	// keeps serving the last good version's cached bytes; the resync that
-	// ends it lands here and purges them.
+	// version. A failed round publishes nothing, so a degraded deployment
+	// keeps serving the last good version's cached bytes; the success
+	// that ends it lands here and purges them.
 	d.cache.invalidate(sn.version)
 	d.noteSuccess()
 	serveVars().Add("updates", 1)
-	if resynced {
-		serveVars().Add("resyncs", 1)
-	}
 	if s.cfg.CheckpointDir != "" && d.version%s.cfg.CheckpointEvery == 0 {
 		// Checkpoint failures must not fail the round: serving degrades
 		// to restart-from-zero durability, observably.
@@ -603,52 +593,44 @@ func (s *Server) ingest(d *deployment, reports []core.Report, sinkValue float64,
 	return sn, nil
 }
 
-// rebuild runs the engine update under panic recovery and the oracle
-// check, quarantining the engine on any failure (its state can be ahead
-// of the published snapshot, so it cannot be trusted). On a quarantined
-// deployment it performs the resync instead: a fresh engine builds the
-// round.
-func (s *Server) rebuild(d *deployment, reports []core.Report, sinkValue float64, attempt int) (m *contour.Map, resynced bool, err error) {
+// rebuild builds the round's map at the server's pool width under panic
+// recovery and, in oracle mode, checks it before anything is published.
+// The map is a function of this round's reports alone, so a failure
+// leaves nothing to discard: the deployment keeps its last snapshot and
+// its next round builds from that round's reports.
+func (s *Server) rebuild(d *deployment, reports []core.Report, sinkValue float64, attempt int) (m *contour.Map, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			serveVars().Add("panics_recovered", 1)
-			d.inc = nil
-			m, resynced = nil, false
-			err = fmt.Errorf("serve: %s ingest panic (engine quarantined): %v", d.id, r)
+			m, err = nil, fmt.Errorf("serve: %s ingest panic: %v", d.id, r)
 		}
 	}()
 	chaos := s.chaos.Load()
 	if delay := chaos.SlowDelay(d.id, attempt); delay > 0 {
 		time.Sleep(delay)
 	}
-	if d.inc == nil {
-		d.inc = contour.NewIncremental(d.levels, d.bounds, d.opts)
-		resynced = true
-	}
-	m = d.inc.Update(reports, sinkValue)
+	m = contour.ReconstructWorkers(reports, d.levels, d.bounds, sinkValue, d.opts, s.workers)
 	if chaos.Panic(d.id, attempt) {
 		panic("chaos: scheduled ingest panic")
 	}
 	var derr error
 	if chaos.Diverge(d.id, attempt) {
 		derr = errors.New("chaos: synthetic oracle divergence")
-	} else if s.cfg.Oracle {
-		full := contour.Reconstruct(d.inc.Arranged(), d.levels, d.bounds, sinkValue, d.opts)
+	} else if s.cfg.Oracle && s.workers > 1 {
+		full := contour.Reconstruct(reports, d.levels, d.bounds, sinkValue, d.opts)
 		derr = contour.Equivalent(m, full, s.cfg.OracleRes, s.cfg.OracleRes)
 	}
 	if derr != nil {
-		d.inc = nil
 		serveVars().Add("divergences", 1)
-		return nil, false, fmt.Errorf("serve: %s oracle divergence (engine quarantined): %w", d.id, derr)
+		return nil, fmt.Errorf("serve: %s oracle divergence: %w", d.id, derr)
 	}
-	return m, resynced, nil
+	return m, nil
 }
 
 // noteFailure and noteSuccess update the lock-free health document; both
 // must be called with d.mu held.
 func (d *deployment) noteFailure(err error) {
 	h := *d.health.Load()
-	h.Degraded = d.inc == nil
 	h.StaleRounds++
 	h.ConsecFails++
 	h.LastErr = err.Error()
@@ -660,8 +642,8 @@ func (d *deployment) noteSuccess() {
 }
 
 // current loads the deployment's snapshot, answering 503 before the first
-// round and 304 when the client's If-None-Match names it. Degraded or
-// stale deployments keep serving their last good snapshot, flagged by a
+// round and 304 when the client's If-None-Match names it. Degraded
+// deployments keep serving their last good snapshot, flagged by a
 // Warning header and X-Stale-Rounds. The bool reports whether the caller
 // should proceed to build a body.
 func current(w http.ResponseWriter, r *http.Request, d *deployment) (*snapshot, bool) {

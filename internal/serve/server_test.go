@@ -197,12 +197,10 @@ func TestQueriesDoNotWaitForIngest(t *testing.T) {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 	}
-	var meta struct {
-		Stats struct{ Updates int } `json:"stats"`
-	}
+	var meta struct{ Version int }
 	get("/v1/deployments/d0", &meta)
-	if meta.Stats.Updates != 1 {
-		t.Fatalf("meta stats report %d updates, want 1", meta.Stats.Updates)
+	if meta.Version != 1 {
+		t.Fatalf("meta reports version %d, want 1", meta.Version)
 	}
 	var ras struct{ Rows, Cols int }
 	get("/v1/deployments/d0/raster?rows=37&cols=23", &ras)

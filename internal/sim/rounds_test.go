@@ -183,15 +183,16 @@ func TestConcurrentClonesSameSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestRoundSourceFeedsIncremental: the serving pipeline end to end at the
-// engine level — churn rounds (including a crash-faulted one) streamed
-// into contour.Incremental must stay byte-identical to the full-rebuild
-// oracle over the engine's Arranged reports.
-func TestRoundSourceFeedsIncremental(t *testing.T) {
+// TestRoundSourceFeedsReconstructWorkers: the serving pipeline end to
+// end at the reconstruction level — churn rounds (including a
+// crash-faulted one) built on the level pool, as the server builds them,
+// must stay byte-identical to the sequential Reconstruct of the same
+// reports, map and raster.
+func TestRoundSourceFeedsReconstructWorkers(t *testing.T) {
 	r := NewRunner(1)
 	src := newRoundSource(t, r, 7, 3)
 	env := src.Env
-	inc := contour.NewIncremental(env.Scenario.Levels, field.BoundsRect(env.Field), contour.DefaultOptions())
+	levels, bounds, opts := env.Scenario.Levels, field.BoundsRect(env.Field), contour.DefaultOptions()
 	sawFault := false
 	for round := 0; round < 4; round++ {
 		rd, err := src.Next()
@@ -199,16 +200,16 @@ func TestRoundSourceFeedsIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		sawFault = sawFault || rd.Faulted
-		m := inc.Update(rd.Reports, rd.SinkValue)
-		full := contour.Reconstruct(inc.Arranged(), env.Scenario.Levels, field.BoundsRect(env.Field), rd.SinkValue, contour.DefaultOptions())
+		m := contour.ReconstructWorkers(rd.Reports, levels, bounds, rd.SinkValue, opts, 4)
+		full := contour.Reconstruct(rd.Reports, levels, bounds, rd.SinkValue, opts)
 		if err := contour.Equivalent(m, full, 64, 64); err != nil {
 			t.Fatalf("round %d (faulted=%v): %v", rd.Round, rd.Faulted, err)
 		}
-		if err := contour.EquivalentRaster(inc.Raster(64, 64), full.RasterWorkers(64, 64, 1)); err != nil {
+		if err := contour.EquivalentRaster(m.RasterWorkers(64, 64, 4), full.RasterWorkers(64, 64, 1)); err != nil {
 			t.Fatalf("round %d (faulted=%v) raster: %v", rd.Round, rd.Faulted, err)
 		}
 	}
 	if !sawFault {
-		t.Fatal("no faulted round reached the engine")
+		t.Fatal("no faulted round reached the reconstruction")
 	}
 }
