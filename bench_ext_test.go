@@ -1,6 +1,6 @@
-// Benchmarks for the extension experiments and substrates that go beyond
-// the paper's figures: sensing noise, regression scope, lossy links,
-// continuous monitoring, slotted scheduling and DV-hop localization.
+// Benchmarks for the substrates the extension experiments build on:
+// DV-hop localization, slotted scheduling and the packet-level radio. The
+// extension sweeps themselves run under BenchmarkExperiments.
 package isomap_test
 
 import (
@@ -13,30 +13,10 @@ import (
 	"isomap/internal/sim"
 )
 
-func BenchmarkExtNoiseSweep(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtNoiseSweep(1) })
-}
-
-func BenchmarkExtScopeSweep(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtScopeSweep(1) })
-}
-
-func BenchmarkExtLossSweep(b *testing.B) { benchTable(b, sim.ExtLossSweep) }
-
-func BenchmarkExtMonitorRounds(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtMonitorRounds(6) })
-}
-
-func BenchmarkExtLatencySweep(b *testing.B) { benchTable(b, sim.ExtLatencySweep) }
-
-func BenchmarkExtLocalizeSweep(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtLocalizeSweep(1) })
-}
-
 // BenchmarkDVHop measures one full localization pass on the reference
 // deployment with 16 anchors.
 func BenchmarkDVHop(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,7 +35,7 @@ func BenchmarkDVHop(b *testing.B) {
 // BenchmarkPlanEpoch measures the slotted-schedule derivation for a
 // filtered Iso-Map round.
 func BenchmarkPlanEpoch(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,12 +50,10 @@ func BenchmarkPlanEpoch(b *testing.B) {
 	}
 }
 
-func BenchmarkExtMACSweep(b *testing.B) { benchTable(b, sim.ExtMACSweep) }
-
 // BenchmarkPacketCollection measures one packet-level CSMA/CA collection
 // of a filtered Iso-Map round at the reference size.
 func BenchmarkPacketCollection(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,12 +71,10 @@ func BenchmarkPacketCollection(b *testing.B) {
 	}
 }
 
-func BenchmarkExtLifetimeSweep(b *testing.B) { benchTable(b, sim.ExtLifetimeSweep) }
-
 // BenchmarkFullPacketRound measures an entire Iso-Map round (query flood,
 // probes, regression, filtered convergecast) on the discrete-event radio.
 func BenchmarkFullPacketRound(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Nodes: 900, FieldSide: 30, Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Nodes: 900, FieldSide: 30, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -112,12 +88,4 @@ func BenchmarkFullPacketRound(b *testing.B) {
 			b.Fatal("nothing delivered")
 		}
 	}
-}
-
-func BenchmarkExtDetectPolicySweep(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtDetectPolicySweep(1) })
-}
-
-func BenchmarkExtCodecSweep(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.ExtCodecSweep(1) })
 }

@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Sec. 5). Each BenchmarkTable*/BenchmarkFig* target produces the
-// corresponding series once per iteration; run a single full regeneration
-// with:
+// (Sec. 5) and the extension sweeps: BenchmarkExperiments/<id> produces the
+// series of one sim.Experiments entry once per iteration; run a single
+// full regeneration with:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchmem
 //
 // The reported series themselves are printed by cmd/experiments; here the
 // benchmarks measure the cost of regenerating them and keep every
@@ -22,47 +22,26 @@ import (
 	"isomap/internal/sim"
 )
 
-// benchTable runs a figure generator once per iteration, failing the
-// benchmark on error.
-func benchTable(b *testing.B, fn func() (*sim.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tb, err := fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+// benchRunner is the runner every benchmark here builds on; like a long
+// experiments run, it keeps its deployment cache across iterations.
+var benchRunner = sim.NewRunner(0)
+
+// BenchmarkExperiments regenerates each entry of sim.Experiments at
+// runs = 1, one sub-benchmark per ID (BenchmarkExperiments/fig11a, …).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range sim.Experiments {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tb, err := e.Run(benchRunner, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(tb.Rows) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
 	}
-}
-
-func BenchmarkTable1Overhead(b *testing.B) { benchTable(b, sim.Table1Overhead) }
-
-func BenchmarkFig7GradientError(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig7GradientError(1) })
-}
-
-func BenchmarkFig9ReportDensity(b *testing.B) { benchTable(b, sim.Fig9ReportDensity) }
-
-func BenchmarkFig10Maps(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig10Maps(1) })
-}
-
-func BenchmarkFig11aAccuracyDensity(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig11aAccuracyDensity(1) })
-}
-
-func BenchmarkFig11bAccuracyFailures(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig11bAccuracyFailures(1) })
-}
-
-func BenchmarkFig12aHausdorffDensity(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig12aHausdorffDensity(1) })
-}
-
-func BenchmarkFig12bHausdorffFailures(b *testing.B) {
-	benchTable(b, func() (*sim.Table, error) { return sim.Fig12bHausdorffFailures(1) })
 }
 
 // BenchmarkAllFiguresSequential and BenchmarkAllFiguresParallel regenerate
@@ -86,22 +65,12 @@ func benchAllFigures(b *testing.B, parallel int) {
 	}
 }
 
-func BenchmarkFig13aFilterReports(b *testing.B)  { benchTable(b, sim.Fig13aFilterReports) }
-func BenchmarkFig13bFilterAccuracy(b *testing.B) { benchTable(b, sim.Fig13bFilterAccuracy) }
-func BenchmarkFig14aTrafficDiameter(b *testing.B) {
-	benchTable(b, sim.Fig14aTrafficDiameter)
-}
-func BenchmarkFig14bTrafficDensity(b *testing.B) { benchTable(b, sim.Fig14bTrafficDensity) }
-func BenchmarkFig15aComputeCompare(b *testing.B) { benchTable(b, sim.Fig15aCompute) }
-func BenchmarkFig15bComputeIsoMap(b *testing.B)  { benchTable(b, sim.Fig15bComputeIsoMap) }
-func BenchmarkFig16Energy(b *testing.B)          { benchTable(b, sim.Fig16Energy) }
-
 // --- Component micro-benchmarks ---
 
 // BenchmarkProtocolRound measures one full Iso-Map round (sense, detect,
 // regress, filter, deliver) on the reference 2,500-node deployment.
 func BenchmarkProtocolRound(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,7 +85,7 @@ func BenchmarkProtocolRound(b *testing.B) {
 // BenchmarkReconstruction measures the sink-side map generation from a
 // fixed report set.
 func BenchmarkReconstruction(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +155,7 @@ func BenchmarkQuickstartAPI(b *testing.B) {
 // in-network filtering (Sec. 3.5's trade-off).
 func BenchmarkAblationFilterOff(b *testing.B) {
 	fc := core.FilterConfig{Enabled: false}
-	env, err := sim.Build(sim.Scenario{Seed: 1, Filter: &fc})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1, Filter: &fc})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,7 +174,7 @@ func BenchmarkAblationFilterOff(b *testing.B) {
 // BenchmarkAblationRegulationOff quantifies the accuracy impact of
 // skipping regulation Rules 1-2 at the sink.
 func BenchmarkAblationRegulationOff(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1, Regulate: false, RegulateSet: true})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1, Regulate: false, RegulateSet: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,7 +193,7 @@ func BenchmarkAblationRegulationOff(b *testing.B) {
 // BenchmarkAblationWideEpsilon quantifies the wide border-region setting
 // (eps = 0.2T) the paper discusses for sparse deployments.
 func BenchmarkAblationWideEpsilon(b *testing.B) {
-	env, err := sim.Build(sim.Scenario{Seed: 1, Epsilon: 0.4})
+	env, err := benchRunner.Build(sim.Scenario{Seed: 1, Epsilon: 0.4})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,14 +3,14 @@
 // end-to-end round in perfbench, layer microbenchmarks in `go test -bench`.
 //
 // -kind faults (the default, emitting BENCH_FAULTS.json) runs the
-// fault-injection sweep (sim.ExtFaultSweepResults): Iso-Map's packet-level
+// fault-injection sweep (Runner.ExtFaultSweepResults): Iso-Map's packet-level
 // round under lossy/bursty channels and mid-round node crashes, reporting
 // delivery ratio, retry/energy overhead and map fidelity against the
 // fault-free round. -smoke shrinks the sweep to a single cell and one seed
 // for CI.
 //
 // -kind temporal (emitting BENCH_TEMPORAL.json) runs the temporal
-// monitoring sweep (sim.ExtTemporalSweepResults): seeded time-evolving
+// monitoring sweep (Runner.ExtTemporalSweepResults): seeded time-evolving
 // fields tracked over multi-round packet-level monitoring, full-report
 // rounds against the delta-report protocol, reporting per-round traffic,
 // tracking error against the moving ground truth, and sink-side belief

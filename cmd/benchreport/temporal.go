@@ -8,7 +8,7 @@ import (
 )
 
 // temporalReport is the BENCH_TEMPORAL.json document: the
-// traffic-vs-staleness-vs-field-speed grid from sim.ExtTemporalSweep.
+// traffic-vs-staleness-vs-field-speed grid from Runner.ExtTemporalSweepResults.
 // Each cell runs the packet engine over a time-evolving field — full
 // rounds (the oracle: every isoline node reports every round) against
 // delta rounds (crossing deltas only, sink ages its belief) — so the

@@ -14,42 +14,46 @@
 // profile is taken after the last table), so hot paths can be located with
 // `go tool pprof` without instrumenting the code.
 //
-// Figures: table1, fig7, fig9, fig10, fig11a, fig11b, fig12a, fig12b,
-// fig13a, fig13b, fig14a, fig14b, fig15a, fig15b, fig16, all.
-// Extensions: ext-noise, ext-scope, ext-loss, ext-monitor, ext-latency,
-// ext-localize, ext-mac, ext-lifetime, ext-detect, ext-codec, ext-faults,
-// ext-temporal.
+// -figure takes an ID of sim.Experiments (table1, fig7 … fig16, ext-*) or
+// "all", which regenerates the paper's Table 1 and figures in paper order;
+// an unknown ID fails with the list of valid ones.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"isomap/internal/sim"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args into fs, regenerates the selected tables and prints
+// them to stdout.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var (
-		figure   = flag.String("figure", "all", "which table/figure to regenerate")
-		runs     = flag.Int("runs", 3, "random-seed repetitions to average over")
-		format   = flag.String("format", "text", "output format: text or csv")
-		outDir   = flag.String("out", "", "also write each table to <out>/<id>.<ext>")
-		parallel = flag.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS); output is identical at any width")
-		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprof  = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
+		figure   = fs.String("figure", "all", "which table/figure to regenerate")
+		runs     = fs.Int("runs", 3, "random-seed repetitions to average over")
+		format   = fs.String("format", "text", "output format: text or csv")
+		outDir   = fs.String("out", "", "also write each table to <out>/<id>.<ext>")
+		parallel = fs.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS); output is identical at any width")
+		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprof  = fs.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
@@ -75,15 +79,15 @@ func run() error {
 			}
 		}()
 	}
-	r := sim.NewRunner(*parallel)
 	emit := func(tb *sim.Table) error {
 		var body, ext string
 		if *format == "csv" {
 			body, ext = tb.CSV(), "csv"
-			fmt.Print(body)
 		} else {
 			body, ext = tb.String()+"\n", "txt"
-			fmt.Print(body)
+		}
+		if _, err := io.WriteString(stdout, body); err != nil {
+			return err
 		}
 		if *outDir == "" {
 			return nil
@@ -98,57 +102,34 @@ func run() error {
 		return nil
 	}
 
-	gens := map[string]func() (*sim.Table, error){
-		"table1": r.Table1Overhead,
-		"fig7":   func() (*sim.Table, error) { return r.Fig7GradientError(*runs) },
-		"fig9":   r.Fig9ReportDensity,
-		"fig10":  func() (*sim.Table, error) { return r.Fig10Maps(*runs) },
-		"fig11a": func() (*sim.Table, error) { return r.Fig11aAccuracyDensity(*runs) },
-		"fig11b": func() (*sim.Table, error) { return r.Fig11bAccuracyFailures(*runs) },
-		"fig12a": func() (*sim.Table, error) { return r.Fig12aHausdorffDensity(*runs) },
-		"fig12b": func() (*sim.Table, error) { return r.Fig12bHausdorffFailures(*runs) },
-		"fig13a": r.Fig13aFilterReports,
-		"fig13b": r.Fig13bFilterAccuracy,
-		"fig14a": r.Fig14aTrafficDiameter,
-		"fig14b": r.Fig14bTrafficDensity,
-		"fig15a": r.Fig15aCompute,
-		"fig15b": r.Fig15bComputeIsoMap,
-		"fig16":  r.Fig16Energy,
-		// Extension experiments beyond the paper's figures.
-		"ext-noise":    func() (*sim.Table, error) { return r.ExtNoiseSweep(*runs) },
-		"ext-scope":    func() (*sim.Table, error) { return r.ExtScopeSweep(*runs) },
-		"ext-loss":     r.ExtLossSweep,
-		"ext-monitor":  func() (*sim.Table, error) { return r.ExtMonitorRounds(8) },
-		"ext-latency":  r.ExtLatencySweep,
-		"ext-localize": func() (*sim.Table, error) { return r.ExtLocalizeSweep(*runs) },
-		"ext-mac":      r.ExtMACSweep,
-		"ext-lifetime": r.ExtLifetimeSweep,
-		"ext-detect":   func() (*sim.Table, error) { return r.ExtDetectPolicySweep(*runs) },
-		"ext-codec":    func() (*sim.Table, error) { return r.ExtCodecSweep(*runs) },
-		"ext-faults":   func() (*sim.Table, error) { return r.ExtFaultSweep(*runs) },
-		"ext-temporal": func() (*sim.Table, error) { return r.ExtTemporalSweep(*runs) },
-	}
-
-	if *figure == "all" {
-		tables, err := r.AllFigures(*runs)
-		if err != nil {
-			return err
-		}
-		for _, tb := range tables {
-			if err := emit(tb); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	gen, ok := gens[*figure]
-	if !ok {
-		return fmt.Errorf("unknown figure %q", *figure)
-	}
-	tb, err := gen()
+	tables, err := selectTables(sim.NewRunner(*parallel), *figure, *runs)
 	if err != nil {
 		return err
 	}
-	return emit(tb)
+	for _, tb := range tables {
+		if err := emit(tb); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// selectTables regenerates what -figure names: the paper's tables and
+// figures for "all", otherwise the one experiment with that ID.
+func selectTables(r *sim.Runner, figure string, runs int) ([]*sim.Table, error) {
+	if figure == "all" {
+		return r.AllFigures(runs)
+	}
+	ids := []string{"all"}
+	for _, e := range sim.Experiments {
+		if e.ID == figure {
+			tb, err := e.Run(r, runs)
+			if err != nil {
+				return nil, err
+			}
+			return []*sim.Table{tb}, nil
+		}
+		ids = append(ids, e.ID)
+	}
+	return nil, fmt.Errorf("unknown figure %q (valid: %s)", figure, strings.Join(ids, ", "))
 }

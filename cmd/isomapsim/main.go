@@ -44,7 +44,10 @@
 // -loss, -burst and -crashfrac inject faults into that packet round: a
 // Bernoulli (or, with -burst > 0, Gilbert–Elliott) lossy channel and a
 // fraction of nodes crashing mid-round, with route repair around the
-// dead parents.
+// dead parents (the plan comes from sim.FaultPlan, seeded by -seed).
+// Only Iso-Map has a packet round: with another -protocol, any of
+// -packet, -loss, -burst, -crashfrac, -shards, -workers or -roundtrace
+// is an error.
 package main
 
 import (
@@ -72,46 +75,49 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(flag.CommandLine, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "isomapsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args into fs and runs the round they describe.
+func run(fs *flag.FlagSet, args []string) error {
 	var (
-		nodes     = flag.Int("nodes", 2500, "number of sensor nodes")
-		side      = flag.Float64("side", 50, "field side length in normalized units")
-		seed      = flag.Int64("seed", 1, "deployment seed")
-		fail      = flag.Float64("fail", 0, "fraction of failed nodes")
-		grid      = flag.Bool("grid", false, "grid deployment instead of uniform random")
-		sa        = flag.Float64("sa", 30, "filter angular separation threshold (degrees)")
-		sd        = flag.Float64("sd", 4, "filter distance separation threshold (units)")
-		eps       = flag.Float64("eps", 0.1, "isoline border tolerance (value units)")
-		nofilter  = flag.Bool("nofilter", false, "disable in-network filtering")
-		res       = flag.Int("res", 60, "ASCII render resolution (cells per side)")
-		pgmPath   = flag.String("pgm", "", "write the estimated map as a PGM image to this path")
-		trace     = flag.String("trace", "", "load the field from a depth-trace grid file (see cmd/tracegen)")
-		protocol  = flag.String("protocol", "isomap", "protocol to run: isomap, tinydb, inlr, escan, suppress")
-		packet    = flag.Bool("packet", false, "also execute the round on the packet-level CSMA/CA engine")
-		loss      = flag.Float64("loss", 0, "packet round: channel loss rate in [0, 1)")
-		burst     = flag.Float64("burst", 0, "packet round: channel burstiness in [0, 1) (Gilbert–Elliott)")
-		crashfrac = flag.Float64("crashfrac", 0, "packet round: fraction of nodes crashing mid-round")
-		shards    = flag.Int("shards", 1, "packet round: run on the sharded engine with this many spatial shards")
-		workers   = flag.Int("workers", 0, "packet round: sharded engine worker goroutines per window (0 = GOMAXPROCS)")
-		cpuprof   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memprof   = flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
-		roundtr   = flag.String("roundtrace", "", "write the packet round as a JSONL event trace to this file (\"-\" for stdout; implies -packet)")
-		expvarOut = flag.String("expvar", "", "dump expvar variables (incl. traced round counters) as JSON to this file")
-		diagDir   = flag.String("diag", "", "diagnosis bundle: write cpu.pprof, heap.pprof, events.jsonl and expvar.json into this directory")
+		nodes     = fs.Int("nodes", 2500, "number of sensor nodes")
+		side      = fs.Float64("side", 50, "field side length in normalized units")
+		seed      = fs.Int64("seed", 1, "deployment seed")
+		fail      = fs.Float64("fail", 0, "fraction of failed nodes")
+		grid      = fs.Bool("grid", false, "grid deployment instead of uniform random")
+		sa        = fs.Float64("sa", 30, "filter angular separation threshold (degrees)")
+		sd        = fs.Float64("sd", 4, "filter distance separation threshold (units)")
+		eps       = fs.Float64("eps", 0.1, "isoline border tolerance (value units)")
+		nofilter  = fs.Bool("nofilter", false, "disable in-network filtering")
+		res       = fs.Int("res", 60, "ASCII render resolution (cells per side)")
+		pgmPath   = fs.String("pgm", "", "write the estimated map as a PGM image to this path")
+		trace     = fs.String("trace", "", "load the field from a depth-trace grid file (see cmd/tracegen)")
+		protocol  = fs.String("protocol", "isomap", "protocol to run: isomap, tinydb, inlr, escan, suppress")
+		packet    = fs.Bool("packet", false, "also execute the round on the packet-level CSMA/CA engine")
+		loss      = fs.Float64("loss", 0, "packet round: channel loss rate in [0, 1)")
+		burst     = fs.Float64("burst", 0, "packet round: channel burstiness in [0, 1) (Gilbert–Elliott)")
+		crashfrac = fs.Float64("crashfrac", 0, "packet round: fraction of nodes crashing mid-round")
+		shards    = fs.Int("shards", 1, "packet round: run on the sharded engine with this many spatial shards")
+		workers   = fs.Int("workers", 0, "packet round: sharded engine worker goroutines per window (0 = GOMAXPROCS)")
+		cpuprof   = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memprof   = fs.String("memprofile", "", "write a pprof heap profile (taken at exit) to this file")
+		roundtr   = fs.String("roundtrace", "", "write the packet round as a JSONL event trace to this file (\"-\" for stdout; implies -packet)")
+		expvarOut = fs.String("expvar", "", "dump expvar variables (incl. traced round counters) as JSON to this file")
+		diagDir   = fs.String("diag", "", "diagnosis bundle: write cpu.pprof, heap.pprof, events.jsonl and expvar.json into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	// explicitly set flags, by name: -diag only fills outputs the user did
 	// not set themselves. Checking values instead of flag.Visit would
 	// silently re-route an explicit `-cpuprofile ""` (profile disabled)
 	// or any other flag explicitly set to its default into the diag dir.
 	explicit := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *diagDir != "" {
 		if err := os.MkdirAll(*diagDir, 0o755); err != nil {
 			return fmt.Errorf("diag: %w", err)
@@ -135,10 +141,11 @@ func run() error {
 			*expvarOut = filepath.Join(*diagDir, "expvar.json")
 		}
 	}
+	if *protocol != "isomap" && (*roundtr != "" || *packet || *loss != 0 || *burst != 0 ||
+		*crashfrac != 0 || *shards != 1 || *workers != 0) {
+		return fmt.Errorf("-packet, -loss, -burst, -crashfrac, -shards, -workers and -roundtrace configure the packet-level Iso-Map round; protocol %q has none", *protocol)
+	}
 	if *roundtr != "" {
-		if *protocol != "isomap" {
-			return fmt.Errorf("-roundtrace traces the packet-level Iso-Map round; protocol %q has none", *protocol)
-		}
 		*packet = true
 	}
 	if *cpuprof != "" {
@@ -176,7 +183,7 @@ func run() error {
 		traceField = tf
 	}
 	fc := core.FilterConfig{Enabled: !*nofilter, MaxAngle: geom.Radians(*sa), MaxDist: *sd}
-	env, err := sim.Build(sim.Scenario{
+	env, err := sim.NewRunner(1).Build(sim.Scenario{
 		Nodes:        *nodes,
 		FieldSide:    *side,
 		Grid:         *grid,
@@ -247,28 +254,14 @@ func run() error {
 		fmt.Printf("wrote %s\n", *pgmPath)
 	}
 
-	if *packet && *protocol == "isomap" {
+	if *packet {
 		var plan *faults.Plan
 		rcfg := desim.DefaultRadioConfig()
 		if *loss > 0 || *crashfrac > 0 {
-			kind := faults.ChannelPerfect
-			switch {
-			case *loss > 0 && *burst > 0:
-				kind = faults.ChannelGilbertElliott
-			case *loss > 0:
-				kind = faults.ChannelBernoulli
-			}
-			plan, err = faults.New(faults.Config{
-				Seed: *seed, Channel: kind, LossRate: *loss, Burstiness: *burst,
-				CrashFraction: *crashfrac, CrashStart: 0.05, CrashEnd: 0.6,
-				Protect: []network.NodeID{env.Tree.Root()},
-			}, env.Network.Len())
+			plan, rcfg, err = sim.FaultPlan(env, sim.FaultPoint{Loss: *loss, Burst: *burst, Crash: *crashfrac}, *seed)
 			if err != nil {
 				return err
 			}
-			// A deadline keeps frames stuck behind dead parents from
-			// riding out the full backoff tail before route repair.
-			rcfg.FrameDeadline = 1.5
 		}
 		var rec *rtrace.Recorder
 		if *roundtr != "" {

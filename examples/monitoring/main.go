@@ -37,7 +37,7 @@ func main() {
 func run() error {
 	// 2500 nodes over the reference seabed, radio range 1.5, sink at the
 	// center, isobaths 6..12 m every 2 m.
-	env, err := sim.Build(sim.Scenario{Seed: 7})
+	env, err := sim.NewRunner(1).Build(sim.Scenario{Seed: 7})
 	if err != nil {
 		return err
 	}

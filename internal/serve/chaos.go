@@ -3,8 +3,6 @@ package serve
 import (
 	"math"
 	"time"
-
-	"isomap/internal/core"
 )
 
 // ChaosPlan is the serving layer's seeded fault schedule — the
@@ -19,10 +17,8 @@ import (
 // The injected kinds map one-to-one onto the failure domains the
 // resilience layer must absorb: Panic (ingest panics after the build →
 // 503, nothing published), Diverge (synthetic oracle divergence, handled
-// identically to a real one), SlowDelay (slow reconstruction rounds →
-// supervisor pacing and query staleness), and Corrupt/CorruptReports
-// (NaN-poisoned pushed batches → the HTTP validation layer must 400 them
-// before any build).
+// identically to a real one) and SlowDelay (slow reconstruction rounds →
+// supervisor pacing and query staleness).
 type ChaosPlan struct {
 	cfg ChaosConfig
 }
@@ -43,8 +39,6 @@ type ChaosConfig struct {
 	SlowRate float64
 	// SlowDelay is the injected reconstruction delay; zero selects 5ms.
 	SlowDelay time.Duration
-	// CorruptRate is the probability CorruptReports poisons a batch.
-	CorruptRate float64
 }
 
 // NewChaosPlan validates rates into [0,1] by clamping and applies
@@ -54,7 +48,6 @@ func NewChaosPlan(cfg ChaosConfig) *ChaosPlan {
 	cfg.PanicRate = clamp(cfg.PanicRate)
 	cfg.DivergeRate = clamp(cfg.DivergeRate)
 	cfg.SlowRate = clamp(cfg.SlowRate)
-	cfg.CorruptRate = clamp(cfg.CorruptRate)
 	if cfg.SlowDelay <= 0 {
 		cfg.SlowDelay = 5 * time.Millisecond
 	}
@@ -66,7 +59,6 @@ const (
 	chaosKindPanic uint64 = iota + 1
 	chaosKindDiverge
 	chaosKindSlow
-	chaosKindCorrupt
 )
 
 // draw returns the deterministic uniform [0,1) draw of one (deployment,
@@ -102,27 +94,4 @@ func (p *ChaosPlan) SlowDelay(dep string, attempt int) time.Duration {
 		return 0
 	}
 	return p.cfg.SlowDelay
-}
-
-// Corrupt reports whether the attempt's pushed batch is scheduled for
-// corruption.
-func (p *ChaosPlan) Corrupt(dep string, attempt int) bool {
-	return p != nil && p.cfg.CorruptRate > 0 && p.draw(dep, attempt, chaosKindCorrupt) < p.cfg.CorruptRate
-}
-
-// CorruptReports returns a copy of reports poisoned the way a damaged
-// pushed batch arrives: a deterministically chosen report gets NaN
-// coordinates and another an infinite gradient. It never mutates its
-// input; callers (the resilience tests) feed the result to the
-// validation layer and assert it is rejected before any build.
-func (p *ChaosPlan) CorruptReports(reports []core.Report, dep string, attempt int) []core.Report {
-	out := append([]core.Report(nil), reports...)
-	if len(out) == 0 {
-		return out
-	}
-	i := int(p.draw(dep, attempt, chaosKindCorrupt+100)*float64(len(out))) % len(out)
-	out[i].Pos.X = math.NaN()
-	j := int(p.draw(dep, attempt, chaosKindCorrupt+200)*float64(len(out))) % len(out)
-	out[j].Grad.Y = math.Inf(1)
-	return out
 }

@@ -17,15 +17,14 @@ import (
 // TestChaosPlanDeterminism: the schedule is a pure function of (seed,
 // deployment, attempt) — two plans agree everywhere, and rates behave.
 func TestChaosPlanDeterminism(t *testing.T) {
-	a := NewChaosPlan(ChaosConfig{Seed: 5, PanicRate: 0.2, DivergeRate: 0.3, SlowRate: 0.1, CorruptRate: 0.25})
-	b := NewChaosPlan(ChaosConfig{Seed: 5, PanicRate: 0.2, DivergeRate: 0.3, SlowRate: 0.1, CorruptRate: 0.25})
+	a := NewChaosPlan(ChaosConfig{Seed: 5, PanicRate: 0.2, DivergeRate: 0.3, SlowRate: 0.1})
+	b := NewChaosPlan(ChaosConfig{Seed: 5, PanicRate: 0.2, DivergeRate: 0.3, SlowRate: 0.1})
 	fired := map[string]int{}
 	for attempt := 1; attempt <= 400; attempt++ {
 		for _, dep := range []string{"d0", "d1"} {
 			if a.Panic(dep, attempt) != b.Panic(dep, attempt) ||
 				a.Diverge(dep, attempt) != b.Diverge(dep, attempt) ||
-				a.SlowDelay(dep, attempt) != b.SlowDelay(dep, attempt) ||
-				a.Corrupt(dep, attempt) != b.Corrupt(dep, attempt) {
+				a.SlowDelay(dep, attempt) != b.SlowDelay(dep, attempt) {
 				t.Fatalf("plans diverged at (%s, %d)", dep, attempt)
 			}
 			if a.Panic(dep, attempt) {
@@ -56,7 +55,7 @@ func TestChaosPlanDeterminism(t *testing.T) {
 		t.Fatal("d0 and d1 share a panic schedule")
 	}
 	var nilPlan *ChaosPlan
-	if nilPlan.Panic("d0", 1) || nilPlan.Diverge("d0", 1) || nilPlan.SlowDelay("d0", 1) != 0 || nilPlan.Corrupt("d0", 1) {
+	if nilPlan.Panic("d0", 1) || nilPlan.Diverge("d0", 1) || nilPlan.SlowDelay("d0", 1) != 0 {
 		t.Fatal("nil plan injected")
 	}
 }

@@ -6,14 +6,11 @@ import (
 	"isomap/internal/field"
 )
 
-// ExtCodecSweep measures what the wire format costs: reports pass through
+// extCodecSweep measures what the wire format costs: reports pass through
 // the fixed-point codec (quantizing position, isolevel and gradient)
 // before reconstruction, at the paper's 2 bytes per parameter and at a
 // compact 1 byte per parameter that halves the report traffic.
-func ExtCodecSweep(runs int) (*Table, error) { return defaultRunner().ExtCodecSweep(runs) }
-
-// ExtCodecSweep is the Runner form of the package-level function.
-func (r *Runner) ExtCodecSweep(runs int) (*Table, error) {
+func (r *Runner) extCodecSweep(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "ext-codec",
 		Title:   "Wire-format quantization: accuracy vs report size",

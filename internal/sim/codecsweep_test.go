@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestExtCodecSweep(t *testing.T) {
-	tb, err := ExtCodecSweep(1)
+	tb, err := testRunner.extCodecSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestExtTemporalSweepTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full temporal grid")
 	}
-	tb, err := NewRunner(0).ExtTemporalSweep(1)
+	tb, err := NewRunner(0).extTemporalSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}

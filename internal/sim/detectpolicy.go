@@ -6,16 +6,11 @@ import (
 	"isomap/internal/field"
 )
 
-// ExtDetectPolicySweep compares the paper's Definition 3.1 detection (the
+// extDetectPolicySweep compares the paper's Definition 3.1 detection (the
 // epsilon border band) against the edge-based policy of the isoline-
 // aggregation lineage across densities: generated reports, sink reports
 // and mapping accuracy.
-func ExtDetectPolicySweep(runs int) (*Table, error) {
-	return defaultRunner().ExtDetectPolicySweep(runs)
-}
-
-// ExtDetectPolicySweep is the Runner form of the package-level function.
-func (r *Runner) ExtDetectPolicySweep(runs int) (*Table, error) {
+func (r *Runner) extDetectPolicySweep(runs int) (*Table, error) {
 	t := &Table{
 		ID:    "ext-detect",
 		Title: "Detection policy: Def. 3.1 (eps band) vs edge-based election",

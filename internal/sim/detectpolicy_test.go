@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestExtDetectPolicySweep(t *testing.T) {
-	tb, err := ExtDetectPolicySweep(1)
+	tb, err := testRunner.extDetectPolicySweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}

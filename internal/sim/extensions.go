@@ -15,14 +15,11 @@ import (
 // noise, the k-hop regression scope, an imperfect link layer) and the
 // continuous-monitoring mode of its future work.
 
-// ExtNoiseSweep measures mapping accuracy and received reports against
+// extNoiseSweep measures mapping accuracy and received reports against
 // Gaussian sensing noise. The border-region test of Definition 3.1
 // compares readings against isolevels directly, so noise first inflates
 // the isoline-node population and then corrupts the map.
-func ExtNoiseSweep(runs int) (*Table, error) { return defaultRunner().ExtNoiseSweep(runs) }
-
-// ExtNoiseSweep is the Runner form of the package-level function.
-func (r *Runner) ExtNoiseSweep(runs int) (*Table, error) {
+func (r *Runner) extNoiseSweep(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "ext-noise",
 		Title:   "Iso-Map vs sensing noise (sigma in meters)",
@@ -53,13 +50,10 @@ func (r *Runner) ExtNoiseSweep(runs int) (*Table, error) {
 	return t, nil
 }
 
-// ExtScopeSweep measures the k-hop regression scope on a sparse
+// extScopeSweep measures the k-hop regression scope on a sparse
 // deployment: gradient precision against local traffic cost (Sec. 3.3's
 // adjustable query scope).
-func ExtScopeSweep(runs int) (*Table, error) { return defaultRunner().ExtScopeSweep(runs) }
-
-// ExtScopeSweep is the Runner form of the package-level function.
-func (r *Runner) ExtScopeSweep(runs int) (*Table, error) {
+func (r *Runner) extScopeSweep(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "ext-scope",
 		Title:   "Regression scope k (sparse deployment, density 0.36)",
@@ -91,12 +85,9 @@ func (r *Runner) ExtScopeSweep(runs int) (*Table, error) {
 	return t, nil
 }
 
-// ExtLossSweep recomputes Fig. 16's per-node energy under an imperfect
+// extLossSweep recomputes Fig. 16's per-node energy under an imperfect
 // link layer with ARQ retransmissions.
-func ExtLossSweep() (*Table, error) { return defaultRunner().ExtLossSweep() }
-
-// ExtLossSweep is the Runner form of the package-level function.
-func (r *Runner) ExtLossSweep() (*Table, error) {
+func (r *Runner) extLossSweep() (*Table, error) {
 	t := &Table{
 		ID:      "ext-loss",
 		Title:   "Per-node energy (J) vs link loss rate, n=2500",
@@ -157,18 +148,15 @@ func (r *Runner) lossCounters() ([3]*metrics.Counters, error) {
 	return out, nil
 }
 
-// ExtMonitorRounds traces a continuous-monitoring session over the silting
+// extMonitorRounds traces a continuous-monitoring session over the silting
 // seabed on the packet engine, with the delta-report protocol and with
 // full reports every round, reporting per-round data frames and
 // transmitted volume. Rounds are spaced monitorTimeStep apart: delta
 // reporting is the win when the field drifts slowly relative to the
-// monitoring period (fast change re-reports everything anyway).
-func ExtMonitorRounds(rounds int) (*Table, error) { return defaultRunner().ExtMonitorRounds(rounds) }
-
-// ExtMonitorRounds is the Runner form of the package-level function; the
-// two sessions (delta and full-report) run as independent jobs over
-// their own Envs.
-func (r *Runner) ExtMonitorRounds(rounds int) (*Table, error) {
+// monitoring period (fast change re-reports everything anyway). The two
+// sessions (delta and full-report) run as independent jobs over their own
+// Envs.
+func (r *Runner) extMonitorRounds(rounds int) (*Table, error) {
 	const monitorTimeStep = 0.25
 	if rounds < 1 {
 		rounds = 8

@@ -10,13 +10,10 @@ import (
 	"isomap/internal/schedule"
 )
 
-// ExtLatencySweep derives the TAG-slotted collection-epoch profile of an
+// extLatencySweep derives the TAG-slotted collection-epoch profile of an
 // Iso-Map round — latency, bottleneck buffering and idle listening — with
 // and without in-network filtering, across network sizes.
-func ExtLatencySweep() (*Table, error) { return defaultRunner().ExtLatencySweep() }
-
-// ExtLatencySweep is the Runner form of the package-level function.
-func (r *Runner) ExtLatencySweep() (*Table, error) {
+func (r *Runner) extLatencySweep() (*Table, error) {
 	t := &Table{
 		ID:    "ext-latency",
 		Title: "Collection epoch under level-slotted scheduling (Iso-Map)",
@@ -81,13 +78,10 @@ func routable(env *Env, reports []core.Report) []core.Report {
 	return out
 }
 
-// ExtLocalizeSweep measures what DV-hop localization (instead of GPS)
+// extLocalizeSweep measures what DV-hop localization (instead of GPS)
 // costs the contour map: report positions are replaced by their DV-hop
 // estimates before reconstruction, for growing anchor populations.
-func ExtLocalizeSweep(runs int) (*Table, error) { return defaultRunner().ExtLocalizeSweep(runs) }
-
-// ExtLocalizeSweep is the Runner form of the package-level function.
-func (r *Runner) ExtLocalizeSweep(runs int) (*Table, error) {
+func (r *Runner) extLocalizeSweep(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "ext-localize",
 		Title:   "Mapping accuracy with DV-hop positions instead of GPS",

@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestExtLatencySweep(t *testing.T) {
-	tb, err := ExtLatencySweep()
+	tb, err := testRunner.extLatencySweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestExtLatencySweep(t *testing.T) {
 }
 
 func TestExtLocalizeSweep(t *testing.T) {
-	tb, err := ExtLocalizeSweep(1)
+	tb, err := testRunner.extLocalizeSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,11 @@ import (
 	"isomap/internal/metrics"
 )
 
-// ExtMACSweep runs Iso-Map's report collection on the packet-level
+// extMACSweep runs Iso-Map's report collection on the packet-level
 // CSMA/CA engine and contrasts it with the structural (perfect-link)
 // model: completion time, collision counts, and the physical byte overhead
 // of acknowledgements and retransmissions.
-func ExtMACSweep() (*Table, error) { return defaultRunner().ExtMACSweep() }
-
-// ExtMACSweep is the Runner form of the package-level function.
-func (r *Runner) ExtMACSweep() (*Table, error) {
+func (r *Runner) extMACSweep() (*Table, error) {
 	t := &Table{
 		ID:    "ext-mac",
 		Title: "Packet-level CSMA/CA collection vs structural model (Iso-Map)",

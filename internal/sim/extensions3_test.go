@@ -7,7 +7,7 @@ import (
 )
 
 func TestExtMACSweep(t *testing.T) {
-	tb, err := ExtMACSweep()
+	tb, err := testRunner.extMACSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

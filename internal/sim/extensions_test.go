@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestExtNoiseSweepDegradesGracefully(t *testing.T) {
-	tb, err := ExtNoiseSweep(1)
+	tb, err := testRunner.extNoiseSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestExtNoiseSweepDegradesGracefully(t *testing.T) {
 }
 
 func TestExtScopeSweepTradesTrafficForPrecision(t *testing.T) {
-	tb, err := ExtScopeSweep(1)
+	tb, err := testRunner.extScopeSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestExtScopeSweepTradesTrafficForPrecision(t *testing.T) {
 }
 
 func TestExtLossSweepMonotone(t *testing.T) {
-	tb, err := ExtLossSweep()
+	tb, err := testRunner.extLossSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestExtLossSweepMonotone(t *testing.T) {
 }
 
 func TestExtMonitorRoundsTemporalSaves(t *testing.T) {
-	tb, err := ExtMonitorRounds(5)
+	tb, err := testRunner.extMonitorRounds(5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,22 +89,25 @@ func faultSweepScenario(seed int64) Scenario {
 	return Scenario{Nodes: 400, FieldSide: 20, Seed: seed}
 }
 
-// faultRadioConfig is the radio of every faulted packet round (the
-// fault sweep and RoundSource's faulted rounds): the defaults plus a
-// per-frame deadline, so a frame stuck behind a dead parent surfaces as a
-// drop in bounded time instead of riding out the full exponential-backoff
-// tail.
+// faultRadioConfig is the radio of every faulted packet round: the
+// defaults plus a per-frame deadline, so a frame stuck behind a dead
+// parent surfaces as a drop in bounded time instead of riding out the
+// full exponential-backoff tail.
 func faultRadioConfig() desim.RadioConfig {
 	cfg := desim.DefaultRadioConfig()
 	cfg.FrameDeadline = 1.5
 	return cfg
 }
 
-// faultPlanConfig materializes a sweep point as a fault plan config for
-// one (point, seed) cell. The plan seed folds both coordinates in, so
-// every cell draws an independent — and, for a fixed cell, reproducible —
-// fault realization. The sink is protected: a dead sink measures nothing.
-func faultPlanConfig(p FaultPoint, point int, seed int64, sink network.NodeID) faults.Config {
+// FaultPlan builds the fault plan and radio of one faulted packet round on
+// env, drawing every fault from seed: a Bernoulli channel losing p.Loss
+// (Gilbert–Elliott with burstiness p.Burst when that is set too), and
+// p.Crash of the nodes crashing while the round is in full swing, after
+// the query flood has spread but before collection winds down. The sink
+// is protected: a dead sink measures nothing. The fault sweep, the
+// faulted rounds of RoundSource and isomapsim's -loss/-burst/-crashfrac
+// round all build their plans here.
+func FaultPlan(env *Env, p FaultPoint, seed int64) (*faults.Plan, desim.RadioConfig, error) {
 	kind := faults.ChannelPerfect
 	switch {
 	case p.Loss > 0 && p.Burst > 0:
@@ -112,18 +115,20 @@ func faultPlanConfig(p FaultPoint, point int, seed int64, sink network.NodeID) f
 	case p.Loss > 0:
 		kind = faults.ChannelBernoulli
 	}
-	cfg := faults.Config{
-		Seed:    seed*1_000_003 + int64(point),
-		Channel: kind, LossRate: p.Loss, Burstiness: p.Burst,
-		Protect: []network.NodeID{sink},
+	plan, err := faults.New(faults.Config{
+		Seed:          seed,
+		Channel:       kind,
+		LossRate:      p.Loss,
+		Burstiness:    p.Burst,
+		CrashFraction: p.Crash,
+		CrashStart:    0.05,
+		CrashEnd:      0.6,
+		Protect:       []network.NodeID{env.Tree.Root()},
+	}, env.Network.Len())
+	if err != nil {
+		return nil, desim.RadioConfig{}, err
 	}
-	if p.Crash > 0 {
-		// Crashes land while the round is in full swing: after the query
-		// flood has spread but before collection winds down.
-		cfg.CrashFraction = p.Crash
-		cfg.CrashStart, cfg.CrashEnd = 0.05, 0.6
-	}
-	return cfg
+	return plan, faultRadioConfig(), nil
 }
 
 // faultMap reconstructs the sink-side contour map from a round's
@@ -173,11 +178,13 @@ func (r *Runner) faultCell(p FaultPoint, point int, seed int64, base *faultBasel
 	if err != nil {
 		return nil, err
 	}
-	plan, err := faults.New(faultPlanConfig(p, point, seed, env.Tree.Root()), env.Network.Len())
+	// The plan seed folds both cell coordinates in, so every cell draws an
+	// independent — and, for a fixed cell, reproducible — realization.
+	plan, cfg, err := FaultPlan(env, p, seed*1_000_003+int64(point))
 	if err != nil {
 		return nil, err
 	}
-	res, err := desim.RunRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, faultRadioConfig(), desim.RoundOptions{Faults: plan})
+	res, err := desim.RunRound(env.Tree, env.Field, env.Query, *env.Scenario.Filter, cfg, desim.RoundOptions{Faults: plan})
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +233,6 @@ func (r *Runner) faultCell(p FaultPoint, point int, seed int64, base *faultBasel
 // once per seed and shared across every point; all (point, seed) cells
 // then fan out over the runner's pool, so the output is byte-identical
 // at any -parallel width.
-func ExtFaultSweepResults(runs int, points []FaultPoint) ([]FaultPointResult, error) {
-	return defaultRunner().ExtFaultSweepResults(runs, points)
-}
-
-// ExtFaultSweepResults is the Runner form of the package-level function.
 func (r *Runner) ExtFaultSweepResults(runs int, points []FaultPoint) ([]FaultPointResult, error) {
 	if runs < 1 {
 		runs = 1
@@ -277,14 +279,11 @@ func (r *Runner) ExtFaultSweepResults(runs int, points []FaultPoint) ([]FaultPoi
 	return out, nil
 }
 
-// ExtFaultSweep runs Iso-Map's packet-level round under injected faults —
+// extFaultSweep runs Iso-Map's packet-level round under injected faults —
 // lossy and bursty channels, mid-round node crashes with route repair —
 // and reports delivery, overhead and map fidelity relative to the
 // fault-free round on the same deployments.
-func ExtFaultSweep(runs int) (*Table, error) { return defaultRunner().ExtFaultSweep(runs) }
-
-// ExtFaultSweep is the Runner form of the package-level function.
-func (r *Runner) ExtFaultSweep(runs int) (*Table, error) {
+func (r *Runner) extFaultSweep(runs int) (*Table, error) {
 	results, err := r.ExtFaultSweepResults(runs, DefaultFaultPoints())
 	if err != nil {
 		return nil, err

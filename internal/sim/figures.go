@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"isomap/internal/core"
 	"isomap/internal/field"
@@ -22,14 +21,11 @@ var sweepSides = []float64{20, 35, 50, 70, 90}
 // the reference 50x50 field.
 func nodesAtDensity(d float64) int { return int(math.Round(d * 2500)) }
 
-// Table1Overhead reproduces Table 1: the analytic overhead comparison of
+// table1Overhead reproduces Table 1: the analytic overhead comparison of
 // the five approaches, annotated with the measured generated-report counts
-// and network computation at the reference scenario (n = 2,500).
-func Table1Overhead() (*Table, error) { return defaultRunner().Table1Overhead() }
-
-// Table1Overhead is the Runner form of the package-level function; the
-// five protocol rounds run as independent jobs on the worker pool.
-func (r *Runner) Table1Overhead() (*Table, error) {
+// and network computation at the reference scenario (n = 2,500). The five
+// protocol rounds run as independent jobs on the worker pool.
+func (r *Runner) table1Overhead() (*Table, error) {
 	t := &Table{
 		ID:    "table1",
 		Title: "Overhead comparison of different approaches (analytic + measured at n=2500)",
@@ -69,13 +65,10 @@ func (r *Runner) Table1Overhead() (*Table, error) {
 	return t, nil
 }
 
-// Fig7GradientError reproduces Fig. 7: the error between the regressed
+// fig7GradientError reproduces Fig. 7: the error between the regressed
 // gradient direction and the true isoline normal, against the average node
 // degree (varied through the radio range).
-func Fig7GradientError(runs int) (*Table, error) { return defaultRunner().Fig7GradientError(runs) }
-
-// Fig7GradientError is the Runner form of the package-level function.
-func (r *Runner) Fig7GradientError(runs int) (*Table, error) {
+func (r *Runner) fig7GradientError(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig7",
 		Title:   "Gradient direction error vs average node degree",
@@ -118,12 +111,9 @@ func (e *Env) gradientErrorStats() (avgDegree, meanErr, p95Err float64, err erro
 	return e.Network.AverageDegree(), stats.Mean(errsDeg), stats.Percentile(errsDeg, 95), nil
 }
 
-// Fig9ReportDensity reproduces Fig. 9: the contour map built under two
+// fig9ReportDensity reproduces Fig. 9: the contour map built under two
 // in-network filter settings, contrasting received reports and accuracy.
-func Fig9ReportDensity() (*Table, error) { return defaultRunner().Fig9ReportDensity() }
-
-// Fig9ReportDensity is the Runner form of the package-level function.
-func (r *Runner) Fig9ReportDensity() (*Table, error) {
+func (r *Runner) fig9ReportDensity() (*Table, error) {
 	t := &Table{
 		ID:      "fig9",
 		Title:   "Contour regions under different report densities",
@@ -155,13 +145,10 @@ func (r *Runner) Fig9ReportDensity() (*Table, error) {
 	return t, nil
 }
 
-// Fig10Maps reproduces Fig. 10: TinyDB and Iso-Map contour maps at
+// fig10Maps reproduces Fig. 10: TinyDB and Iso-Map contour maps at
 // normalized node densities 4, 1 and 0.16, reporting the received reports
 // and accuracy that accompany the paper's rendered maps.
-func Fig10Maps(runs int) (*Table, error) { return defaultRunner().Fig10Maps(runs) }
-
-// Fig10Maps is the Runner form of the package-level function.
-func (r *Runner) Fig10Maps(runs int) (*Table, error) {
+func (r *Runner) fig10Maps(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig10",
 		Title:   "Contour mapping at densities 4 / 1 / 0.16",
@@ -197,14 +184,9 @@ func (r *Runner) Fig10Maps(runs int) (*Table, error) {
 	return t, nil
 }
 
-// Fig11aAccuracyDensity reproduces Fig. 11a: mapping accuracy against node
+// fig11aAccuracyDensity reproduces Fig. 11a: mapping accuracy against node
 // density for TinyDB and Iso-Map with two border tolerances.
-func Fig11aAccuracyDensity(runs int) (*Table, error) {
-	return defaultRunner().Fig11aAccuracyDensity(runs)
-}
-
-// Fig11aAccuracyDensity is the Runner form of the package-level function.
-func (r *Runner) Fig11aAccuracyDensity(runs int) (*Table, error) {
+func (r *Runner) fig11aAccuracyDensity(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig11a",
 		Title:   "Mapping accuracy vs node density",
@@ -222,14 +204,9 @@ func (r *Runner) Fig11aAccuracyDensity(runs int) (*Table, error) {
 	return t, nil
 }
 
-// Fig11bAccuracyFailures reproduces Fig. 11b: mapping accuracy against the
+// fig11bAccuracyFailures reproduces Fig. 11b: mapping accuracy against the
 // node-failure ratio.
-func Fig11bAccuracyFailures(runs int) (*Table, error) {
-	return defaultRunner().Fig11bAccuracyFailures(runs)
-}
-
-// Fig11bAccuracyFailures is the Runner form of the package-level function.
-func (r *Runner) Fig11bAccuracyFailures(runs int) (*Table, error) {
+func (r *Runner) fig11bAccuracyFailures(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig11b",
 		Title:   "Mapping accuracy vs node failures",
@@ -288,15 +265,10 @@ func (r *Runner) isoMapAccuracy(n int, fail float64, seed int64, epsFraction flo
 	return st.Accuracy, nil
 }
 
-// Fig12aHausdorffDensity reproduces Fig. 12a: the Hausdorff distance
+// fig12aHausdorffDensity reproduces Fig. 12a: the Hausdorff distance
 // between estimated and true isolines against node density, for Iso-Map on
 // random and grid deployments and for TinyDB.
-func Fig12aHausdorffDensity(runs int) (*Table, error) {
-	return defaultRunner().Fig12aHausdorffDensity(runs)
-}
-
-// Fig12aHausdorffDensity is the Runner form of the package-level function.
-func (r *Runner) Fig12aHausdorffDensity(runs int) (*Table, error) {
+func (r *Runner) fig12aHausdorffDensity(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig12a",
 		Title:   "Isoline Hausdorff distance vs node density",
@@ -314,14 +286,9 @@ func (r *Runner) Fig12aHausdorffDensity(runs int) (*Table, error) {
 	return t, nil
 }
 
-// Fig12bHausdorffFailures reproduces Fig. 12b: Hausdorff distance against
+// fig12bHausdorffFailures reproduces Fig. 12b: Hausdorff distance against
 // the node-failure ratio.
-func Fig12bHausdorffFailures(runs int) (*Table, error) {
-	return defaultRunner().Fig12bHausdorffFailures(runs)
-}
-
-// Fig12bHausdorffFailures is the Runner form of the package-level function.
-func (r *Runner) Fig12bHausdorffFailures(runs int) (*Table, error) {
+func (r *Runner) fig12bHausdorffFailures(runs int) (*Table, error) {
 	t := &Table{
 		ID:      "fig12b",
 		Title:   "Isoline Hausdorff distance vs node failures",
@@ -368,20 +335,9 @@ func (r *Runner) hausdorffTriple(n int, fail float64, seed int64) ([]float64, er
 	return []float64{isoRand.MeanHausdorff, isoGrid.MeanHausdorff, tdb.MeanHausdorff}, nil
 }
 
-// Fig13aFilterReports reproduces Fig. 13a: the number of reports received
-// at the sink under different (s_a, s_d) filter settings.
-func Fig13aFilterReports() (*Table, error) { return defaultRunner().Fig13aFilterReports() }
-
-// Fig13aFilterReports is the Runner form of the package-level function.
-func (r *Runner) Fig13aFilterReports() (*Table, error) { return r.fig13(false) }
-
-// Fig13bFilterAccuracy reproduces Fig. 13b: the mapping accuracy under the
-// same filter settings.
-func Fig13bFilterAccuracy() (*Table, error) { return defaultRunner().Fig13bFilterAccuracy() }
-
-// Fig13bFilterAccuracy is the Runner form of the package-level function.
-func (r *Runner) Fig13bFilterAccuracy() (*Table, error) { return r.fig13(true) }
-
+// fig13 reproduces Fig. 13 over a grid of (s_a, s_d) filter settings:
+// the number of reports received at the sink (Fig. 13a) or, with
+// accuracy set, the mapping accuracy (Fig. 13b).
 func (r *Runner) fig13(accuracy bool) (*Table, error) {
 	id, title, col := "fig13a", "Sink reports vs filter thresholds", "sink reports"
 	if accuracy {
@@ -419,12 +375,9 @@ func (r *Runner) fig13(accuracy bool) (*Table, error) {
 	return t, nil
 }
 
-// Fig14aTrafficDiameter reproduces Fig. 14a: traffic overhead (KB) of
+// fig14aTrafficDiameter reproduces Fig. 14a: traffic overhead (KB) of
 // TinyDB, INLR and Iso-Map against the network diameter at density 1.
-func Fig14aTrafficDiameter() (*Table, error) { return defaultRunner().Fig14aTrafficDiameter() }
-
-// Fig14aTrafficDiameter is the Runner form of the package-level function.
-func (r *Runner) Fig14aTrafficDiameter() (*Table, error) {
+func (r *Runner) fig14aTrafficDiameter() (*Table, error) {
 	t := &Table{
 		ID:      "fig14a",
 		Title:   "Traffic overhead (KB) vs network diameter",
@@ -442,12 +395,9 @@ func (r *Runner) Fig14aTrafficDiameter() (*Table, error) {
 	return t, nil
 }
 
-// Fig14bTrafficDensity reproduces Fig. 14b: traffic overhead against node
+// fig14bTrafficDensity reproduces Fig. 14b: traffic overhead against node
 // density on the reference field.
-func Fig14bTrafficDensity() (*Table, error) { return defaultRunner().Fig14bTrafficDensity() }
-
-// Fig14bTrafficDensity is the Runner form of the package-level function.
-func (r *Runner) Fig14bTrafficDensity() (*Table, error) {
+func (r *Runner) fig14bTrafficDensity() (*Table, error) {
 	t := &Table{
 		ID:      "fig14b",
 		Title:   "Traffic overhead (KB) vs node density",
@@ -497,12 +447,9 @@ func (r *Runner) trafficRow(side, density float64) ([]any, error) {
 	return []any{side, n, tdb.Diameter, tdb.TrafficKB, inl.TrafficKB, iso.TrafficKB}, nil
 }
 
-// Fig15aCompute reproduces Fig. 15a: per-node computational intensity of
+// fig15aCompute reproduces Fig. 15a: per-node computational intensity of
 // the three protocols against network size.
-func Fig15aCompute() (*Table, error) { return defaultRunner().Fig15aCompute() }
-
-// Fig15aCompute is the Runner form of the package-level function.
-func (r *Runner) Fig15aCompute() (*Table, error) {
+func (r *Runner) fig15aCompute() (*Table, error) {
 	t := &Table{
 		ID:      "fig15a",
 		Title:   "Per-node computational intensity vs network size",
@@ -520,12 +467,9 @@ func (r *Runner) Fig15aCompute() (*Table, error) {
 	return t, nil
 }
 
-// Fig15bComputeIsoMap reproduces Fig. 15b: the amplified Iso-Map view
+// fig15bComputeIsoMap reproduces Fig. 15b: the amplified Iso-Map view
 // showing constant per-node intensity.
-func Fig15bComputeIsoMap() (*Table, error) { return defaultRunner().Fig15bComputeIsoMap() }
-
-// Fig15bComputeIsoMap is the Runner form of the package-level function.
-func (r *Runner) Fig15bComputeIsoMap() (*Table, error) {
+func (r *Runner) fig15bComputeIsoMap() (*Table, error) {
 	t := &Table{
 		ID:      "fig15b",
 		Title:   "Iso-Map per-node computational intensity vs network size (amplified)",
@@ -549,12 +493,9 @@ func (r *Runner) Fig15bComputeIsoMap() (*Table, error) {
 	return t, nil
 }
 
-// Fig16Energy reproduces Fig. 16: per-node energy consumption of the three
+// fig16Energy reproduces Fig. 16: per-node energy consumption of the three
 // protocols against network size, under the Mica2 model.
-func Fig16Energy() (*Table, error) { return defaultRunner().Fig16Energy() }
-
-// Fig16Energy is the Runner form of the package-level function.
-func (r *Runner) Fig16Energy() (*Table, error) {
+func (r *Runner) fig16Energy() (*Table, error) {
 	t := &Table{
 		ID:      "fig16",
 		Title:   "Per-node energy (J) vs network size",
@@ -598,56 +539,5 @@ func (r *Runner) threeProtocolStats(side float64) ([3]Stats, error) {
 		return out, err
 	}
 	out[0], out[1], out[2] = tdb, inl, iso
-	return out, nil
-}
-
-// AllFigures regenerates every table and figure with the given averaging
-// runs, in paper order.
-func AllFigures(runs int) ([]*Table, error) { return defaultRunner().AllFigures(runs) }
-
-// AllFigures is the Runner form of the package-level function. The figure
-// generators themselves run concurrently; all protocol work inside them
-// executes as jobs on the runner's bounded pool, and the tables come back
-// in paper order regardless of completion order.
-func (r *Runner) AllFigures(runs int) ([]*Table, error) {
-	type gen struct {
-		name string
-		fn   func() (*Table, error)
-	}
-	gens := []gen{
-		{"table1", r.Table1Overhead},
-		{"fig7", func() (*Table, error) { return r.Fig7GradientError(runs) }},
-		{"fig9", r.Fig9ReportDensity},
-		{"fig10", func() (*Table, error) { return r.Fig10Maps(runs) }},
-		{"fig11a", func() (*Table, error) { return r.Fig11aAccuracyDensity(runs) }},
-		{"fig11b", func() (*Table, error) { return r.Fig11bAccuracyFailures(runs) }},
-		{"fig12a", func() (*Table, error) { return r.Fig12aHausdorffDensity(runs) }},
-		{"fig12b", func() (*Table, error) { return r.Fig12bHausdorffFailures(runs) }},
-		{"fig13a", r.Fig13aFilterReports},
-		{"fig13b", r.Fig13bFilterAccuracy},
-		{"fig14a", r.Fig14aTrafficDiameter},
-		{"fig14b", r.Fig14bTrafficDensity},
-		{"fig15a", r.Fig15aCompute},
-		{"fig15b", r.Fig15bComputeIsoMap},
-		{"fig16", r.Fig16Energy},
-	}
-	out := make([]*Table, len(gens))
-	errs := make([]error, len(gens))
-	var wg sync.WaitGroup
-	for i := range gens {
-		wg.Add(1)
-		// Generators hold no pool slot themselves — only their cell jobs
-		// do — so nested fan-out cannot deadlock the pool.
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = gens[i].fn()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", gens[i].name, err)
-		}
-	}
 	return out, nil
 }

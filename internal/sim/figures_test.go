@@ -16,7 +16,7 @@ func parse(t *testing.T, cell string) float64 {
 }
 
 func TestFig7ErrorDropsWithDegree(t *testing.T) {
-	tb, err := Fig7GradientError(1)
+	tb, err := testRunner.fig7GradientError(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFig7ErrorDropsWithDegree(t *testing.T) {
 }
 
 func TestFig13FilteringMonotone(t *testing.T) {
-	tb, err := Fig13aFilterReports()
+	tb, err := testRunner.fig13(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFig13FilteringMonotone(t *testing.T) {
 }
 
 func TestFig14aIsoMapWinsEverywhere(t *testing.T) {
-	tb, err := Fig14aTrafficDiameter()
+	tb, err := testRunner.fig14aTrafficDiameter()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFig14aIsoMapWinsEverywhere(t *testing.T) {
 }
 
 func TestFig15bIsoMapComputeFlat(t *testing.T) {
-	tb, err := Fig15bComputeIsoMap()
+	tb, err := testRunner.fig15bComputeIsoMap()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestFig15bIsoMapComputeFlat(t *testing.T) {
 }
 
 func TestFig16EnergyOrdering(t *testing.T) {
-	tb, err := Fig16Energy()
+	tb, err := testRunner.fig16Energy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFig16EnergyOrdering(t *testing.T) {
 }
 
 func TestTable1Measured(t *testing.T) {
-	tb, err := Table1Overhead()
+	tb, err := testRunner.table1Overhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTable1Measured(t *testing.T) {
 }
 
 func TestFig10ReportCountsDropWithFiltering(t *testing.T) {
-	tb, err := Fig10Maps(1)
+	tb, err := testRunner.fig10Maps(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,15 +87,12 @@ func runLifetime(name string, env *Env, roundCost func(*routing.Tree) (*metrics.
 	return res, nil
 }
 
-// ExtLifetimeSweep runs TinyDB and Iso-Map to exhaustion on identical
-// batteries: the endurance counterpart of Fig. 16's per-round energy.
-func ExtLifetimeSweep() (*Table, error) { return defaultRunner().ExtLifetimeSweep() }
-
-// ExtLifetimeSweep is the Runner form of the package-level function; the
+// extLifetimeSweep runs TinyDB and Iso-Map to exhaustion on identical
+// batteries: the endurance counterpart of Fig. 16's per-round energy. The
 // two endurance sessions run as independent jobs. Lifetime runs mutate
-// node failure state round after round, which is safe exactly because
-// each Build hands out an isolated clone of the cached deployment.
-func (r *Runner) ExtLifetimeSweep() (*Table, error) {
+// node failure state round after round, which is safe exactly because each
+// Build hands out an isolated clone of the cached deployment.
+func (r *Runner) extLifetimeSweep() (*Table, error) {
 	t := &Table{
 		ID:    "ext-lifetime",
 		Title: "Network lifetime on a fixed battery (rounds; 0 = never within 400)",

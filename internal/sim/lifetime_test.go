@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 func TestExtLifetimeSweep(t *testing.T) {
-	tb, err := ExtLifetimeSweep()
+	tb, err := testRunner.extLifetimeSweep()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,25 +193,18 @@ const (
 
 // roundPlan materializes the round's fault plan and radio config: a
 // fresh plan per faulted round (plans are stateful — channel chains,
-// crash schedules — and per-round seeding keeps replays exact) on the
-// fault sweep's deadline-bounded radio, the default radio otherwise.
+// crash schedules — and per-round seeding keeps replays exact), the
+// default radio otherwise.
 func (rs *RoundSource) roundPlan(faulted bool) (*faults.Plan, desim.RadioConfig, error) {
 	if !faulted {
 		return nil, desim.DefaultRadioConfig(), nil
 	}
-	plan, err := faults.New(faults.Config{
-		Seed:          rs.Env.Scenario.Seed + int64(rs.round),
-		Channel:       faults.ChannelBernoulli,
-		LossRate:      roundFaultLoss,
-		CrashFraction: roundCrashFrac,
-		CrashStart:    0.05,
-		CrashEnd:      0.6,
-		Protect:       []network.NodeID{rs.Env.Tree.Root()},
-	}, rs.Env.Network.Len())
+	p := FaultPoint{Loss: roundFaultLoss, Crash: roundCrashFrac}
+	plan, cfg, err := FaultPlan(rs.Env, p, rs.Env.Scenario.Seed+int64(rs.round))
 	if err != nil {
 		return nil, desim.RadioConfig{}, fmt.Errorf("sim: round %d fault plan: %w", rs.round, err)
 	}
-	return plan, faultRadioConfig(), nil
+	return plan, cfg, nil
 }
 
 // nextPacket runs one round on the packet engine. In delta mode the

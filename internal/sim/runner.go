@@ -86,14 +86,6 @@ func NewRunner(parallel int) *Runner {
 	}
 }
 
-// Parallel returns the worker-pool width.
-func (r *Runner) Parallel() int { return r.parallel }
-
-// defaultRunner backs the package-level Build and figure functions: one
-// shared process-wide runner, so independent sweeps benefit from each
-// other's cached deployments.
-var defaultRunner = sync.OnceValue(func() *Runner { return NewRunner(0) })
-
 // Build materializes the scenario through the runner's caches: the
 // deployment (field, network, tree) is memoized per deployKey and handed
 // out as an isolated clone, while the query side is rebuilt per call. The
@@ -203,26 +195,10 @@ func runJobs[T any](r *Runner, n int, job func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// averageOver runs fn for seeds 1..runs on the worker pool and averages
-// the returned values elementwise, skipping negative (n/a) samples per
-// element.
-func (r *Runner) averageOver(runs int, fn func(seed int64) ([]float64, error)) ([]float64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	vecs, err := runJobs(r, runs, func(i int) ([]float64, error) {
-		return fn(int64(i) + 1)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return averageVecs(vecs), nil
-}
-
 // sweepAverage fans all (point, seed) cells of a sweep out as independent
 // jobs — not one sweep point at a time — and returns the per-point
-// elementwise averages in point order, with the same n/a skipping as
-// averageOver.
+// elementwise averages in point order, skipping negative (n/a) samples as
+// averageVecs does.
 func sweepAverage(r *Runner, points, runs int, cell func(point int, seed int64) ([]float64, error)) ([][]float64, error) {
 	if runs < 1 {
 		runs = 1

@@ -58,7 +58,7 @@ func TestWithDefaultsNonSquareTrace(t *testing.T) {
 		t.Errorf("Radio = %v, want 1.5 (density 1 over the true 40x10 area)", s.Radio)
 	}
 
-	env, err := Build(Scenario{Nodes: 400, Trace: trace, Seed: 1})
+	env, err := testRunner.Build(Scenario{Nodes: 400, Trace: trace, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExplicitZeroEpsilon(t *testing.T) {
 	if s := (Scenario{Epsilon: 0, EpsilonSet: true}).withDefaults(); s.Epsilon != 0 {
 		t.Errorf("explicit zero epsilon rewritten to %v", s.Epsilon)
 	}
-	if _, err := Build(Scenario{Nodes: 100, FieldSide: 10, Seed: 1, EpsilonSet: true}); err == nil {
+	if _, err := testRunner.Build(Scenario{Nodes: 100, FieldSide: 10, Seed: 1, EpsilonSet: true}); err == nil {
 		t.Error("explicit zero epsilon should fail query validation, got nil error")
 	}
 }
@@ -99,11 +99,11 @@ func TestExplicitFilterDisabled(t *testing.T) {
 // before it on the same Env.
 func TestEnvRunOrderIndependence(t *testing.T) {
 	scn := Scenario{Nodes: 400, FieldSide: 20, Grid: true, Seed: 3}
-	a, err := Build(scn)
+	a, err := testRunner.Build(scn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(scn)
+	b, err := testRunner.Build(scn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@
 // independent (scenario, seed) cells of each figure out in parallel and
 // aggregates results in deterministic order, backed by a deployment cache
 // and a ground-truth memo so identical scenarios are materialized once.
+// The Runner is the only way in: every experiment is one entry of
+// Experiments, and Runner.Build materializes single scenarios.
 package sim
 
 import (
@@ -157,13 +159,6 @@ func seabedConfigFor(s Scenario) field.SeabedConfig {
 	cfg.SigmaMin *= scale
 	cfg.SigmaMax *= scale
 	return cfg
-}
-
-// Build materializes the scenario through the shared default Runner, so
-// repeated builds of the same deployment reuse its cached field, node
-// placement and routing tree (each call still returns an isolated Env).
-func Build(s Scenario) (*Env, error) {
-	return defaultRunner().Build(s)
 }
 
 // deploy materializes the network and routing tree of a defaulted

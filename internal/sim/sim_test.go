@@ -6,7 +6,7 @@ import (
 )
 
 func TestBuildDefaults(t *testing.T) {
-	env, err := Build(Scenario{Seed: 1})
+	env, err := testRunner.Build(Scenario{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBuildDefaults(t *testing.T) {
 }
 
 func TestBuildRadioScalesWithDensity(t *testing.T) {
-	env, err := Build(Scenario{Nodes: 400, Seed: 1})
+	env, err := testRunner.Build(Scenario{Nodes: 400, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestBuildRadioScalesWithDensity(t *testing.T) {
 }
 
 func TestBuildGrid(t *testing.T) {
-	env, err := Build(Scenario{Grid: true, Seed: 1})
+	env, err := testRunner.Build(Scenario{Grid: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,17 +53,17 @@ func TestBuildGrid(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(Scenario{Nodes: -5}); err == nil {
+	if _, err := testRunner.Build(Scenario{Nodes: -5}); err == nil {
 		t.Error("want error for negative node count")
 	}
 }
 
 func TestRunAllProtocolsOnce(t *testing.T) {
-	gridEnv, err := Build(Scenario{Nodes: 900, FieldSide: 30, Grid: true, Seed: 2})
+	gridEnv, err := testRunner.Build(Scenario{Nodes: 900, FieldSide: 30, Grid: true, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	randEnv, err := Build(Scenario{Nodes: 900, FieldSide: 30, Seed: 2})
+	randEnv, err := testRunner.Build(Scenario{Nodes: 900, FieldSide: 30, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestAllFiguresSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure regeneration is slow")
 	}
-	tables, err := AllFigures(1)
+	tables, err := testRunner.AllFigures(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,6 @@ func (r *Runner) temporalCell(p TemporalPoint, seed int64) ([]float64, error) {
 // given grid, averaging each point over runs seeds, and returns the
 // machine-readable results. All (point, seed) cells fan out over the
 // runner's pool, so the output is byte-identical at any -parallel width.
-func ExtTemporalSweepResults(runs int, points []TemporalPoint) ([]TemporalPointResult, error) {
-	return defaultRunner().ExtTemporalSweepResults(runs, points)
-}
-
-// ExtTemporalSweepResults is the Runner form of the package-level
-// function.
 func (r *Runner) ExtTemporalSweepResults(runs int, points []TemporalPoint) ([]TemporalPointResult, error) {
 	if runs < 1 {
 		runs = 1
@@ -177,14 +171,11 @@ func (r *Runner) ExtTemporalSweepResults(runs int, points []TemporalPoint) ([]Te
 	return out, nil
 }
 
-// ExtTemporalSweep tracks seeded evolving fields through multi-round
+// extTemporalSweep tracks seeded evolving fields through multi-round
 // monitoring — full-report packet rounds against the delta-report
 // protocol — and reports per-round traffic, tracking error against the
 // moving ground truth, and sink-side staleness across field speeds.
-func ExtTemporalSweep(runs int) (*Table, error) { return defaultRunner().ExtTemporalSweep(runs) }
-
-// ExtTemporalSweep is the Runner form of the package-level function.
-func (r *Runner) ExtTemporalSweep(runs int) (*Table, error) {
+func (r *Runner) extTemporalSweep(runs int) (*Table, error) {
 	results, err := r.ExtTemporalSweepResults(runs, DefaultTemporalPoints())
 	if err != nil {
 		return nil, err
