@@ -16,7 +16,8 @@
 //
 // -figure takes an ID of sim.Experiments (table1, fig7 … fig16, ext-*) or
 // "all", which regenerates the paper's Table 1 and figures in paper order;
-// an unknown ID fails with the list of valid ones.
+// an unknown ID fails with the list of valid ones. -format is text (the
+// default) or csv; any other value fails the same way.
 package main
 
 import (
@@ -53,6 +54,9 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *format != "text" && *format != "csv" {
+		return fmt.Errorf("unknown format %q (valid: text, csv)", *format)
 	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

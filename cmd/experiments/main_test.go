@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,6 +41,25 @@ func TestUnknownFigureListsIDs(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("unknown figure printed %q", out.String())
+	}
+}
+
+// TestUnknownFormatFails checks that -format accepts only text and csv:
+// any other value fails before a table is regenerated, listing both.
+func TestUnknownFormatFails(t *testing.T) {
+	for _, format := range []string{"json", "CSV", ""} {
+		var out bytes.Buffer
+		err := runArgs(t, &out, "-figure", "fig9", "-runs", "1", "-format", format)
+		if err == nil {
+			t.Fatalf("-format %q: nil error", format)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, fmt.Sprintf("%q", format)) || !strings.Contains(msg, "text") || !strings.Contains(msg, "csv") {
+			t.Errorf("-format %q: error %q does not name the format and list text and csv", format, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-format %q printed %q", format, out.String())
+		}
 	}
 }
 

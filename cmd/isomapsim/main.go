@@ -45,9 +45,11 @@
 // Bernoulli (or, with -burst > 0, Gilbert–Elliott) lossy channel and a
 // fraction of nodes crashing mid-round, with route repair around the
 // dead parents (the plan comes from sim.FaultPlan, seeded by -seed).
-// Only Iso-Map has a packet round: with another -protocol, any of
-// -packet, -loss, -burst, -crashfrac, -shards, -workers or -roundtrace
-// is an error.
+// Each of -loss, -burst, -crashfrac, -shards and -workers, set away from
+// its default, configures the packet round and so implies -packet, as
+// -roundtrace does. Only Iso-Map has a packet round: with another
+// -protocol, any of -packet, -loss, -burst, -crashfrac, -shards,
+// -workers or -roundtrace is an error.
 package main
 
 import (
@@ -141,11 +143,11 @@ func run(fs *flag.FlagSet, args []string) error {
 			*expvarOut = filepath.Join(*diagDir, "expvar.json")
 		}
 	}
-	if *protocol != "isomap" && (*roundtr != "" || *packet || *loss != 0 || *burst != 0 ||
-		*crashfrac != 0 || *shards != 1 || *workers != 0) {
+	packetRound := *roundtr != "" || *loss != 0 || *burst != 0 || *crashfrac != 0 || *shards != 1 || *workers != 0
+	if *protocol != "isomap" && (packetRound || *packet) {
 		return fmt.Errorf("-packet, -loss, -burst, -crashfrac, -shards, -workers and -roundtrace configure the packet-level Iso-Map round; protocol %q has none", *protocol)
 	}
-	if *roundtr != "" {
+	if packetRound {
 		*packet = true
 	}
 	if *cpuprof != "" {
@@ -357,7 +359,14 @@ func emitRoundTrace(rec *rtrace.Recorder, path string, maxRetries int) error {
 // round's per-phase radio ledger always, and the traced round's totals
 // when rec (the -roundtrace recorder) is non-nil.
 func publishSummary(ledger rtrace.Ledger, rec *rtrace.Recorder) {
-	m := new(expvar.Map)
+	// expvar names are process-global: a second run in one process (the
+	// tests) refills the published map instead of publishing again.
+	m, published := expvar.Get("isomap_round").(*expvar.Map)
+	if published {
+		m.Init()
+	} else {
+		m = new(expvar.Map)
+	}
 	put := func(k string, v int64) { i := new(expvar.Int); i.Set(v); m.Set(k, i) }
 	for p, t := range ledger {
 		if t.Frames > 0 {
@@ -379,7 +388,9 @@ func publishSummary(ledger rtrace.Ledger, rec *rtrace.Recorder) {
 		rs.Set(s.RoundSeconds)
 		m.Set("roundSeconds", rs)
 	}
-	expvar.Publish("isomap_round", m)
+	if !published {
+		expvar.Publish("isomap_round", m)
+	}
 }
 
 // writeExpvar dumps every published expvar variable as one JSON object.

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -39,4 +40,51 @@ func TestPacketFlagsNeedIsoMap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPacketFlagsImplyPacket checks that a packet-round flag given with
+// the default Iso-Map protocol runs the packet round instead of being
+// silently ignored for want of -packet.
+func TestPacketFlagsImplyPacket(t *testing.T) {
+	for _, args := range [][]string{
+		{"-loss", "0.2", "-crashfrac", "0.1"},
+		{"-burst", "0.5"},
+		{"-crashfrac", "0.05"},
+		{"-shards", "4", "-workers", "1"},
+	} {
+		out := captureStdout(t, func() error {
+			fs := flag.NewFlagSet("isomapsim", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			return run(fs, append([]string{"-nodes", "100", "-side", "10", "-res", "10"}, args...))
+		})
+		if !strings.Contains(out, "packet-level round") {
+			t.Errorf("%v: no packet round in the output:\n%s", args, out)
+		}
+		if args[0] == "-loss" && !strings.Contains(out, "faults:") {
+			t.Errorf("%v: packet round printed no fault line:\n%s", args, out)
+		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected to a file and returns
+// what it wrote, failing the test if fn fails.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

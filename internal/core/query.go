@@ -112,9 +112,16 @@ func (q Query) scope() int {
 func (q Query) CandidateLevels(v float64) []int {
 	var out []int
 	for i, lambda := range q.Levels.Values() {
-		if v >= lambda-q.Epsilon && v <= lambda+q.Epsilon {
+		if q.InBorder(v, lambda) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// InBorder reports whether value v lies in the border region [lambda-eps,
+// lambda+eps] of isolevel lambda: the test CandidateLevels applies to
+// each level, for callers that hold the level values already.
+func (q Query) InBorder(v, lambda float64) bool {
+	return v >= lambda-q.Epsilon && v <= lambda+q.Epsilon
 }

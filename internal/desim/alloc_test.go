@@ -3,6 +3,8 @@ package desim
 import (
 	"testing"
 
+	"isomap/internal/core"
+	"isomap/internal/field"
 	"isomap/internal/metrics"
 	"isomap/internal/network"
 )
@@ -72,7 +74,7 @@ func TestEngineClosureArenaReuse(t *testing.T) {
 // TestRadioSendAllocs pins the link-layer hot path: a no-contention
 // acknowledged unicast — frame arena slot, CSMA attempt, transmission,
 // receptions, ack round trip — allocates nothing in steady state. Frame
-// slots, queue entries and span lists recycle, and duplicate detection
+// slots and queue entries recycle, spans sit inline, and duplicate detection
 // reads the sender's delivered flag instead of a per-node record.
 func TestRadioSendAllocs(t *testing.T) {
 	if raceEnabled {
@@ -84,7 +86,7 @@ func TestRadioSendAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm: frame slots, queue capacity, span lists.
+	// Warm: frame slots and queue capacity.
 	for i := 0; i < 100; i++ {
 		if err := r.Send(0, 1, 16); err != nil {
 			t.Fatal(err)
@@ -134,5 +136,73 @@ func TestRadioSendAllocsWithCounters(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("accounted Send allocated %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// Allocation pins for whole packet rounds at n = 1,000: every round
+// builds its per-node state in a few blocks and keeps none of it, so the
+// count is a small constant plus a few per shard, not a multiple of n.
+// The bounds are the counts measured when the pins were set plus a small
+// margin (DESIGN.md "Packet-engine complexity"); a per-node or
+// per-reception allocation creeping back into the round fails them.
+const (
+	cleanRoundAllocs = 360
+	deltaRoundAllocs = 420
+)
+
+// TestRunRoundAllocs pins the allocations of a clean full-report round.
+func TestRunRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tree, f, q := fullRoundSetup(t, 1000)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := RunRound(tree, f, q, fc, cfg, RoundOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("clean round: %.0f allocs", allocs)
+	if allocs > cleanRoundAllocs {
+		t.Errorf("clean n=1000 round allocated %.0f times, pinned at most %d", allocs, cleanRoundAllocs)
+	}
+}
+
+// TestRunRoundAllocsDelta pins the allocations of a delta-report timer
+// round (standing query, no flood) on a drifting field. AllocsPerRun
+// runs its function once before measuring, so the flood round, the
+// warm-up round and the measured round are rounds 1, 2 and 3.
+func TestRunRoundAllocsDelta(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tree, f, q := fullRoundSetup(t, 1000)
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	dyn, err := field.NewTemporal("drift", f, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewDeltaState(tree.Network().Len(), DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := make([]field.Field, 4)
+	for i := range snaps {
+		snaps[i] = dyn.At(float64(i+1) * 0.5)
+	}
+	round := 0
+	next := func() {
+		if _, err := RunRound(tree, snaps[round], q, fc, cfg, RoundOptions{Delta: ds}); err != nil {
+			t.Fatal(err)
+		}
+		round++
+	}
+	next() // the flood round
+	allocs := testing.AllocsPerRun(1, next)
+	t.Logf("delta timer round: %.0f allocs", allocs)
+	if allocs > deltaRoundAllocs {
+		t.Errorf("delta n=1000 timer round allocated %.0f times, pinned at most %d", allocs, deltaRoundAllocs)
 	}
 }

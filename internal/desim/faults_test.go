@@ -20,7 +20,7 @@ func TestRadioChannelLossDropsAfterRetries(t *testing.T) {
 	}
 	r.SetChannel(func(from, to network.NodeID) bool { return from == 0 && to == 1 })
 	got, dropped := 0, 0
-	r.OnReceive(1, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(1, func(network.NodeID, *Frame) { got++ })
 	r.OnDrop(func(f Frame) { dropped++ })
 	if err := r.Send(0, 1, 16); err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRadioChannelLostAcksDeduplicated(t *testing.T) {
 	}
 	r.SetChannel(func(from, to network.NodeID) bool { return from == 1 && to == 0 })
 	got := 0
-	r.OnReceive(1, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(1, func(network.NodeID, *Frame) { got++ })
 	if err := r.Send(0, 1, 16); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRadioChannelLostAcksDeduplicatedSharded(t *testing.T) {
 			r.SetChannel(loseAcks)
 		}
 		var got []delivery
-		sender.OnReceive(to, func(_ network.NodeID, f Frame) { got = append(got, delivery{clock.Now(), f.seq}) })
+		sender.OnReceive(to, func(_ network.NodeID, f *Frame) { got = append(got, delivery{clock.Now(), f.seq}) })
 		for i := 0; i < frames; i++ {
 			if err := sender.Send(from, to, 16); err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestRadioCrashStopsAllParticipation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	r.OnReceive(1, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(1, func(network.NodeID, *Frame) { got++ })
 	dropped := 0
 	r.OnDrop(func(f Frame) { dropped++ })
 	// The frame is queued while node 1 is alive; the crash lands while it
@@ -244,7 +244,7 @@ func TestOnDropRequeueDeliversExactlyOnce(t *testing.T) {
 	})
 	batch := []core.Report{{Level: 6, Source: 0}}
 	got, requeues := 0, 0
-	r.OnReceive(1, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(1, func(network.NodeID, *Frame) { got++ })
 	r.OnDrop(func(f Frame) {
 		requeues++
 		// The dropped frame's batch is recycled when this handler

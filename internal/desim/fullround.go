@@ -110,9 +110,11 @@ const (
 // from the shard owning that node (receive handlers, flushes and
 // measurements all run on the owner), so no locking is needed.
 type roundState struct {
-	nw      *network.Network
-	tree    *routing.Tree
-	q       core.Query
+	nw   *network.Network
+	tree *routing.Tree
+	q    core.Query
+	// levels are q's level values, computed once per round.
+	levels  []float64
 	fc      core.FilterConfig
 	cfg     RadioConfig
 	plan    *faults.Plan
@@ -137,13 +139,13 @@ type roundState struct {
 	// replied marks nodes whose one probe reply is armed; listening marks
 	// border candidates between hearing the query and their evMeasure,
 	// the only span in which a node keeps the replies it hears.
-	replied     []bool
-	listening   []bool
-	samples     [][]core.Sample
-	kept        [][]core.Report
-	seenReports []map[core.Report]bool
-	outbox      [][]core.Report
-	flushArmed  []bool
+	replied   []bool
+	listening []bool
+	// samples, kept and outbox are carved from the owning shard's blocks.
+	samples    [][]core.Sample
+	kept       [][]core.Report
+	outbox     [][]core.Report
+	flushArmed []bool
 	// parentOf is the round's mutable routing state, seeded from the BFS
 	// tree; route repair rewrites an entry when its parent goes silent.
 	parentOf []network.NodeID
@@ -170,6 +172,11 @@ type roundShard struct {
 	// lingering Failed mark silently shrinks every later round.
 	crashed []network.NodeID
 	parked  parkedBatches
+	// seen is the report dedup of the shard's nodes; samples and reports
+	// are the blocks their per-node storage is carved from.
+	seen    seenSet
+	samples block[core.Sample]
+	reports block[core.Report]
 
 	// Scratch buffers reused across frames and measurements; their
 	// contents are consumed before the next call that fills them.
@@ -193,28 +200,36 @@ func (rs *roundState) jitterFor(id network.NodeID, spreadSlots int) float64 {
 	return float64(1+h%uint64(spreadSlots)) * rs.cfg.SlotTime
 }
 
+// candidate reports whether value v lies in the border region of some
+// queried level: q.CandidateLevels(v) is non-empty.
+func (rs *roundState) candidate(v float64) bool {
+	for _, lambda := range rs.levels {
+		if rs.q.InBorder(v, lambda) {
+			return true
+		}
+	}
+	return false
+}
+
 func (sh *roundShard) accept(at network.NodeID, incoming []core.Report) []core.Report {
 	rs := sh.rs
-	if rs.seenReports[at] == nil {
-		rs.seenReports[at] = make(map[core.Report]bool)
-	}
 	fresh := sh.freshScratch[:0]
-	for _, r := range incoming {
-		if rs.seenReports[at][r] {
+	for i := range incoming {
+		r := &incoming[i]
+		if !sh.seen.add(at, r) {
 			continue
 		}
-		rs.seenReports[at][r] = true
 		if r.Retire {
 			// Withdrawal records bypass the spatial redundancy filter — a
 			// retirement must always reach the sink — and stay out of kept,
 			// which only grounds that filter's data-report comparisons.
-			fresh = append(fresh, r)
+			fresh = append(fresh, *r)
 			continue
 		}
 		if rs.fc.Enabled {
 			dup := false
 			for _, k := range rs.kept[at] {
-				if rs.fc.Redundant(k, r) {
+				if rs.fc.Redundant(k, *r) {
 					dup = true
 					break
 				}
@@ -223,8 +238,8 @@ func (sh *roundShard) accept(at network.NodeID, incoming []core.Report) []core.R
 				continue
 			}
 		}
-		rs.kept[at] = append(rs.kept[at], r)
-		fresh = append(fresh, r)
+		rs.kept[at] = append(sh.reports.grow(rs.kept[at], 1), *r)
+		fresh = append(fresh, *r)
 	}
 	sh.freshScratch = fresh
 	return fresh
@@ -235,7 +250,7 @@ func (sh *roundShard) forward(from network.NodeID, batch []core.Report) {
 	if len(batch) == 0 || rs.parentOf[from] < 0 {
 		return
 	}
-	rs.outbox[from] = append(rs.outbox[from], batch...)
+	rs.outbox[from] = append(sh.reports.grow(rs.outbox[from], len(batch)), batch...)
 	if rs.flushArmed[from] {
 		return
 	}
@@ -324,10 +339,12 @@ func (sh *roundShard) measure(id network.NodeID) {
 		sh.res.SparseMeasures++
 	}
 	node := rs.nw.Node(id)
-	levels := rs.q.Levels.Values()
+	levels := rs.levels
 	matched := sh.matchScratch[:0]
-	for _, li := range rs.q.CandidateLevels(node.Value) {
-		lambda := levels[li]
+	for li, lambda := range levels {
+		if !rs.q.InBorder(node.Value, lambda) {
+			continue
+		}
 		for _, s := range rs.samples[id] {
 			if (node.Value < lambda && lambda < s.Value) || (s.Value < lambda && lambda < node.Value) {
 				matched = append(matched, li)
@@ -507,7 +524,7 @@ func (sh *roundShard) wake(at network.NodeID) {
 	if t := sh.eng.Now(); t > sh.res.QuerySeconds {
 		sh.res.QuerySeconds = t
 	}
-	if len(rs.q.CandidateLevels(rs.nw.Node(at).Value)) == 0 {
+	if !rs.candidate(rs.nw.Node(at).Value) {
 		if rs.delta != nil && rs.delta.trackedAt(at) > 0 {
 			// The isoline moved entirely out of this node's border
 			// region: withdraw its tracked reports on the same schedule
@@ -537,7 +554,7 @@ func (sh *roundShard) nextWake() {
 // onFrame is the receive handler every alive node shares: query flood,
 // probes, replies and report batches. It always runs on the shard owning
 // the receiving node.
-func (sh *roundShard) onFrame(at network.NodeID, fr Frame) {
+func (sh *roundShard) onFrame(at network.NodeID, fr *Frame) {
 	rs := sh.rs
 	switch fr.Kind {
 	case FrameQuery:
@@ -563,7 +580,7 @@ func (sh *roundShard) onFrame(at network.NodeID, fr Frame) {
 		}
 	case FrameReply:
 		if rs.listening[at] {
-			rs.samples[at] = append(rs.samples[at], fr.Sample)
+			rs.samples[at] = append(sh.samples.grow(rs.samples[at], 1), fr.Sample)
 		}
 	case FrameReports:
 		fresh := sh.accept(at, fr.Batch)
@@ -718,7 +735,7 @@ func RunRound(tree *routing.Tree, f field.Field, q core.Query, fc core.FilterCon
 		}
 	}
 	// The sink itself may be an isoline node: give it the same probe path.
-	if len(q.CandidateLevels(rs.nw.Node(rs.root).Value)) > 0 {
+	if rs.candidate(rs.nw.Node(rs.root).Value) {
 		rs.listening[rs.root] = true
 		rootSh.eng.ScheduleEvent(probeDelay, Event{Kind: evProbeStart, Node: rs.root})
 	} else if ds := opt.Delta; ds != nil && ds.trackedAt(rs.root) > 0 {
@@ -768,34 +785,35 @@ func newRound(tree *routing.Tree, q core.Query, fc core.FilterConfig, cfg RadioC
 		return nil, fmt.Errorf("desim: delta state built for %d nodes, deployment has %d", ds.Nodes(), n)
 	}
 	rs := &roundState{
-		nw:          nw,
-		tree:        tree,
-		q:           q,
-		fc:          fc,
-		cfg:         cfg,
-		plan:        plan,
-		delta:       ds,
-		crashes:     plan.Crashes(),
-		root:        tree.Root(),
-		eng:         eng,
-		se:          se,
-		counters:    counters,
-		queryHeard:  make([]bool, n),
-		replied:     make([]bool, n),
-		listening:   make([]bool, n),
-		samples:     make([][]core.Sample, n),
-		kept:        make([][]core.Report, n),
-		seenReports: make([]map[core.Report]bool, n),
-		outbox:      make([][]core.Report, n),
-		flushArmed:  make([]bool, n),
-		parentOf:    make([]network.NodeID, n),
-		severed:     make([]bool, n),
-		shards:      make([]*roundShard, len(radios)),
+		nw:         nw,
+		tree:       tree,
+		q:          q,
+		fc:         fc,
+		cfg:        cfg,
+		plan:       plan,
+		delta:      ds,
+		crashes:    plan.Crashes(),
+		root:       tree.Root(),
+		eng:        eng,
+		se:         se,
+		counters:   counters,
+		queryHeard: make([]bool, n),
+		replied:    make([]bool, n),
+		listening:  make([]bool, n),
+		levels:     q.Levels.Values(),
+		samples:    make([][]core.Sample, n),
+		kept:       make([][]core.Report, n),
+		outbox:     make([][]core.Report, n),
+		flushArmed: make([]bool, n),
+		parentOf:   make([]network.NodeID, n),
+		severed:    make([]bool, n),
+		shards:     make([]*roundShard, len(radios)),
 	}
 	for i := range rs.parentOf {
 		rs.parentOf[i] = tree.Parent(network.NodeID(i))
 	}
 
+	links := plan.Links(nw)
 	for i, r := range radios {
 		shEng := eng
 		if se != nil {
@@ -806,9 +824,7 @@ func newRound(tree *routing.Tree, q core.Query, fc core.FilterConfig, cfg RadioC
 			shRec = trace.NewRecorder(rec.Capacity())
 		}
 		r.SetTrace(shRec)
-		if plan.HasChannel() {
-			r.SetChannel(plan.Lose)
-		}
+		r.links = links
 		sh := &roundShard{rs: rs, eng: shEng, radio: r, rec: shRec}
 		rs.shards[i] = sh
 		r.OnDrop(sh.handleDrop)
@@ -816,7 +832,7 @@ func newRound(tree *routing.Tree, q core.Query, fc core.FilterConfig, cfg RadioC
 	}
 	// One method value per shard: evaluating sh.onFrame per node would
 	// allocate a closure for every node.
-	onFrame := make([]func(network.NodeID, Frame), len(rs.shards))
+	onFrame := make([]func(network.NodeID, *Frame), len(rs.shards))
 	for i, sh := range rs.shards {
 		onFrame[i] = sh.onFrame
 	}

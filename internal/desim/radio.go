@@ -6,6 +6,7 @@ import (
 
 	"isomap/internal/core"
 	"isomap/internal/energy"
+	"isomap/internal/faults"
 	"isomap/internal/metrics"
 	"isomap/internal/network"
 	"isomap/internal/trace"
@@ -113,6 +114,10 @@ type Frame struct {
 	// deadline is the absolute time past which the frame is abandoned
 	// (0 = none); set from RadioConfig.FrameDeadline at Send time.
 	deadline float64
+	// refs counts the receptions in progress that will read this frame
+	// when they complete (see arrive): a reception holds its frame's arena
+	// slot instead of a copy.
+	refs int32
 	// delivered flags a pending data frame whose destination has in fact
 	// received it (set by the receiver, through the barrier mailbox when
 	// the receiver is remote). With a nonzero propagation delay a frame
@@ -120,9 +125,13 @@ type Frame struct {
 	// out of Stats.Drops so delivery accounting stays exact. It is also
 	// the receiver's duplicate filter: a retransmission goes on the air
 	// only after its ack timeout, by when the flag of an earlier delivery
-	// is set, so the copy a receiver holds carries delivered == true
-	// exactly when that receiver already delivered the frame.
+	// is set, so the frame a receiver completes carries delivered == true
+	// exactly when that receiver already delivered it.
 	delivered bool
+	// landed marks a broadcast, ack or imported frame whose propagate
+	// event has fired while receptions still hold it: the last of them
+	// releases the slot.
+	landed bool
 }
 
 // RadioStats counts link-layer happenings.
@@ -200,6 +209,46 @@ type txSpan struct {
 	s, e float64
 }
 
+// sensable reports whether the span's carrier is sensable at now, with
+// propagation delay d.
+func (sp txSpan) sensable(now, d float64) bool {
+	return sp.s+d <= now && now < sp.e+d
+}
+
+// inlineSpans is how many live on-air spans a node keeps inline in its
+// hot state. Transmit prunes spans no reader can sense any more, and a
+// half-duplex node rarely starts a transmission less than one
+// propagation delay after its last one ended, so a node holds at most
+// two live spans but for the rare ack retry (TestLiveSpanBound); the
+// rest spill to a per-radio overflow list.
+const inlineSpans = 2
+
+// spanSet is a node's live on-air spans: the first inlineSpans inline,
+// any further ones in the owning radio's spill list. It is a fixed-size
+// value, so the sharded barrier publishes it by plain copy.
+type spanSet struct {
+	inline [inlineSpans]txSpan
+	n      int32
+}
+
+// sensed reports whether a span of node id's set is sensable at now;
+// spill holds the node's overflow, looked up only when the set has one.
+func (ss *spanSet) sensed(spill map[network.NodeID][]txSpan, id network.NodeID, now, d float64) bool {
+	for _, sp := range ss.inline[:min(int(ss.n), inlineSpans)] {
+		if sp.sensable(now, d) {
+			return true
+		}
+	}
+	if ss.n > inlineSpans {
+		for _, sp := range spill[id] {
+			if sp.sensable(now, d) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // mailEntry is one cross-shard transmission awaiting delivery: the
 // frame's propagate event fires in the destination shard at time t (the
 // transmit time plus the propagation delay, always inside the next
@@ -230,21 +279,18 @@ type deliveredMark struct {
 // arrays.
 type radioGroup struct {
 	radios []*Radio
-	states []radioState
-	// rxFrames holds each node's current reception in full, written only
-	// for receptions that can deliver (addressed to the node, or a
-	// broadcast); an overheard reception keeps just its header in
-	// radioState.
-	rxFrames []Frame
-	handlers []func(network.NodeID, Frame)
+	// hot is the per-node state every reception and carrier sense reads,
+	// one 64-byte record per node.
+	hot []radioHot
+	// rx is each node's current reception header, kept only while a
+	// trace recorder is attached (the collision trace is its one reader);
+	// nil otherwise.
+	rx       []rxHeader
+	handlers []func(network.NodeID, *Frame)
 	// seqs derives per-node frame sequence numbers: node id's frames get
 	// (id+1)<<24 | counter, globally unique and — unlike a shared
 	// counter — independent of how other nodes' sends interleave.
 	seqs []int64
-	// busy holds each node's recent on-air spans; dead spans (past every
-	// possible reader's visibility) are pruned in place at the next
-	// transmit, so the list stays a handful of entries.
-	busy [][]txSpan
 	// crashT is each node's mid-round crash time, +Inf while alive.
 	// Neighbors treat a crashed node as alive until crashT +
 	// PropagationDelay — the silence takes one propagation to be heard.
@@ -257,9 +303,11 @@ type radioGroup struct {
 	se      *ShardedEngine
 	k       int
 	// busyView/crashView are the barrier-published snapshots remote
-	// shards read; dirty lists (per owning shard, stamp-deduplicated per
+	// shards read (spillView holds the spans past a busyView entry's
+	// inline ones); dirty lists (per owning shard, stamp-deduplicated per
 	// epoch) name the border nodes to republish at the next barrier.
-	busyView   [][]txSpan
+	busyView   []spanSet
+	spillView  map[network.NodeID][]txSpan
 	crashView  []float64
 	dirtyBusy  [][]int32
 	dirtyCrash [][]int32
@@ -277,16 +325,14 @@ type radioGroup struct {
 func newRadioGroup(nw *network.Network) *radioGroup {
 	n := nw.Len()
 	g := &radioGroup{
-		states:   make([]radioState, n),
-		rxFrames: make([]Frame, n),
-		handlers: make([]func(network.NodeID, Frame), n),
+		hot:      make([]radioHot, n),
+		handlers: make([]func(network.NodeID, *Frame), n),
 		seqs:     make([]int64, n),
-		busy:     make([][]txSpan, n),
 		crashT:   make([]float64, n),
 	}
 	for i := range g.crashT {
 		g.crashT[i] = math.Inf(1)
-		g.states[i].alive = nw.Alive(network.NodeID(i))
+		g.hot[i].alive = nw.Alive(network.NodeID(i))
 	}
 	return g
 }
@@ -327,6 +373,9 @@ type Radio struct {
 	// pool recycles report batches; upper layers acquire flush batches
 	// from it and the radio returns them when frames finish.
 	pool batchPool
+	// spill holds the live on-air spans of this shard's nodes past their
+	// inlineSpans inline ones; nil until a node first needs it.
+	spill map[network.NodeID][]txSpan
 
 	// Stats accumulates link-layer counts (this shard's share).
 	Stats RadioStats
@@ -343,17 +392,19 @@ type Radio struct {
 	upper func(Event)
 	// channel, when set, decides per reception whether the channel
 	// erases the frame on the directed link from->to; losses are drawn
-	// before (and independently of) the collision model.
+	// before (and independently of) the collision model. links is the
+	// same for a fault plan's channel table, drawn by neighbour index.
 	channel func(from, to network.NodeID) bool
+	links   *faults.Links
 }
 
-// radioState is one node's transceiver state.
-type radioState struct {
+// radioHot is one node's transceiver state: everything a reception, a
+// carrier sense and a transmit read, in one 64-byte record.
+type radioHot struct {
 	txUntil float64
 	rxUntil float64
-	// rx is the header of the current (or last) reception; the full frame
-	// of a deliverable one is in radioGroup.rxFrames.
-	rx          rxHeader
+	// live are the node's on-air spans a neighbour may still sense.
+	live        spanSet
 	rxActive    bool
 	rxCorrupted bool
 	// alive is the radio's own view of the node's liveness: filled from
@@ -362,9 +413,8 @@ type radioState struct {
 	alive bool
 }
 
-// rxHeader is what a reception keeps of any frame: the fields the
-// collision trace and the completion check read. An overheard frame is
-// never delivered, so it keeps nothing more — in particular no Batch.
+// rxHeader is what the collision trace records of the reception a
+// collision corrupts: an overheard frame keeps nothing else.
 type rxHeader struct {
 	From, To network.NodeID
 	seq      int64
@@ -445,13 +495,13 @@ func newShardedRadios(se *ShardedEngine, nw *network.Network, cfg RadioConfig, c
 	g.remote = part.Remote
 	g.se = se
 	g.k = k
-	g.busyView = make([][]txSpan, n)
+	g.busyView = make([]spanSet, n)
 	g.crashView = make([]float64, n)
 	for i := range g.crashView {
 		// Nodes already failed when the round starts read as crashed
 		// forever ago: dead immediately, they never transmitted.
 		g.crashView[i] = math.Inf(1)
-		if !g.states[i].alive {
+		if !g.hot[i].alive {
 			g.crashView[i] = math.Inf(-1)
 		}
 	}
@@ -482,7 +532,16 @@ func newShardedRadios(se *ShardedEngine, nw *network.Network, cfg RadioConfig, c
 func (g *radioGroup) barrier() {
 	for s := range g.dirtyBusy {
 		for _, id := range g.dirtyBusy[s] {
-			g.busyView[id] = append(g.busyView[id][:0], g.busy[id]...)
+			g.busyView[id] = g.hot[id].live
+			if g.busyView[id].n > inlineSpans {
+				// A view entry's spill list is read only while its count
+				// says it has one, so a stale list needs no clearing.
+				if g.spillView == nil {
+					g.spillView = make(map[network.NodeID][]txSpan)
+				}
+				nid := network.NodeID(id)
+				g.spillView[nid] = append(g.spillView[nid][:0], g.radios[s].spill[nid]...)
+			}
 		}
 		g.dirtyBusy[s] = g.dirtyBusy[s][:0]
 		for _, id := range g.dirtyCrash[s] {
@@ -508,11 +567,10 @@ func (g *radioGroup) barrier() {
 				fr := m.fr
 				if fr.Batch != nil {
 					// The mailed frame aliases the sender's pooled batch;
-					// give the import its own copy (plain allocation: a
-					// deliverable reception's held frame may alias it past
-					// the import slot's release, so it must not return to a
-					// pool).
-					fr.Batch = append([]core.Report(nil), fr.Batch...)
+					// give the import its own copy from the receiving
+					// radio's pool, which takes it back when the import is
+					// released.
+					fr.Batch = append(rd.pool.get(), fr.Batch...)
 				}
 				slot := rd.allocImport()
 				rd.imports[slot] = fr
@@ -561,7 +619,7 @@ func (r *Radio) handleEvent(ev Event) {
 	case evAckTimeout:
 		r.ackTimeout(ev.Seq, ev.Arg)
 	case evFinishRx:
-		r.finishRx(ev.Node)
+		r.finishRx(ev.Node, ev.Arg)
 	case evAckSend:
 		if slot := ev.Arg; r.frames[slot].seq == ev.Seq {
 			r.ackSend(slot)
@@ -585,8 +643,9 @@ func (r *Radio) OnEvent(fn func(Event)) { r.upper = fn }
 
 // OnReceive registers the upper-layer handler invoked when a data frame is
 // delivered to id. The handler receives the delivering node, so one
-// function value can serve every node without per-node closures.
-func (r *Radio) OnReceive(id network.NodeID, fn func(network.NodeID, Frame)) {
+// function value can serve every node without per-node closures, and the
+// frame in place: it is valid only for the duration of the call.
+func (r *Radio) OnReceive(id network.NodeID, fn func(network.NodeID, *Frame)) {
 	r.grp.handlers[id] = fn
 }
 
@@ -604,7 +663,12 @@ func (r *Radio) OnDrop(fn func(Frame)) {
 // charges, so the trace reconciles exactly with the round's counters
 // (trace.CheckCounters). A nil recorder disables tracing; the radio's
 // behavior is identical either way.
-func (r *Radio) SetTrace(rec *trace.Recorder) { r.tr = rec }
+func (r *Radio) SetTrace(rec *trace.Recorder) {
+	r.tr = rec
+	if rec != nil && r.grp.rx == nil {
+		r.grp.rx = make([]rxHeader, len(r.grp.hot))
+	}
+}
 
 // phaseOfFrame classifies a frame into the protocol phase its traffic
 // belongs to: the query flood, the probe/measure exchange, the report
@@ -629,13 +693,15 @@ func phaseOf(kind FrameKind, isAck bool) trace.Phase {
 	return trace.PhaseNone
 }
 
-// SetChannel installs a per-link loss model (e.g. faults.Plan.Lose): it
-// is consulted once per potential reception, and a true return erases the
-// frame on that link before it reaches the receiver — modeling channel
-// errors the CRC catches, independent of the collision model. Acks and
-// broadcasts traverse the channel too. Draws happen at arrival time in
-// the receiving node's shard, so each directed link consumes its loss
-// stream in arrival order regardless of partitioning.
+// SetChannel installs a per-link loss model: it is consulted once per
+// potential reception, and a true return erases the frame on that link
+// before it reaches the receiver — modeling channel errors the CRC
+// catches, independent of the collision model. Acks and broadcasts
+// traverse the channel too. Draws happen at arrival time in the
+// receiving node's shard, so each directed link consumes its loss stream
+// in arrival order regardless of partitioning. A packet round installs
+// its fault plan's channel table (faults.Links) the same way, drawn by
+// the receiver's index in the sender's neighbour list.
 func (r *Radio) SetChannel(ch func(from, to network.NodeID) bool) {
 	r.channel = ch
 }
@@ -661,13 +727,13 @@ func (r *Radio) Crash(id network.NodeID) {
 	now := r.eng.Now()
 	g := r.grp
 	g.crashT[id] = now
-	b := g.busy[id]
-	for i := range b {
-		if b[i].e > now {
-			b[i].e = now
-		}
+	st := &g.hot[id]
+	for i := range min(int(st.live.n), inlineSpans) {
+		st.live.inline[i].e = min(st.live.inline[i].e, now)
 	}
-	st := &g.states[id]
+	for i, sp := range r.spill[id] {
+		r.spill[id][i].e = min(sp.e, now)
+	}
 	st.rxActive = false
 	st.rxCorrupted = false
 	st.txUntil = 0
@@ -681,7 +747,7 @@ func (r *Radio) Crash(id network.NodeID) {
 	}
 }
 
-// markBusyDirty queues a border node's span list for publication at the
+// markBusyDirty queues a border node's live spans for publication at the
 // next barrier (at most once per window).
 func (r *Radio) markBusyDirty(id network.NodeID) {
 	g := r.grp
@@ -704,6 +770,8 @@ func (r *Radio) allocFrame() int32 {
 }
 
 // releaseFrame clears a slot and returns it to the free-list.
+// Broadcast and ack slots are released when their propagate event fires,
+// or by the last reception holding them (unref) if that comes later.
 func (r *Radio) releaseFrame(slot int32) {
 	r.frames[slot] = Frame{}
 	r.freeSlots = append(r.freeSlots, slot)
@@ -729,10 +797,12 @@ func (r *Radio) allocImport() int32 {
 	return int32(len(r.imports) - 1)
 }
 
-// releaseImport clears an import slot. The frame's batch is deliberately
-// not pooled: a deliverable reception's held frame (radioGroup.rxFrames)
-// may still alias it.
+// releaseImport clears an import slot, returning the batch copy the
+// barrier made for it to the pool.
 func (r *Radio) releaseImport(slot int32) {
+	if b := r.imports[slot].Batch; b != nil {
+		r.pool.put(b)
+	}
 	r.imports[slot] = Frame{}
 	r.importFree = append(r.importFree, slot)
 }
@@ -874,24 +944,22 @@ func (r *Radio) airtime(bytes int) float64 {
 func (r *Radio) mediumBusy(id network.NodeID) bool {
 	now := r.eng.Now()
 	g := r.grp
-	if g.states[id].txUntil > now {
+	if g.hot[id].txUntil > now {
 		return true
 	}
 	d := r.cfg.PropagationDelay
 	for _, nb := range r.nw.Neighbors(id) {
-		// Remote neighbors MUST NOT touch g.busy even speculatively: the
-		// owning shard appends to it concurrently. Only the
-		// barrier-published view is safe off-shard.
-		var spans []txSpan
+		// Remote neighbors MUST NOT touch g.hot even speculatively: the
+		// owning shard writes it concurrently. Only the barrier-published
+		// view is safe off-shard.
 		if g.shardOf != nil && g.shardOf[nb] != r.shard {
-			spans = g.busyView[nb]
-		} else {
-			spans = g.busy[nb]
-		}
-		for i := len(spans) - 1; i >= 0; i-- {
-			if spans[i].s+d <= now && now < spans[i].e+d {
+			if g.busyView[nb].sensed(g.spillView, nb, now, d) {
 				return true
 			}
+			continue
+		}
+		if g.hot[nb].live.sensed(r.spill, nb, now, d) {
+			return true
 		}
 	}
 	return false
@@ -1008,21 +1076,9 @@ func (r *Radio) transmit(slot int32) {
 	}
 	dur := r.airtime(f.Bytes)
 	g := r.grp
-	g.states[f.From].txUntil = now + dur
+	g.hot[f.From].txUntil = now + dur
 	d := r.cfg.PropagationDelay
-	// Record the on-air span, pruning spans no reader can see anymore
-	// (every possible read happens at a simulated time >= now, so a span
-	// whose sensable window ended by now is dead).
-	b := g.busy[f.From]
-	kept := 0
-	for i := range b {
-		if b[i].e+d > now {
-			b[kept] = b[i]
-			kept++
-		}
-	}
-	b = b[:kept]
-	g.busy[f.From] = append(b, txSpan{s: now, e: now + dur})
+	r.addSpan(f.From, txSpan{s: now, e: now + dur}, now, d)
 	if r.counters != nil {
 		r.counters.ChargeTx(f.From, f.Bytes)
 	}
@@ -1035,6 +1091,47 @@ func (r *Radio) transmit(slot int32) {
 			*box = append(*box, mailEntry{t: now + d, fr: *f})
 		}
 	}
+}
+
+// addSpan records a new on-air span of id, pruning spans no reader can
+// sense any more (every possible read happens at a simulated time >=
+// now, so a span whose sensable window ended by now is dead). Survivors
+// keep their order, inline first, so the set is the one an unbounded
+// list pruned the same way would hold.
+func (r *Radio) addSpan(id network.NodeID, sp txSpan, now, d float64) {
+	ls := &r.grp.hot[id].live
+	kept := 0
+	for i := range min(int(ls.n), inlineSpans) {
+		if ls.inline[i].e+d > now {
+			ls.inline[kept] = ls.inline[i]
+			kept++
+		}
+	}
+	if ls.n > inlineSpans {
+		spill := r.spill[id]
+		over := 0
+		for _, x := range spill {
+			if x.e+d > now {
+				if kept < inlineSpans {
+					ls.inline[kept] = x
+				} else {
+					spill[over] = x
+					over++
+				}
+				kept++
+			}
+		}
+		r.spill[id] = spill[:over]
+	}
+	if kept < inlineSpans {
+		ls.inline[kept] = sp
+	} else {
+		if r.spill == nil {
+			r.spill = make(map[network.NodeID][]txSpan)
+		}
+		r.spill[id] = append(r.spill[id], sp)
+	}
+	ls.n = int32(kept + 1)
 }
 
 // propagate lands a transmission at its receivers, one PropagationDelay
@@ -1057,14 +1154,20 @@ func (r *Radio) propagate(ev Event) {
 	now := r.eng.Now()
 	dur := r.airtime(f.Bytes)
 	g := r.grp
-	for _, nb := range r.nw.Neighbors(f.From) {
+	for j, nb := range r.nw.Neighbors(f.From) {
 		if g.shardOf != nil && g.shardOf[nb] != r.shard {
 			continue
 		}
-		if !g.states[nb].alive {
+		if !g.hot[nb].alive {
 			continue
 		}
-		if r.channel != nil && r.channel(f.From, nb) {
+		lost := false
+		if r.links != nil {
+			lost = r.links.Lose(f.From, j)
+		} else if r.channel != nil {
+			lost = r.channel(f.From, nb)
+		}
+		if lost {
 			r.Stats.ChannelLosses++
 			if r.tr != nil {
 				r.tr.Record(trace.Event{T: now, Kind: trace.KindChanLoss, Phase: phaseOfFrame(f),
@@ -1072,14 +1175,45 @@ func (r *Radio) propagate(ev Event) {
 			}
 			continue
 		}
-		r.arrive(nb, f, dur)
+		r.arrive(nb, slot, f, dur)
 	}
-	if slot >= 0 {
-		if f.isAck || f.To == broadcastAddr {
-			r.releaseFrame(slot)
+	// A data frame's slot stays with its sender until acked or dropped;
+	// broadcast, ack and import slots are done once their receptions are.
+	if slot < 0 || f.isAck || f.To == broadcastAddr {
+		if f.refs > 0 {
+			f.landed = true
+		} else {
+			r.release(slot)
 		}
+	}
+}
+
+// frameAt resolves a frame reference: a local arena slot (>= 0) or an
+// import slot (-(slot+1)). The pointer is valid until the next
+// allocFrame or allocImport.
+func (r *Radio) frameAt(ref int32) *Frame {
+	if ref >= 0 {
+		return &r.frames[ref]
+	}
+	return &r.imports[-ref-1]
+}
+
+// release frees a broadcast, ack or import frame by reference.
+func (r *Radio) release(ref int32) {
+	if ref >= 0 {
+		r.releaseFrame(ref)
 	} else {
-		r.releaseImport(-slot - 1)
+		r.releaseImport(-ref - 1)
+	}
+}
+
+// unref drops a completed reception's hold on its frame, releasing a
+// landed frame with the last hold.
+func (r *Radio) unref(ref int32) {
+	f := r.frameAt(ref)
+	f.refs--
+	if f.refs == 0 && f.landed {
+		r.release(ref)
 	}
 }
 
@@ -1088,17 +1222,22 @@ func (r *Radio) propagate(ev Event) {
 // receive.
 //
 // Only a reception that could deliver — a frame addressed to id, or a
-// broadcast — copies the full frame and schedules its completion event.
-// An overheard frame keeps only its header, yet still occupies the
-// receiver until rxUntil, so it corrupts whatever overlaps it, but it
-// would complete into nothing: the occupancy test below reads rxUntil,
-// not rxActive alone, and at equal timestamps a completion sorts before
-// any propagate, so an expired reception reads as finished whether or
-// not an event ever cleared it. The same holds for a window a collision
-// extends: a corrupted reception never delivers.
-func (r *Radio) arrive(id network.NodeID, f *Frame, dur float64) {
+// broadcast — schedules its completion event, which carries the frame's
+// reference ref (see frameAt) and holds the frame (Frame.refs) until it
+// fires, so nothing is copied. An overheard frame keeps nothing (its
+// header, when traced), yet still occupies the receiver until rxUntil,
+// so it corrupts whatever overlaps it, but it would complete into
+// nothing: the occupancy test below reads rxUntil, not rxActive alone,
+// and at equal timestamps a completion sorts before any propagate, so an
+// expired reception reads as finished whether or not an event ever
+// cleared it. The same holds for a window a collision extends: a
+// corrupted reception never delivers. It follows that a completion event
+// that finds its node's reception active and due is that very
+// reception's.
+func (r *Radio) arrive(id network.NodeID, ref int32, f *Frame, dur float64) {
 	now := r.eng.Now()
-	st := &r.grp.states[id]
+	g := r.grp
+	st := &g.hot[id]
 	if st.txUntil > now {
 		return // half-duplex: transmitting nodes miss the frame
 	}
@@ -1108,7 +1247,7 @@ func (r *Radio) arrive(id network.NodeID, f *Frame, dur float64) {
 			st.rxCorrupted = true
 			r.Stats.Collisions++
 			if r.tr != nil {
-				h := &st.rx
+				h := &g.rx[id]
 				r.tr.Record(trace.Event{T: now, Kind: trace.KindCollision, Phase: phaseOf(h.Kind, h.isAck),
 					Node: int32(id), Peer: int32(h.From), Seq: h.seq, Bytes: int32(h.Bytes), FrameKind: uint8(h.Kind)})
 			}
@@ -1128,10 +1267,12 @@ func (r *Radio) arrive(id network.NodeID, f *Frame, dur float64) {
 	st.rxActive = true
 	st.rxUntil = now + dur
 	st.rxCorrupted = false
-	st.rx = rxHeader{From: f.From, To: f.To, seq: f.seq, Bytes: f.Bytes, Kind: f.Kind, isAck: f.isAck}
+	if r.tr != nil {
+		g.rx[id] = rxHeader{From: f.From, To: f.To, seq: f.seq, Bytes: f.Bytes, Kind: f.Kind, isAck: f.isAck}
+	}
 	if f.To == id || f.To == broadcastAddr {
-		r.grp.rxFrames[id] = *f
-		r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id})
+		f.refs++
+		r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id, Seq: f.seq, Arg: ref})
 	}
 }
 
@@ -1152,27 +1293,35 @@ func (r *Radio) markDelivered(f *Frame) {
 	g.marks[s*g.k+d] = append(g.marks[s*g.k+d], deliveredMark{seq: f.seq, slot: f.slot})
 }
 
-// finishRx completes a reception at id, delivering intact frames addressed
-// to it and sending the ack.
+// finishRx completes the reception at id whose completion event carries
+// frame reference ref, delivering an intact frame and sending the ack,
+// then drops the reception's hold on the frame.
 //
 // Duplicates need no per-node record. A broadcast is transmitted once and
 // reaches each neighbor through exactly one arrive. A data frame is
 // retransmitted only after its ack timeout, by when an earlier delivery
-// has set the sender's delivered flag (see Frame.delivered), so the held
-// copy of a retransmission already delivered here carries the flag.
-func (r *Radio) finishRx(id network.NodeID) {
-	g := r.grp
-	st := &g.states[id]
-	if !st.rxActive || r.eng.Now() < st.rxUntil {
-		return // superseded by an extended (corrupted) window
+// has set the sender's delivered flag (see Frame.delivered), so a
+// retransmission already delivered here carries the flag.
+func (r *Radio) finishRx(id network.NodeID, ref int32) {
+	st := &r.grp.hot[id]
+	if st.rxActive && r.eng.Now() >= st.rxUntil {
+		corrupted := st.rxCorrupted
+		st.rxActive = false
+		st.rxCorrupted = false
+		if !corrupted {
+			r.receive(id, ref)
+		}
 	}
-	corrupted := st.rxCorrupted
-	st.rxActive = false
-	st.rxCorrupted = false
-	if corrupted || (st.rx.To != id && st.rx.To != broadcastAddr) {
-		return
-	}
-	f := &g.rxFrames[id]
+	// Otherwise superseded by an extended (corrupted) window, or voided
+	// by a crash.
+	r.unref(ref)
+}
+
+// receive handles an intact frame completed at id: a broadcast delivers,
+// an ack resolves its pending frame, a data frame is acked and delivered
+// unless it is a duplicate.
+func (r *Radio) receive(id network.NodeID, ref int32) {
+	f := r.frameAt(ref)
 	if r.counters != nil {
 		r.counters.ChargeRx(id, f.Bytes)
 	}
@@ -1199,10 +1348,12 @@ func (r *Radio) finishRx(id network.NodeID) {
 	// ack waits in its arena slot until its send event transmits it. The
 	// ack's ackForSlot echoes the data frame's slot in the sender's
 	// arena, where the ack's own delivery resolves it.
-	ackSlot := r.allocFrame()
-	ackSeq := r.nextSeq(id)
-	r.frames[ackSlot] = Frame{From: id, To: f.From, Bytes: r.cfg.AckBytes, seq: ackSeq, slot: ackSlot, isAck: true, ackFor: f.seq, ackForSlot: f.slot}
-	r.eng.ScheduleEvent(r.cfg.SlotTime, Event{Kind: evAckSend, Node: id, Seq: ackSeq, Arg: ackSlot})
+	ack := Frame{From: id, To: f.From, Bytes: r.cfg.AckBytes, seq: r.nextSeq(id), isAck: true, ackFor: f.seq, ackForSlot: f.slot}
+	ackSlot := r.allocFrame() // may move the arena: f is re-read below
+	ack.slot = ackSlot
+	r.frames[ackSlot] = ack
+	r.eng.ScheduleEvent(r.cfg.SlotTime, Event{Kind: evAckSend, Node: id, Seq: ack.seq, Arg: ackSlot})
+	f = r.frameAt(ref)
 	if f.delivered {
 		return // duplicate data frame
 	}
@@ -1218,7 +1369,7 @@ func (r *Radio) deliver(id network.NodeID, f *Frame) {
 			Node: int32(id), Peer: int32(f.From), Seq: f.seq, Bytes: int32(f.Bytes), FrameKind: uint8(f.Kind)})
 	}
 	if h := r.grp.handlers[id]; h != nil {
-		h(id, *f)
+		h(id, f)
 	}
 }
 

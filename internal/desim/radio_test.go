@@ -42,7 +42,7 @@ func TestRadioDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Frame
-	r.OnReceive(1, func(_ network.NodeID, f Frame) { got = append(got, f) })
+	r.OnReceive(1, func(_ network.NodeID, f *Frame) { got = append(got, *f) })
 	if err := r.Send(0, 1, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRadioConcurrentSendersEventuallyDeliver(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	r.OnReceive(0, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(0, func(network.NodeID, *Frame) { got++ })
 	for _, src := range []network.NodeID{1, 2, 3} {
 		if err := r.Send(src, 0, 20); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRadioManyFramesUnderContention(t *testing.T) {
 	}
 	const perSender = 10
 	got := 0
-	r.OnReceive(0, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(0, func(network.NodeID, *Frame) { got++ })
 	for k := 0; k < perSender; k++ {
 		for _, src := range []network.NodeID{1, 2, 3} {
 			k := k
@@ -160,7 +160,7 @@ func TestRadioNoDuplicateDeliveries(t *testing.T) {
 	seen := make(map[int64]int)
 	for _, dst := range []network.NodeID{0, 1} {
 		dst := dst
-		r.OnReceive(dst, func(_ network.NodeID, f Frame) { seen[f.seq]++ })
+		r.OnReceive(dst, func(_ network.NodeID, f *Frame) { seen[f.seq]++ })
 	}
 	id := 0
 	for k := 0; k < 8; k++ {
@@ -191,7 +191,7 @@ func TestRadioHiddenTerminalCollides(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	r.OnReceive(0, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(0, func(network.NodeID, *Frame) { got++ })
 	if err := r.Send(1, 0, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRadioOutOfRangeNeverDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	r.OnReceive(3, func(network.NodeID, Frame) { got++ })
+	r.OnReceive(3, func(network.NodeID, *Frame) { got++ })
 	if err := r.Send(0, 3, 20); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRadioConservationProperty(t *testing.T) {
 		}
 		delivered := 0
 		for id := network.NodeID(0); id < 4; id++ {
-			r.OnReceive(id, func(network.NodeID, Frame) { delivered++ })
+			r.OnReceive(id, func(network.NodeID, *Frame) { delivered++ })
 		}
 		sent := 0
 		rngState := seed
@@ -288,7 +288,7 @@ func TestBroadcastReachesIntactNeighbors(t *testing.T) {
 	heard := make(map[network.NodeID]int)
 	for id := network.NodeID(0); id < 4; id++ {
 		id := id
-		r.OnReceive(id, func(at network.NodeID, _ Frame) { heard[at]++ })
+		r.OnReceive(id, func(at network.NodeID, _ *Frame) { heard[at]++ })
 	}
 	if err := r.Broadcast(0, 8); err != nil {
 		t.Fatal(err)
@@ -329,11 +329,19 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []Frame
-	r.OnReceive(0, func(_ network.NodeID, f Frame) { got = append(got, f) })
+	r.OnReceive(0, func(_ network.NodeID, f *Frame) { got = append(got, *f) })
 	dur := r.airtime(20)
+	// land parks a frame in the arena, as a propagate finds it, and
+	// starts its reception at node 0.
+	land := func(f Frame) {
+		slot := r.allocFrame()
+		f.slot = slot
+		r.frames[slot] = f
+		r.arrive(0, slot, &r.frames[slot], dur)
+	}
 
 	// Node 0 overhears 1 -> 3: no completion event is queued.
-	eng.Schedule(0, func() { r.arrive(0, &Frame{From: 1, To: 3, Bytes: 20, seq: 1}, dur) })
+	eng.Schedule(0, func() { land(Frame{From: 1, To: 3, Bytes: 20, seq: 1}) })
 	eng.RunUntil(0)
 	if n := eng.queued(); n != 0 {
 		t.Fatalf("overheard reception queued %d events, want 0", n)
@@ -341,7 +349,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 
 	// A frame addressed to 0 lands mid-reception: both are corrupted, the
 	// window extends, and still no completion event is armed.
-	eng.Schedule(dur/2, func() { r.arrive(0, &Frame{From: 2, To: 0, Bytes: 20, seq: 2}, dur) })
+	eng.Schedule(dur/2, func() { land(Frame{From: 2, To: 0, Bytes: 20, seq: 2}) })
 	eng.RunUntil(dur / 2)
 	if n := eng.queued(); n != 0 {
 		t.Fatalf("collision extension queued %d events, want 0", n)
@@ -352,7 +360,7 @@ func TestOverheardFrameSchedulesNoCompletion(t *testing.T) {
 
 	// After the extended window a broadcast is received intact: the
 	// overheard reception never needed an event to end.
-	eng.Schedule(dur, func() { r.arrive(0, &Frame{From: 2, To: broadcastAddr, Bytes: 20, seq: 3}, dur) })
+	eng.Schedule(dur, func() { land(Frame{From: 2, To: broadcastAddr, Bytes: 20, seq: 3}) })
 	eng.Run()
 	if len(got) != 1 || got[0].seq != 3 {
 		t.Fatalf("deliveries = %+v, want only the broadcast (seq 3)", got)

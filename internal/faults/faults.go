@@ -13,7 +13,9 @@
 // materialized at construction, and the sink mangler has its own stream.
 // Two Plans built from the same Config therefore behave identically
 // regardless of process, goroutine interleaving or worker-pool width — a
-// simulation replays bit for bit.
+// simulation replays bit for bit. The link streams live in a dense
+// table over one network's adjacency (Plan.Links), one entry per
+// directed link, read by index with no map and no lock.
 //
 // A Plan's channel state advances as the simulation consumes it, so build
 // one Plan per simulated round; the zero value injects nothing and is
@@ -26,7 +28,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"isomap/internal/core"
 	"isomap/internal/geom"
@@ -88,8 +89,8 @@ type Crash struct {
 
 // linkState is the channel state of one directed link: a SplitMix64
 // counter (the stream position) and the Gilbert–Elliott chain state. A
-// round touches tens of thousands of links a few times each, so a link
-// must be cheap to create (one 16-byte allocation) as well as to draw.
+// round touches tens of thousands of links a few times each, so the
+// states sit inline in the Links table, 16 bytes each.
 type linkState struct {
 	ctr uint64
 	bad bool
@@ -109,13 +110,12 @@ func (st *linkState) next() float64 {
 type Plan struct {
 	cfg     Config
 	crashes []Crash
-	// mu guards the lazily grown links map: sharded rounds draw channels
-	// from several shards at once. Each directed link is only ever drawn
-	// from the receiver's shard, so the per-link state itself needs no
-	// lock — only the map.
-	mu    sync.RWMutex
-	links map[uint64]*linkState
-	sink  *rand.Rand
+	// links is the channel table over linksNet, built by the first Links
+	// call, so streams advance across every round that draws from the
+	// plan.
+	links    *Links
+	linksNet *network.Network
+	sink     *rand.Rand
 }
 
 // New validates the config and materializes the plan (including the crash
@@ -192,30 +192,69 @@ func (p *Plan) Crashes() []Crash {
 	return p.crashes
 }
 
-// Lose draws the channel for one reception on the directed link from->to,
-// returning true when the frame is erased. Each link evolves its own
-// counter stream, so the draw sequence depends only on the order of
-// receptions on that link. Drawing on a link seen before allocates
-// nothing.
-func (p *Plan) Lose(from, to network.NodeID) bool {
+// Links is a plan's channel over one network: the stream state of every
+// directed link, in adjacency order — node from's out-links are entries
+// start[from] through start[from+1]-1, in the order of
+// nw.Neighbors(from). A reception draws its link by (sender, neighbour
+// index), so the table needs no map and no lock: sharded rounds draw
+// each directed link only from the receiver's shard, and distinct links
+// are distinct entries.
+type Links struct {
+	kind                 ChannelKind
+	lossRate, burstiness float64
+	start                []int32
+	st                   []linkState
+}
+
+// Links returns the plan's channel table over nw, or nil when the plan
+// has no lossy channel. Every link's stream is seeded (and a
+// Gilbert–Elliott link's start state drawn) when the table is built,
+// exactly as it would be on the link's first draw. Calls with the same
+// network return the same table, so its streams continue where the last
+// round left them; a plan draws over one network.
+func (p *Plan) Links(nw *network.Network) *Links {
 	if !p.HasChannel() {
-		return false
+		return nil
 	}
-	st := p.linkStateFor(from, to)
-	switch p.cfg.Channel {
+	if p.links != nil && p.linksNet == nw {
+		return p.links
+	}
+	n := nw.Len()
+	l := &Links{kind: p.cfg.Channel, lossRate: p.cfg.LossRate, burstiness: p.cfg.Burstiness, start: make([]int32, n+1)}
+	for i := 0; i < n; i++ {
+		l.start[i+1] = l.start[i] + int32(len(nw.Neighbors(network.NodeID(i))))
+	}
+	l.st = make([]linkState, l.start[n])
+	for i := 0; i < n; i++ {
+		from := network.NodeID(i)
+		for j, to := range nw.Neighbors(from) {
+			l.st[int(l.start[i])+j] = p.newLink(from, to)
+		}
+	}
+	p.links, p.linksNet = l, nw
+	return l
+}
+
+// Lose draws the channel for one reception on the directed link from
+// from to its j-th neighbour, returning true when the frame is erased.
+// Each link evolves its own counter stream, so the draw sequence depends
+// only on the order of receptions on that link. It allocates nothing.
+func (l *Links) Lose(from network.NodeID, j int) bool {
+	st := &l.st[int(l.start[from])+j]
+	switch l.kind {
 	case ChannelBernoulli:
-		return st.next() < p.cfg.LossRate
+		return st.next() < l.lossRate
 	case ChannelGilbertElliott:
 		lost := st.bad
 		// Leave-state probabilities scaled by (1 - burstiness): at
 		// burstiness 0 the next state is stationary-independent of the
 		// current one, i.e. Bernoulli(LossRate).
 		if st.bad {
-			if st.next() < (1-p.cfg.LossRate)*(1-p.cfg.Burstiness) {
+			if st.next() < (1-l.lossRate)*(1-l.burstiness) {
 				st.bad = false
 			}
 		} else {
-			if st.next() < p.cfg.LossRate*(1-p.cfg.Burstiness) {
+			if st.next() < l.lossRate*(1-l.burstiness) {
 				st.bad = true
 			}
 		}
@@ -224,29 +263,15 @@ func (p *Plan) Lose(from, to network.NodeID) bool {
 	return false
 }
 
-// linkStateFor lazily creates the per-link stream; the Gilbert–Elliott
-// start state is drawn from the stationary distribution.
-func (p *Plan) linkStateFor(from, to network.NodeID) *linkState {
+// newLink seeds the stream of the directed link from->to; a
+// Gilbert–Elliott link's start state is drawn from the stationary
+// distribution.
+func (p *Plan) newLink(from, to network.NodeID) linkState {
 	key := uint64(uint32(from))<<32 | uint64(uint32(to))
-	p.mu.RLock()
-	st, ok := p.links[key]
-	p.mu.RUnlock()
-	if ok {
-		return st
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if st, ok := p.links[key]; ok {
-		return st
-	}
-	if p.links == nil {
-		p.links = make(map[uint64]*linkState)
-	}
-	st = &linkState{ctr: uint64(mix(uint64(p.cfg.Seed), key))}
+	st := linkState{ctr: uint64(mix(uint64(p.cfg.Seed), key))}
 	if p.cfg.Channel == ChannelGilbertElliott {
 		st.bad = st.next() < p.cfg.LossRate
 	}
-	p.links[key] = st
 	return st
 }
 

@@ -16,8 +16,8 @@ func TestZeroValuePlanInjectsNothing(t *testing.T) {
 	if !p.Empty() {
 		t.Error("zero-value plan should be empty")
 	}
-	if p.Lose(1, 2) {
-		t.Error("zero-value plan lost a frame")
+	if p.Links(linkNetwork(t, 16, 1)) != nil {
+		t.Error("zero-value plan built a lossy channel")
 	}
 	if p.Crashes() != nil {
 		t.Error("zero-value plan has crashes")
@@ -27,7 +27,7 @@ func TestZeroValuePlanInjectsNothing(t *testing.T) {
 		t.Errorf("zero-value plan mangled reports: %v", got)
 	}
 	var nilPlan *Plan
-	if !nilPlan.Empty() || nilPlan.Lose(0, 1) {
+	if !nilPlan.Empty() || nilPlan.Links(linkNetwork(t, 16, 1)) != nil {
 		t.Error("nil plan should be empty and lossless")
 	}
 }
@@ -55,9 +55,10 @@ func TestBernoulliLossRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ch := newMapStreams(p)
 	lost, n := 0, 200000
 	for i := 0; i < n; i++ {
-		if p.Lose(network.NodeID(i%50), network.NodeID((i+1)%50)) {
+		if ch.Lose(network.NodeID(i%50), network.NodeID((i+1)%50)) {
 			lost++
 		}
 	}
@@ -79,11 +80,12 @@ func TestGilbertElliottZeroBurstinessMatchesBernoulli(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ch := newMapStreams(p)
 		lost := 0
 		pairs, both := 0, 0
 		prev := false
 		for i := 0; i < n; i++ {
-			l := p.Lose(4, 9) // one link: the chain state is per link
+			l := ch.Lose(4, 9) // one link: the chain state is per link
 			if l {
 				lost++
 			}
@@ -120,10 +122,11 @@ func TestGilbertElliottBurstinessStretchesBursts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ch := newMapStreams(p)
 		lost, runs, cur := 0, 0, 0
 		var total int
 		for i := 0; i < n; i++ {
-			if p.Lose(1, 2) {
+			if ch.Lose(1, 2) {
 				lost++
 				cur++
 			} else if cur > 0 {
@@ -250,11 +253,14 @@ func TestPlanByteIdenticalAcrossRunsAndWidths(t *testing.T) {
 		}
 	}
 	// The channel streams behind equal signatures also replay identically.
+	nw := linkNetwork(t, 400, 9)
 	a, _ := New(cfg, 400)
 	b, _ := New(cfg, 400)
+	la, lb := a.Links(nw), b.Links(nw)
 	for i := 0; i < 5000; i++ {
-		from, to := network.NodeID(i%23), network.NodeID((i*7+1)%23)
-		if a.Lose(from, to) != b.Lose(from, to) {
+		from := network.NodeID(i * 7 % 400)
+		j := i % len(nw.Neighbors(from))
+		if la.Lose(from, j) != lb.Lose(from, j) {
 			t.Fatalf("channel draw %d diverged between equal plans", i)
 		}
 	}
@@ -282,6 +288,7 @@ func TestLossRatesOverManyShortLinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ch := newMapStreams(p)
 		lost := 0
 		for i := 0; i < links; i++ {
 			// Neighbour-like links: small id gaps, both directions.
@@ -290,7 +297,7 @@ func TestLossRatesOverManyShortLinks(t *testing.T) {
 				from, to = to, from
 			}
 			for d := 0; d < draws; d++ {
-				if p.Lose(from, to) {
+				if ch.Lose(from, to) {
 					lost++
 				}
 			}
@@ -304,17 +311,18 @@ func TestLossRatesOverManyShortLinks(t *testing.T) {
 	}
 }
 
-// TestLoseAllocatesNothingOnKnownLink pins the per-draw cost: once a
-// link's stream exists, drawing from it allocates nothing.
+// TestLoseAllocatesNothingOnKnownLink pins the per-draw cost: once the
+// plan's link table is built, drawing from it allocates nothing.
 func TestLoseAllocatesNothingOnKnownLink(t *testing.T) {
+	nw := linkNetwork(t, 64, 5)
 	for _, kind := range []ChannelKind{ChannelBernoulli, ChannelGilbertElliott} {
 		p, err := New(Config{Seed: 5, Channel: kind, LossRate: 0.2, Burstiness: 0.5}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Lose(3, 4)
-		if allocs := testing.AllocsPerRun(1000, func() { p.Lose(3, 4) }); allocs != 0 {
-			t.Errorf("channel %d: Lose on a known link allocates %.1f times, want 0", kind, allocs)
+		links := p.Links(nw)
+		if allocs := testing.AllocsPerRun(1000, func() { links.Lose(3, 0) }); allocs != 0 {
+			t.Errorf("channel %d: Lose allocates %.1f times, want 0", kind, allocs)
 		}
 	}
 }
