@@ -146,8 +146,8 @@ func TestRadioSendAllocsWithCounters(t *testing.T) {
 // margin (DESIGN.md "Packet-engine complexity"); a per-node or
 // per-reception allocation creeping back into the round fails them.
 const (
-	cleanRoundAllocs = 360
-	deltaRoundAllocs = 420
+	cleanRoundAllocs = 315
+	deltaRoundAllocs = 320
 )
 
 // TestRunRoundAllocs pins the allocations of a clean full-report round.

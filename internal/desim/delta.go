@@ -61,7 +61,8 @@ type DeltaConfig struct {
 // byte-identical to a full-report round.
 type DeltaState struct {
 	gradAngle float64
-	lastSent  []map[int]core.Report
+	// lastSent is each node's last transmitted report per isolevel.
+	lastSent []sentSet
 
 	// query is the query last flooded, compared by value. sinceFlood
 	// counts the rounds run since that flood, the flood round included;
@@ -93,7 +94,7 @@ func NewDeltaState(nodes int, cfg DeltaConfig) (*DeltaState, error) {
 	}
 	ds := &DeltaState{
 		gradAngle: ga,
-		lastSent:  make([]map[int]core.Report, nodes),
+		lastSent:  make([]sentSet, nodes),
 		offset:    make([]float64, nodes),
 	}
 	ds.Reset()
@@ -110,8 +111,8 @@ func (ds *DeltaState) Nodes() int { return len(ds.lastSent) }
 // tracked — the sum of per-node transmitted-report sets.
 func (ds *DeltaState) Tracked() int {
 	n := 0
-	for _, m := range ds.lastSent {
-		n += len(m)
+	for i := range ds.lastSent {
+		n += int(ds.lastSent[i].n)
 	}
 	return n
 }
@@ -119,9 +120,7 @@ func (ds *DeltaState) Tracked() int {
 // Reset empties the state: the next round floods the query and reports
 // everything, like a session start.
 func (ds *DeltaState) Reset() {
-	for i := range ds.lastSent {
-		ds.lastSent[i] = nil
-	}
+	clear(ds.lastSent)
 	ds.query, ds.sinceFlood, ds.wakeOrder = core.Query{}, 0, nil
 	ds.clearOffsets()
 }
@@ -163,9 +162,63 @@ func (ds *DeltaState) sortWakes() {
 	})
 }
 
-// tracked returns the node's tracked-report count.
+// trackedAt returns the node's tracked-report count.
 func (ds *DeltaState) trackedAt(id network.NodeID) int {
-	return len(ds.lastSent[id])
+	return int(ds.lastSent[id].n)
+}
+
+// sentSet is one node's last transmitted report per isolevel, unordered.
+// A node straddles one isolevel in all but rare rounds, so the first
+// report sits inline in the node's entry; more holds any further ones
+// (a node between two close isolines), so the set is exact for any level
+// count. Only the shard owning the node touches its set.
+type sentSet struct {
+	one  core.Report
+	n    int32
+	more []core.Report
+}
+
+// at returns the set's i-th report, i < n.
+func (s *sentSet) at(i int) *core.Report {
+	if i == 0 {
+		return &s.one
+	}
+	return &s.more[i-1]
+}
+
+// find returns the position of isolevel li's report, -1 when untracked.
+func (s *sentSet) find(li int) int {
+	for i := range int(s.n) {
+		if s.at(i).LevelIndex == li {
+			return i
+		}
+	}
+	return -1
+}
+
+// put records r as the last report sent on its isolevel.
+func (s *sentSet) put(r core.Report) {
+	if i := s.find(r.LevelIndex); i >= 0 {
+		*s.at(i) = r
+		return
+	}
+	if s.n == 0 {
+		s.one = r
+	} else {
+		s.more = append(s.more, r)
+	}
+	s.n++
+}
+
+// remove deletes the report at position i, moving the last one into its
+// place.
+func (s *sentSet) remove(i int) {
+	last := int(s.n) - 1
+	*s.at(i) = *s.at(last)
+	if last > 0 {
+		s.more = s.more[:last-1]
+	}
+	s.n--
 }
 
 // retireRecord builds the withdrawal record for a previously transmitted

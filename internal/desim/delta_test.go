@@ -3,6 +3,7 @@ package desim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -13,6 +14,7 @@ import (
 	"isomap/internal/core"
 	"isomap/internal/faults"
 	"isomap/internal/field"
+	"isomap/internal/geom"
 	"isomap/internal/monitor"
 	"isomap/internal/network"
 	"isomap/internal/trace"
@@ -36,6 +38,45 @@ func TestNewDeltaStateValidation(t *testing.T) {
 	}
 	if ds.Nodes() != 10 || ds.Tracked() != 0 {
 		t.Errorf("fresh state: nodes=%d tracked=%d", ds.Nodes(), ds.Tracked())
+	}
+}
+
+// TestSentSetMatchesMap drives a node's sent set with random puts and
+// removals over more isolevels than it holds inline and checks it
+// against a map oracle after every step: same reports, same count,
+// lookups agree, and an emptied set reuses its overflow without loss.
+func TestSentSetMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s sentSet
+	oracle := map[int]core.Report{}
+	for step := 0; step < 5000; step++ {
+		li := rng.Intn(6)
+		if rng.Intn(3) == 0 {
+			if i := s.find(li); i >= 0 {
+				if got := *s.at(i); got != oracle[li] {
+					t.Fatalf("step %d: removing level %d found %v, oracle %v", step, li, got, oracle[li])
+				}
+				s.remove(i)
+				delete(oracle, li)
+			} else if _, ok := oracle[li]; ok {
+				t.Fatalf("step %d: level %d tracked by the oracle, not found", step, li)
+			}
+		} else {
+			r := core.Report{Level: float64(li), LevelIndex: li, Grad: geom.Vec{X: rng.Float64(), Y: rng.Float64()}}
+			s.put(r)
+			oracle[li] = r
+		}
+		if int(s.n) != len(oracle) {
+			t.Fatalf("step %d: set holds %d reports, oracle %d", step, s.n, len(oracle))
+		}
+		seen := map[int]bool{}
+		for i := range int(s.n) {
+			r := *s.at(i)
+			if seen[r.LevelIndex] || oracle[r.LevelIndex] != r {
+				t.Fatalf("step %d: entry %d = %v (duplicate %v), oracle %v", step, i, r, seen[r.LevelIndex], oracle[r.LevelIndex])
+			}
+			seen[r.LevelIndex] = true
+		}
 	}
 }
 
@@ -218,6 +259,59 @@ func TestDeltaShardedEquivalenceDrifting(t *testing.T) {
 	}
 	if retired == 0 {
 		t.Error("drifting rounds retired nothing; field evolution too slow to exercise crossings-out")
+	}
+}
+
+// TestDeltaDenseLevelsOverflow runs drifting delta rounds under a query
+// whose border regions are wider than its level step, so nodes straddle
+// several isolevels at once and sent sets spill past their inline
+// report. NewQueryEpsilon rejects such a query, but the struct can be
+// built directly and a round must stay exact for it: the tallies must
+// account for every tracked report, and the sharded run must match the
+// sequential one report for report.
+func TestDeltaDenseLevelsOverflow(t *testing.T) {
+	tree, f, _ := fullRoundSetup(t, 300)
+	q := core.Query{Levels: field.Levels{Low: 6, High: 12, Step: 0.5}, Epsilon: 0.6, HopScope: 1}
+	dyn, err := field.NewTemporal("drift", f, 1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := core.DefaultFilterConfig()
+	cfg := DefaultRadioConfig()
+	dsSeq, err := NewDeltaState(tree.Network().Len(), DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsShard, err := NewDeltaState(tree.Network().Len(), DeltaConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spilled, tracked := false, 0
+	for round := 1; round <= 4; round++ {
+		snap := dyn.At(float64(round) * 0.5)
+		seq, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Delta: dsSeq})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard, err := RunRound(tree, snap, q, fc, cfg, RoundOptions{Engine: gridEngine(tree, 4, 0), Delta: dsShard})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq.Delivered, shard.Delivered) || !reflect.DeepEqual(dsSeq, dsShard) {
+			t.Fatalf("round %d: sharded round or delta state diverged", round)
+		}
+		// Every crossing-in starts or refreshes a tracked report and every
+		// retirement ends one; refreshes keep the count.
+		if got := dsSeq.Tracked(); got > tracked+seq.Crossings-seq.Retired || got < tracked-seq.Retired {
+			t.Fatalf("round %d: tracked %d outside [%d, %d]", round, got, tracked-seq.Retired, tracked+seq.Crossings-seq.Retired)
+		}
+		tracked = dsSeq.Tracked()
+		for i := range dsSeq.lastSent {
+			spilled = spilled || dsSeq.lastSent[i].n > 1
+		}
+	}
+	if !spilled {
+		t.Error("no node tracked two isolevels; the query is too sparse to reach the overflow")
 	}
 }
 

@@ -41,15 +41,16 @@ const (
 	// frame arena by slot (Arg) and validate against the frame's unique
 	// sequence number (Seq): a recycled slot fails the check, so stale
 	// events are ignored without a seq-to-slot lookup.
-	// Every link-layer event also carries the owning node in Node and the
-	// frame's globally unique sequence number in Seq: the (kind, node,
-	// seq) triple is partition-invariant, which the intrinsic tie-break
-	// (see less) relies on — arena slot numbers ride in Arg, where the
+	// Every link-layer event also carries a node in Node (the owning
+	// node; the sender for a completion batch) and the frame's globally
+	// unique sequence number in Seq: the (kind, node, seq) triple is
+	// partition-invariant, which the intrinsic tie-break (see less)
+	// relies on — arena slot and batch numbers ride in Arg, where the
 	// comparator provably never reaches them (seqs are unique).
 	evBroadcastAttempt // Node: sender, Seq: frame seq, Arg: arena slot
 	evAttempt          // Node: sender, Seq: frame seq, Arg: arena slot
 	evAckTimeout       // Node: sender, Seq: frame seq, Arg: arena slot
-	evFinishRx         // Node: receiving node
+	evFinishRx         // Node: sender, Seq: frame seq, Arg: completion batch; counts one event per armed receiver
 	evAckSend          // Node: acker, Seq: ack frame seq, Arg: arena slot
 	evAckRetry         // Node: acker, Seq: ack frame seq, Arg: arena slot
 	evPropagate        // Node: sender, Seq: frame seq, Arg: slot (>=0 local, -(slot+1) import)
@@ -102,6 +103,10 @@ type EngineAPI interface {
 	// SetHandler installs the dispatcher typed events are delivered to.
 	// It must be set before the first typed event fires.
 	SetHandler(fn func(Event))
+	// countSteps adds n to the executed-event count: a handler that runs
+	// several events' work in one (a frame's completion batch) counts
+	// each of them.
+	countSteps(n int64)
 	// Run executes events until the queue drains, returning the final time.
 	Run() float64
 	// RunUntil executes events with timestamps <= deadline, advancing the
@@ -200,6 +205,8 @@ func (e *Engine) Steps() int64 { return e.steps }
 
 // MaxQueueDepth returns the peak number of queued events observed.
 func (e *Engine) MaxQueueDepth() int { return e.maxDepth }
+
+func (e *Engine) countSteps(n int64) { e.steps += n }
 
 // queued returns the number of events waiting in the queue.
 func (e *Engine) queued() int { return e.n }

@@ -87,6 +87,8 @@ func (e *EngineNaive) Steps() int64 { return e.steps }
 // MaxQueueDepth returns the peak number of queued events observed.
 func (e *EngineNaive) MaxQueueDepth() int { return e.maxDepth }
 
+func (e *EngineNaive) countSteps(n int64) { e.steps += n }
+
 // SetHandler installs the typed-event dispatcher.
 func (e *EngineNaive) SetHandler(fn func(Event)) { e.handler = fn }
 

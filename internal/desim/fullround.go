@@ -420,11 +420,11 @@ func (sh *roundShard) emit(id network.NodeID, reports []core.Report) {
 func (sh *roundShard) deltaFilter(id network.NodeID, reports []core.Report) []core.Report {
 	rs := sh.rs
 	ds := rs.delta
-	last := ds.lastSent[id]
+	last := &ds.lastSent[id]
 	now := sh.eng.Now()
 	out := sh.deltaScratch[:0]
 	for _, r := range reports {
-		if prev, ok := last[r.LevelIndex]; ok && core.AngularSeparation(prev, r) < ds.gradAngle {
+		if i := last.find(r.LevelIndex); i >= 0 && core.AngularSeparation(*last.at(i), r) < ds.gradAngle {
 			sh.res.Suppressed++
 			if sh.rec != nil {
 				sh.rec.Record(trace.Event{T: now, Kind: trace.KindSuppress,
@@ -432,11 +432,7 @@ func (sh *roundShard) deltaFilter(id network.NodeID, reports []core.Report) []co
 			}
 			continue
 		}
-		if last == nil {
-			last = make(map[int]core.Report)
-			ds.lastSent[id] = last
-		}
-		last[r.LevelIndex] = r
+		last.put(r)
 		out = append(out, r)
 		sh.res.Crossings++
 		if sh.rec != nil {
@@ -445,9 +441,10 @@ func (sh *roundShard) deltaFilter(id network.NodeID, reports []core.Report) []co
 		}
 	}
 	// Crossing-out: tracked levels absent from this round's production.
-	if len(last) > 0 {
+	if last.n > 0 {
 		lis := sh.levelScratch[:0]
-		for li := range last {
+		for i := range int(last.n) {
+			li := last.at(i).LevelIndex
 			still := false
 			for _, r := range reports {
 				if r.LevelIndex == li {
@@ -471,9 +468,10 @@ func (sh *roundShard) deltaFilter(id network.NodeID, reports []core.Report) []co
 
 // deltaRetireOne withdraws one tracked isolevel: it deletes the entry,
 // tallies the retirement and returns the withdrawal record.
-func (sh *roundShard) deltaRetireOne(id network.NodeID, last map[int]core.Report, li int, now float64) core.Report {
-	prev := last[li]
-	delete(last, li)
+func (sh *roundShard) deltaRetireOne(id network.NodeID, last *sentSet, li int, now float64) core.Report {
+	i := last.find(li)
+	prev := *last.at(i)
+	last.remove(i)
 	sh.res.Retired++
 	if sh.rec != nil {
 		// A retirement is a crossing too — the isoline moved past the node
@@ -493,14 +491,14 @@ func (sh *roundShard) deltaRetireAll(id network.NodeID) {
 	if rs.delta == nil || !rs.nw.Alive(id) {
 		return
 	}
-	last := rs.delta.lastSent[id]
-	if len(last) == 0 {
+	last := &rs.delta.lastSent[id]
+	if last.n == 0 {
 		return
 	}
 	now := sh.eng.Now()
 	lis := sh.levelScratch[:0]
-	for li := range last {
-		lis = append(lis, li)
+	for i := range int(last.n) {
+		lis = append(lis, last.at(i).LevelIndex)
 	}
 	sort.Ints(lis)
 	sh.levelScratch = lis

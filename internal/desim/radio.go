@@ -114,9 +114,9 @@ type Frame struct {
 	// deadline is the absolute time past which the frame is abandoned
 	// (0 = none); set from RadioConfig.FrameDeadline at Send time.
 	deadline float64
-	// refs counts the receptions in progress that will read this frame
-	// when they complete (see arrive): a reception holds its frame's arena
-	// slot instead of a copy.
+	// refs counts the completion batches (rxBatch) that will read this
+	// frame when they run: the armed receptions of a transmission hold
+	// its arena slot instead of a copy.
 	refs int32
 	// delivered flags a pending data frame whose destination has in fact
 	// received it (set by the receiver, through the barrier mailbox when
@@ -129,8 +129,8 @@ type Frame struct {
 	// exactly when that receiver already delivered it.
 	delivered bool
 	// landed marks a broadcast, ack or imported frame whose propagate
-	// event has fired while receptions still hold it: the last of them
-	// releases the slot.
+	// event has fired while a completion batch still holds it: the batch
+	// releases the slot when it runs.
 	landed bool
 }
 
@@ -295,6 +295,9 @@ type radioGroup struct {
 	// Neighbors treat a crashed node as alive until crashT +
 	// PropagationDelay — the silence takes one propagation to be heard.
 	crashT []float64
+	// stride is the largest neighbour count, the most receptions one
+	// transmission can arm (the rxBatch receiver block size).
+	stride int
 
 	// Sharded-run state; nil/zero in sequential runs.
 	shardOf []int32   // node -> shard (nil = sequential)
@@ -333,6 +336,7 @@ func newRadioGroup(nw *network.Network) *radioGroup {
 	for i := range g.crashT {
 		g.crashT[i] = math.Inf(1)
 		g.hot[i].alive = nw.Alive(network.NodeID(i))
+		g.stride = max(g.stride, len(nw.Neighbors(network.NodeID(i))))
 	}
 	return g
 }
@@ -376,6 +380,13 @@ type Radio struct {
 	// spill holds the live on-air spans of this shard's nodes past their
 	// inlineSpans inline ones; nil until a node first needs it.
 	spill map[network.NodeID][]txSpan
+	// batches holds the completion records of landed frames (see
+	// rxBatch) and batchFree recycles them. Record b's receivers are
+	// rxIDs[b*stride:][:n], stride being the deployment's largest
+	// degree, so a record never regrows.
+	batches   []rxBatch
+	batchFree []int32
+	rxIDs     []network.NodeID
 
 	// Stats accumulates link-layer counts (this shard's share).
 	Stats RadioStats
@@ -411,6 +422,15 @@ type radioHot struct {
 	// the network when the group is built and cleared by Crash, so a
 	// reception reads it next to the rest of the receiver's state.
 	alive bool
+}
+
+// rxBatch is one landed frame's armed receptions on a radio: the n
+// receivers propagate armed, in neighbour order, all due at the frame's
+// end of airtime and completed together by one evFinishRx. It holds the
+// frame by reference (see frameAt) until it runs.
+type rxBatch struct {
+	ref int32
+	n   int32
 }
 
 // rxHeader is what the collision trace records of the reception a
@@ -619,7 +639,7 @@ func (r *Radio) handleEvent(ev Event) {
 	case evAckTimeout:
 		r.ackTimeout(ev.Seq, ev.Arg)
 	case evFinishRx:
-		r.finishRx(ev.Node, ev.Arg)
+		r.completeBatch(ev.Arg)
 	case evAckSend:
 		if slot := ev.Arg; r.frames[slot].seq == ev.Seq {
 			r.ackSend(slot)
@@ -1139,7 +1159,13 @@ func (r *Radio) addSpan(id network.NodeID, sp txSpan, now, d float64) {
 // the channel, then begin the reception (collisions happen there).
 // Arg >= 0 addresses the local frame arena, Arg < 0 the import arena
 // (-(slot+1)) filled by the barrier mail drain. Local broadcast and ack
-// slots are released here — their single transmit is done.
+// slots are released here — their single transmit is done — unless a
+// reception holds them.
+//
+// The receptions that could deliver all end at now + airtime, so they
+// share one completion: propagate records the receivers it armed, in
+// neighbour order, in an rxBatch and schedules a single evFinishRx on
+// this radio's own engine, keyed by the sender and the frame seq.
 func (r *Radio) propagate(ev Event) {
 	var f *Frame
 	slot := ev.Arg
@@ -1154,6 +1180,7 @@ func (r *Radio) propagate(ev Event) {
 	now := r.eng.Now()
 	dur := r.airtime(f.Bytes)
 	g := r.grp
+	b := int32(-1)
 	for j, nb := range r.nw.Neighbors(f.From) {
 		if g.shardOf != nil && g.shardOf[nb] != r.shard {
 			continue
@@ -1175,7 +1202,19 @@ func (r *Radio) propagate(ev Event) {
 			}
 			continue
 		}
-		r.arrive(nb, slot, f, dur)
+		if !r.arrive(nb, f, dur) {
+			continue
+		}
+		if b < 0 {
+			b = r.allocBatch(slot)
+		}
+		bt := &r.batches[b]
+		r.rxIDs[int(b)*g.stride+int(bt.n)] = nb
+		bt.n++
+	}
+	if b >= 0 {
+		f.refs++
+		r.eng.ScheduleEventAt(now+dur, Event{Kind: evFinishRx, Node: f.From, Seq: f.seq, Arg: b})
 	}
 	// A data frame's slot stays with its sender until acked or dropped;
 	// broadcast, ack and import slots are done once their receptions are.
@@ -1207,8 +1246,41 @@ func (r *Radio) release(ref int32) {
 	}
 }
 
-// unref drops a completed reception's hold on its frame, releasing a
-// landed frame with the last hold.
+// allocBatch returns an empty completion record for frame reference ref,
+// recycling freed ones first.
+func (r *Radio) allocBatch(ref int32) int32 {
+	if n := len(r.batchFree); n > 0 {
+		b := r.batchFree[n-1]
+		r.batchFree = r.batchFree[:n-1]
+		r.batches[b] = rxBatch{ref: ref}
+		return b
+	}
+	r.batches = append(r.batches, rxBatch{ref: ref})
+	r.rxIDs = append(r.rxIDs, make([]network.NodeID, r.grp.stride)...)
+	return int32(len(r.batches) - 1)
+}
+
+// completeBatch runs the receptions of completion record b in the order
+// propagate armed them, counting each as one executed event, then frees
+// the record and drops its hold on the frame.
+//
+// Batching moves no node's own event sequence. A receiver has at most
+// one armed reception, so its completion is its only finishRx at that
+// instant, and evFinishRx keeps its kind-major place among the instant's
+// events. Only different receivers' completions interleave differently,
+// and nothing one node does reaches another sooner than PropagationDelay.
+func (r *Radio) completeBatch(b int32) {
+	bt := r.batches[b]
+	for _, id := range r.rxIDs[int(b)*r.grp.stride:][:bt.n] {
+		r.finishRx(id, bt.ref)
+	}
+	r.eng.countSteps(int64(bt.n - 1))
+	r.batchFree = append(r.batchFree, b)
+	r.unref(bt.ref)
+}
+
+// unref drops a completion batch's hold on its frame, releasing a landed
+// frame with the last hold.
 func (r *Radio) unref(ref int32) {
 	f := r.frameAt(ref)
 	f.refs--
@@ -1219,27 +1291,26 @@ func (r *Radio) unref(ref int32) {
 
 // arrive begins a reception at node id, handling receiver-side collisions:
 // overlapping arrivals corrupt each other, and a transmitting node cannot
-// receive.
+// receive. It reports whether the reception is armed for completion.
 //
 // Only a reception that could deliver — a frame addressed to id, or a
-// broadcast — schedules its completion event, which carries the frame's
-// reference ref (see frameAt) and holds the frame (Frame.refs) until it
-// fires, so nothing is copied. An overheard frame keeps nothing (its
-// header, when traced), yet still occupies the receiver until rxUntil,
-// so it corrupts whatever overlaps it, but it would complete into
-// nothing: the occupancy test below reads rxUntil, not rxActive alone,
-// and at equal timestamps a completion sorts before any propagate, so an
-// expired reception reads as finished whether or not an event ever
-// cleared it. The same holds for a window a collision extends: a
-// corrupted reception never delivers. It follows that a completion event
-// that finds its node's reception active and due is that very
-// reception's.
-func (r *Radio) arrive(id network.NodeID, ref int32, f *Frame, dur float64) {
+// broadcast — is armed: propagate adds it to the frame's completion
+// batch, which holds the frame (Frame.refs) until it runs, so nothing is
+// copied. An overheard frame keeps nothing (its header, when traced),
+// yet still occupies the receiver until rxUntil, so it corrupts whatever
+// overlaps it, but it would complete into nothing: the occupancy test
+// below reads rxUntil, not rxActive alone, and at equal timestamps a
+// completion sorts before any propagate, so an expired reception reads
+// as finished whether or not an event ever cleared it. The same holds
+// for a window a collision extends: a corrupted reception never
+// delivers. It follows that a completion that finds its node's reception
+// active and due is that very reception's.
+func (r *Radio) arrive(id network.NodeID, f *Frame, dur float64) bool {
 	now := r.eng.Now()
 	g := r.grp
 	st := &g.hot[id]
 	if st.txUntil > now {
-		return // half-duplex: transmitting nodes miss the frame
+		return false // half-duplex: transmitting nodes miss the frame
 	}
 	if st.rxActive && st.rxUntil > now {
 		// Overlap: the ongoing reception corrupts; this frame is lost too.
@@ -1262,7 +1333,7 @@ func (r *Radio) arrive(id network.NodeID, ref int32, f *Frame, dur float64) {
 		if now+dur > st.rxUntil {
 			st.rxUntil = now + dur
 		}
-		return
+		return false
 	}
 	st.rxActive = true
 	st.rxUntil = now + dur
@@ -1270,10 +1341,7 @@ func (r *Radio) arrive(id network.NodeID, ref int32, f *Frame, dur float64) {
 	if r.tr != nil {
 		g.rx[id] = rxHeader{From: f.From, To: f.To, seq: f.seq, Bytes: f.Bytes, Kind: f.Kind, isAck: f.isAck}
 	}
-	if f.To == id || f.To == broadcastAddr {
-		f.refs++
-		r.eng.ScheduleEventAt(st.rxUntil, Event{Kind: evFinishRx, Node: id, Seq: f.seq, Arg: ref})
-	}
+	return f.To == id || f.To == broadcastAddr
 }
 
 // markDelivered flags the sender's pending copy of a delivered data
@@ -1293,9 +1361,8 @@ func (r *Radio) markDelivered(f *Frame) {
 	g.marks[s*g.k+d] = append(g.marks[s*g.k+d], deliveredMark{seq: f.seq, slot: f.slot})
 }
 
-// finishRx completes the reception at id whose completion event carries
-// frame reference ref, delivering an intact frame and sending the ack,
-// then drops the reception's hold on the frame.
+// finishRx completes the reception at id of the frame with reference
+// ref, delivering an intact frame and sending the ack.
 //
 // Duplicates need no per-node record. A broadcast is transmitted once and
 // reaches each neighbor through exactly one arrive. A data frame is
@@ -1314,7 +1381,6 @@ func (r *Radio) finishRx(id network.NodeID, ref int32) {
 	}
 	// Otherwise superseded by an extended (corrupted) window, or voided
 	// by a crash.
-	r.unref(ref)
 }
 
 // receive handles an intact frame completed at id: a broadcast delivers,

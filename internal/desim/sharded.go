@@ -101,6 +101,10 @@ func (se *ShardedEngine) scheduleMailed(d int32, t float64, ev Event) {
 // schedule their own bookkeeping events on shard engines).
 func (se *ShardedEngine) CountPhantom(k int64) { se.phantoms += k }
 
+// countSteps is EngineAPI's event count adjustment; handlers run on the
+// shard engines, so the facade books it against the phantoms.
+func (se *ShardedEngine) countSteps(n int64) { se.phantoms -= n }
+
 // Now returns the latest shard clock — meaningful at setup (zero) and
 // after Run (the final time).
 func (se *ShardedEngine) Now() float64 {
