@@ -14,8 +14,9 @@ var testRunner = NewRunner(0)
 // experimentsDigest is the SHA-256 of the text rendering of every
 // Experiments table at runs = 1, concatenated in list order. It was
 // recorded before the experiments were gathered into one list, so it
-// pins every table of Sec. 5 and every extension sweep byte for byte.
-const experimentsDigest = "a5dc5f99d4711f77eb8e20b017b54d5c813b62047a0e96e490b457551785659b"
+// pins every table of Sec. 5 and every extension sweep byte for byte. It
+// was re-recorded once when contour chords became gradient-oriented.
+const experimentsDigest = "0a2babcbe9f716f93dbcec629ce212a20f756ec80235f6c276e5e3a1e93af66d"
 
 func TestExperimentsDigest(t *testing.T) {
 	if testing.Short() {
