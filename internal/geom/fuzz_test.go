@@ -256,39 +256,3 @@ func FuzzVoronoiNearest(f *testing.F) {
 		}
 	})
 }
-
-// FuzzVoronoiFilteredMatchesUnfiltered checks that buildCell's filtered
-// clip loop builds the diagram voronoiUnfiltered builds, bit for bit. The
-// sites are walkSites' layouts (uniform or isoline curves, collinear runs,
-// exact and near duplicates, a far site), plus, on layout bit 32, a
-// near-duplicate at a fuzzed offset from Eps/2 to 1e-2 and, on bit 128,
-// cocircular sites; everything, bounds included, is scaled by 10^e for a
-// fuzzed e in [-3, 6), which exercises the margin's scaling. The first
-// seed is FuzzVoronoiNearest's kept extrapolating input at scale 1.
-func FuzzVoronoiFilteredMatchesUnfiltered(f *testing.F) {
-	f.Add(int64(1), uint8('('), uint8('W'), 0.0, 3.0)
-	f.Add(int64(2), uint8(90), uint8(0), 0.0, 3.0)
-	f.Add(int64(3), uint8(90), uint8(1), 0.5, 0.0)
-	f.Add(int64(4), uint8(60), uint8(3), 0.25, 8.5)
-	f.Add(int64(5), uint8(40), uint8(37), 0.9, 5.0)
-	f.Add(int64(6), uint8(20), uint8(128+32+1), 0.1, 7.6)
-	f.Add(int64(7), uint8(70), uint8(15), 0.7, 1.5)
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, layout uint8, off, scale float64) {
-		if math.IsNaN(off) || math.IsInf(off, 0) || math.IsNaN(scale) || math.IsInf(scale, 0) {
-			return
-		}
-		rng := rand.New(rand.NewSource(seed))
-		sites := walkSites(rng, int(n%96)+1, layout)
-		if layout&32 != 0 {
-			s := sites[rng.Intn(len(sites))]
-			d := Eps / 2 * math.Pow(2e-2/Eps, math.Mod(math.Abs(off), 1))
-			th := rng.Float64() * 2 * math.Pi
-			sites = append(sites, Point{X: s.X + d*math.Cos(th), Y: s.Y + d*math.Sin(th)})
-		}
-		if layout&128 != 0 {
-			sites = append(sites, cocircularSites(rng, 12)...)
-		}
-		s, bounds := scaleSites(sites, math.Pow(10, math.Mod(math.Abs(scale), 9)-3))
-		checkFilteredMatches(t, "fuzzed", s, bounds)
-	})
-}

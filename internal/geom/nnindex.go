@@ -1,10 +1,6 @@
 package geom
 
-import (
-	"cmp"
-	"math"
-	"slices"
-)
+import "math"
 
 // NNIndex is a uniform-grid nearest-site index over a fixed point set: the
 // bounding box is cut into square buckets sized for ~1 site per bucket (the
@@ -216,100 +212,4 @@ func (ix *NNIndex) nearestFrom(p Point, best int32) int32 {
 		})
 	}
 	return best
-}
-
-// nnCand is one pending candidate of a VisitByDistance enumeration.
-type nnCand struct {
-	d2  float64
-	idx int32
-}
-
-// cmpCand is the enumeration's total order: squared distance, then site
-// index. No two candidates compare equal, so any correct sort or merge
-// yields the same sequence.
-func cmpCand(a, b nnCand) int {
-	if a.d2 != b.d2 {
-		if a.d2 < b.d2 {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Compare(a.idx, b.idx)
-}
-
-// VisitByDistance calls visit for every site in nondecreasing distance from
-// p (exact ties in ascending index order), stopping early when visit
-// returns false. A site is only emitted once every strictly closer site has
-// been: after ring r completes, any unscanned site is at distance >= r*cell,
-// so the sorted pending candidates below that horizon are final.
-func (ix *NNIndex) VisitByDistance(p Point, visit func(i int, d2 float64) bool) {
-	var pend []nnCand
-	ix.visitByDistance(p, &pend, visit)
-}
-
-// visitByDistance is VisitByDistance keeping its pending candidates in
-// *pend, a buffer the caller reuses across queries; it is left empty with
-// whatever capacity the query grew it to. It is the oracle consumer of
-// ringBatches: every batch is sorted and visited in full.
-func (ix *NNIndex) visitByDistance(p Point, pend *[]nnCand, visit func(i int, d2 float64) bool) {
-	ix.ringBatches(p, pend, func(batch []nnCand) bool { return visitSorted(batch, visit) })
-}
-
-// visitSorted sorts batch into the enumeration order and calls visit for
-// each candidate, returning false as soon as visit does.
-func visitSorted(batch []nnCand, visit func(i int, d2 float64) bool) bool {
-	slices.SortFunc(batch, cmpCand)
-	for _, c := range batch {
-		if !visit(int(c.idx), c.d2) {
-			return false
-		}
-	}
-	return true
-}
-
-// ringBatches enumerates the sites around p ring by ring and hands batch
-// each ring's final candidates, unsorted: after ring r the pending pool is
-// partitioned at the ring's horizon r*cell, and the part strictly below it
-// is final because every unscanned site lies at or beyond it. The rest
-// waits unsorted for a later ring; whatever remains after the last ring is
-// the last batch. Every candidate of a batch precedes every candidate of a
-// later batch in (d2, index) order, so sorting each batch and visiting the
-// batches in turn is a full sort of the sites. batch may reorder its slice
-// in place; returning false stops the enumeration. Empty batches are not
-// handed over. *pend is the pending buffer, as for visitByDistance.
-func (ix *NNIndex) ringBatches(p Point, pend *[]nnCand, batch func([]nnCand) bool) {
-	if len(ix.sites) == 0 {
-		return
-	}
-	buf := (*pend)[:0]
-	defer func() { *pend = buf[:0] }()
-	qx, qy := ix.bucketCoords(p)
-	minR, maxR := ix.ringSpan(qx, qy)
-	head := 0
-	for r := minR; r <= maxR; r++ {
-		ix.scanRing(qx, qy, r, func(ids []int32) {
-			for _, si := range ids {
-				buf = append(buf, nnCand{d2: p.Dist2To(ix.sites[si]), idx: si})
-			}
-		})
-		horizon := float64(r) * ix.cell
-		h2 := horizon * horizon
-		final := head
-		for k := head; k < len(buf); k++ {
-			if buf[k].d2 < h2 {
-				buf[final], buf[k] = buf[k], buf[final]
-				final++
-			}
-		}
-		if final > head && !batch(buf[head:final]) {
-			return
-		}
-		head = final
-		if head == len(buf) {
-			buf, head = buf[:0], 0
-		}
-	}
-	if head < len(buf) {
-		batch(buf[head:])
-	}
 }

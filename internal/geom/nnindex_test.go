@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 )
@@ -91,87 +90,6 @@ func TestNNIndexWarmStartHintIndependent(t *testing.T) {
 	}
 }
 
-func TestNNIndexVisitByDistanceOrderAndCompleteness(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	bounds := Rect(0, 0, 50, 50)
-	for si, sites := range randomSiteSets(rng) {
-		ix := NewNNIndex(sites, bounds)
-		for _, p := range probes(rng, 40) {
-			var order []int
-			var dists []float64
-			ix.VisitByDistance(p, func(i int, d2 float64) bool {
-				order = append(order, i)
-				dists = append(dists, d2)
-				return true
-			})
-			if len(order) != len(sites) {
-				t.Fatalf("set %d: visited %d of %d sites", si, len(order), len(sites))
-			}
-			for k := 1; k < len(order); k++ {
-				if dists[k] < dists[k-1] {
-					t.Fatalf("set %d: distance order violated at %d: %v after %v", si, k, dists[k], dists[k-1])
-				}
-				if dists[k] == dists[k-1] && order[k] < order[k-1] {
-					t.Fatalf("set %d: tie order violated at %d: idx %d after %d", si, k, order[k], order[k-1])
-				}
-			}
-			// The reported distances must be the true ones.
-			for k, idx := range order {
-				if want := p.Dist2To(sites[idx]); dists[k] != want {
-					t.Fatalf("set %d: d2 mismatch for site %d", si, idx)
-				}
-			}
-			seen := append([]int(nil), order...)
-			sort.Ints(seen)
-			for k, idx := range seen {
-				if idx != k {
-					t.Fatalf("set %d: site %d never visited", si, k)
-				}
-			}
-		}
-	}
-}
-
-func TestNNIndexVisitByDistanceEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(75))
-	sites := make([]Point, 100)
-	for i := range sites {
-		sites[i] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
-	}
-	ix := NewNNIndex(sites, Rect(0, 0, 50, 50))
-	p := Point{X: 25, Y: 25}
-	// Stopping after m visits must yield exactly the m nearest sites.
-	for _, m := range []int{1, 3, 10, 50} {
-		var got []int
-		ix.VisitByDistance(p, func(i int, d2 float64) bool {
-			got = append(got, i)
-			return len(got) < m
-		})
-		if len(got) != m {
-			t.Fatalf("stop after %d: visited %d", m, len(got))
-		}
-		type sd struct {
-			d2  float64
-			idx int
-		}
-		all := make([]sd, len(sites))
-		for i, s := range sites {
-			all[i] = sd{p.Dist2To(s), i}
-		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].d2 != all[b].d2 {
-				return all[a].d2 < all[b].d2
-			}
-			return all[a].idx < all[b].idx
-		})
-		for k := 0; k < m; k++ {
-			if got[k] != all[k].idx {
-				t.Fatalf("prefix mismatch at %d: got %d, want %d", k, got[k], all[k].idx)
-			}
-		}
-	}
-}
-
 func TestNNIndexEmpty(t *testing.T) {
 	ix := NewNNIndex(nil, Rect(0, 0, 10, 10))
 	if got := ix.Nearest(Point{1, 2}); got != -1 {
@@ -179,11 +97,6 @@ func TestNNIndexEmpty(t *testing.T) {
 	}
 	if got := ix.NearestWarm(Point{1, 2}, 3); got != -1 {
 		t.Errorf("NearestWarm on empty index = %d, want -1", got)
-	}
-	called := false
-	ix.VisitByDistance(Point{1, 2}, func(int, float64) bool { called = true; return true })
-	if called {
-		t.Error("VisitByDistance visited sites of an empty index")
 	}
 }
 
@@ -221,11 +134,6 @@ func TestNNIndexFarAndNonFiniteProbes(t *testing.T) {
 	} {
 		if got, want := ix.Nearest(p), bruteNearest(sites, p, -1); got != want {
 			t.Errorf("Nearest(%v) = %d, brute = %d", p, got, want)
-		}
-		n := 0
-		ix.VisitByDistance(p, func(int, float64) bool { n++; return true })
-		if n != len(sites) {
-			t.Errorf("VisitByDistance(%v) visited %d of %d sites", p, n, len(sites))
 		}
 	}
 	if d := time.Since(start); d > 2*time.Second {

@@ -10,9 +10,10 @@ import (
 )
 
 // voronoiDigest hashes every float bit and integer a diagram exposes: per
-// cell the site, index, region vertices, neighbors and shared edges. Two diagrams digest equal only when they are bitwise identical, so
-// a reordered clip or a changed float operation shows as a new digest even
-// where the 1e-6 naive-oracle comparison would still pass.
+// cell the site, index, region vertices, neighbors and shared edges. Two
+// diagrams digest equal only when they are bitwise identical, so a changed
+// insertion order, vertex start or float operation shows as a new digest
+// even where the naive-oracle comparison would still pass.
 func voronoiDigest(d *VoronoiDiagram) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -65,32 +66,36 @@ func isolineSites(k int) []Point {
 	return sites
 }
 
-// TestVoronoiDigest pins the pruned construction bit for bit: every digest
-// below covers the cells' regions and adjacency, and must never move while
-// the construction keeps its clips, their order and their arithmetic.
+// churnedSites is benchSites(1000) with 3% of the sites moved to fresh
+// uniform positions: one round of a slowly changing report set.
+func churnedSites() []Point {
+	sites := benchSites(1000)
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n < len(sites)*3/100; n++ {
+		i := rng.Intn(len(sites))
+		sites[i] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
+	}
+	return sites
+}
+
+// TestVoronoiDigest pins the construction bit for bit: every digest below
+// covers the cells' regions and adjacency, and must never move while the
+// construction keeps its insertion order (which also decides the vertex
+// each region starts at), its circumcentres and its bounds clips. The digests were re-recorded once
+// when the half-plane clip loop gave way to the Delaunay dual.
 func TestVoronoiDigest(t *testing.T) {
 	bounds := Rect(0, 0, 50, 50)
-	// churned is benchSites(1000) with 3% of the sites moved to fresh
-	// uniform positions: one round of a slowly changing report set.
-	churned := func() *VoronoiDiagram {
-		sites := benchSites(1000)
-		rng := rand.New(rand.NewSource(3))
-		for n := 0; n < len(sites)*3/100; n++ {
-			i := rng.Intn(len(sites))
-			sites[i] = Point{X: rng.Float64() * 50, Y: rng.Float64() * 50}
-		}
-		return Voronoi(sites, bounds)
-	}
+	churned := func() *VoronoiDiagram { return Voronoi(churnedSites(), bounds) }
 	cases := []struct {
 		name  string
 		build func() *VoronoiDiagram
 		want  string
 	}{
-		{"uniform/k=32", func() *VoronoiDiagram { return Voronoi(benchSites(32), bounds) }, "0d118608ae28dc7793106e3af154237fd428c822bea07784f18d735c122564fa"},
-		{"uniform/k=512", func() *VoronoiDiagram { return Voronoi(benchSites(512), bounds) }, "88ea70494c3a0628c9bf0118772c657bd8c9e06ead857ac96d0a60d948e365a1"},
-		{"uniform/k=2048", func() *VoronoiDiagram { return Voronoi(benchSites(2048), bounds) }, "51d13dd0c5c5b8d5ab4135e922147de0809d471c948b2fc9e57a7c080ac7837f"},
-		{"isoline/k=1000", func() *VoronoiDiagram { return Voronoi(isolineSites(1000), bounds) }, "02ad67630a138c9c3167073c23eff1c173ce5948eec4b313b8b7b6dd6e3fc371"},
-		{"uniform/churn=3%", churned, "83abdeb469ca87565f717ce119d17dd2aad9cbefb39d544116c12cca2385a5d1"},
+		{"uniform/k=32", func() *VoronoiDiagram { return Voronoi(benchSites(32), bounds) }, "61bc5f3e481ee23a2470c2b1b4b2e242a2c83560b97427a016fab0aef1f67e7f"},
+		{"uniform/k=512", func() *VoronoiDiagram { return Voronoi(benchSites(512), bounds) }, "49029e6d9283f657e6b3778dbe5ae5629830c942f35668af5a206131c4104c92"},
+		{"uniform/k=2048", func() *VoronoiDiagram { return Voronoi(benchSites(2048), bounds) }, "f8a668fc577f2550274dbfe80ff701802f3743a2dd30c1449624352dc58a89eb"},
+		{"isoline/k=1000", func() *VoronoiDiagram { return Voronoi(isolineSites(1000), bounds) }, "49a04bac277edd34f8377e236e3c57b9b113e9422f024974b7afb79d1337f9e4"},
+		{"uniform/churn=3%", churned, "cf6648bae60ab35e9573d2f070906beffe453de75514a8772088aa6b14cd8a21"},
 	}
 	for _, tc := range cases {
 		if got := voronoiDigest(tc.build()); got != tc.want {

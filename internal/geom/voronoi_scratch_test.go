@@ -7,17 +7,17 @@ import (
 )
 
 // TestVoronoiAllocsPerCell pins the construction's allocation contract:
-// clips, candidate ordering and adjacency run in per-build scratch, so a
-// kept cell allocates only its region, neighbor list and shared-edge list.
-// The bound is that 3 plus the build's fixed cost (the index, the cell
-// array, the scratch growing to its working size) spread over k = 512
-// cells: 3.06 measured, rounded up. A clip that allocates again costs
-// several allocations per cell and fails it.
+// the triangulation, the cell assembly and the bounds clips run in
+// per-build scratch, and kept regions, neighbour lists and shared edges
+// are carved out of three shared blocks, so a build allocates a fixed
+// number of times (the index, the cell array, the scratch, the blocks):
+// 0.1 per cell at k = 512, measured. The bound, 0.2, fails a build that
+// allocates once per cell again.
 func TestVoronoiAllocsPerCell(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const maxAllocsPerCell = 3.1
+	const maxAllocsPerCell = 0.2
 	sites := benchSites(512)
 	bounds := Rect(0, 0, 50, 50)
 	allocs := testing.AllocsPerRun(10, func() { Voronoi(sites, bounds) })

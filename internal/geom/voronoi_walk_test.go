@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -52,10 +53,11 @@ func TestNearestFromMatchesNearest(t *testing.T) {
 }
 
 // TestVoronoiCertifiedPremises pins which cells may certify: none whose
-// site has another site within walkMinSep or lies outside the bounds, and
-// none of the cell whose region a near-duplicate pair's clips broke
-// (found by FuzzVoronoiNearest: an extrapolated crossing left it with
-// unattributed edges that neighbour 39 owns).
+// site has another site within walkMinSep or lies outside the bounds. Cell
+// 18 of a near-duplicate layout that FuzzVoronoiNearest found was refused
+// under the clip loop, whose extrapolated crossing had left it with edges
+// owned by neighbour 39, which it did not list. Its dual cell lists 39,
+// matches the naive oracle, and certifies.
 func TestVoronoiCertifiedPremises(t *testing.T) {
 	sites := []Point{{10, 10}, {10.005, 10}, {30, 30}, {40, 12}, {60, 25}}
 	d := Voronoi(sites, Rect(0, 0, 50, 50))
@@ -64,9 +66,17 @@ func TestVoronoiCertifiedPremises(t *testing.T) {
 			t.Errorf("cell %d at %v: certified = %v, want %v", i, sites[i], got, want)
 		}
 	}
-	broken := Voronoi(walkSites(rand.New(rand.NewSource(1)), 41, 87), Rect(0, 0, 50, 50))
-	if broken.Cells[18].certified {
-		t.Error("cell 18 of the fuzz-found near-duplicate layout is certified")
+	layout := walkSites(rand.New(rand.NewSource(1)), 41, 87)
+	c := Voronoi(layout, Rect(0, 0, 50, 50)).Cells[18]
+	naive := VoronoiNaive(layout, Rect(0, 0, 50, 50)).Cells[18]
+	got, want := slices.Clone(c.Neighbors), slices.Clone(naive.Neighbors)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !sameRegion(c.Region, naive.Region, 1e-7) || !slices.Equal(got, want) {
+		t.Errorf("cell 18 of the fuzz-found layout: region %v, neighbours %v; naive %v, %v", c.Region, got, naive.Region, want)
+	}
+	if !c.certified || !slices.Contains(c.Neighbors, 39) {
+		t.Errorf("cell 18 of the fuzz-found layout: certified %v, neighbours %v; want certified, listing 39", c.certified, c.Neighbors)
 	}
 	total := 0
 	iso := Voronoi(isolineSites(1000), Rect(0, 0, 50, 50))
